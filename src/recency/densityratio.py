@@ -17,8 +17,15 @@ g is strictly decreasing between the poles of its terms, so the root is
 bracketed on the open interval where every denominator stays positive.
 
 The profile objective adds -sum w_i log(1 + mu (e_i - 1)) to the tilted
-pseudo-likelihood; its gradient is taken by central finite differences
-because mu depends on psi through the inner root-find.
+pseudo-likelihood.  Since g is the mu-derivative of that term, the
+envelope theorem makes the profile gradient the partial derivative with
+mu held fixed.  The per-subject scores for the sandwich also need
+d mu / d psi = -g_psi / g_mu from the implicit-function rule, with
+
+    g_mu  = -sum_i w_i d_i^2 / (1 + mu d_i)^2,
+    g_psi =  sum_i w_i e_i (1, s_i) / (1 + mu d_i)^2,    d_i = e_i - 1
+
+(Qin & Lawless 1994, Ann. Stat. 22:300; Qin 1998, Biometrika 85:619).
 """
 
 from __future__ import annotations
@@ -34,10 +41,12 @@ from .estimation import (
     MAX_ITER,
     SCORE_TOL,
     _check_weights,
+    _fd_score_jacobian,
     _flat_directions,
+    _sandwich,
     select_candidate,
 )
-from .likelihood import _case_terms
+from .likelihood import _case_scores, _case_terms
 from .model import ModelSpec, Theta, as_arrays, check_theta_spec, initial_theta
 
 __all__ = [
@@ -155,12 +164,15 @@ def profile_log_likelihood(data, theta: Theta, spec: ModelSpec) -> float:
 
 
 class _ProfileObjective:
-    """Negated profile likelihood with rejection counting and FD gradient."""
+    """Negated profile likelihood with rejection counting, and its
+    analytic per-subject scores."""
 
     def __init__(self, arrs, template, spec):
         self.arrs = arrs
         self.template = template
         self.spec = spec
+        names = spec.free_names()
+        self.psi_cols = [names.index("psi0"), names.index("psi1")]
         self.rejections = 0
         self.max_residuals = [0.0, 0.0]
 
@@ -178,67 +190,48 @@ class _ProfileObjective:
         self.max_residuals[1] = max(self.max_residuals[1], abs(sol.residual_tilt))
         return -math.fsum(contrib)
 
-    def contributions(self, free):
+    def contribution_jacobian(self, free):
+        """Per-subject profile scores m_i; (n, k).
+
+        The case-term scores, plus in the psi columns the derivative of
+        -w log(1 + mu d) through d = e - 1 and through mu(psi), whose
+        slope -g_psi / g_mu follows from g(mu(psi), psi) = 0.  The mu(psi)
+        part sums to -g * dmu/dpsi = 0 over subjects, so the columns add
+        up to the envelope gradient.
+        """
+        arrs = self.arrs
         theta = self.template.with_free(free)
-        contrib, _ = _profile_pieces(self.arrs, theta, self.spec)
-        if contrib is None:
-            raise FloatingPointError("profile contributions requested at infeasible psi")
-        return contrib
-
-    def gradient(self, free, step=1e-5):
-        """Central differences of the (positive) profile objective."""
-        k = free.size
-        grad = np.empty(k)
-        for j in range(k):
-            h = step * (1.0 + abs(free[j]))
-            up = free.copy()
-            up[j] += h
-            dn = free.copy()
-            dn[j] -= h
-            f_up = -self.value(up)
-            f_dn = -self.value(dn)
-            if math.isfinite(f_up) and math.isfinite(f_dn):
-                grad[j] = (f_up - f_dn) / (2.0 * h)
-            elif math.isfinite(f_up):
-                grad[j] = (f_up + self.value(free)) / h
-            elif math.isfinite(f_dn):
-                grad[j] = (-self.value(free) - f_dn) / h
-            else:
-                grad[j] = 0.0  # infeasible on both sides: no usable slope
-        return grad
-
-    def contribution_jacobian(self, free, step=1e-5):
-        """Per-subject profile scores m_i by central differences; (n, k)."""
-        k = free.size
-        m = np.empty((self.arrs.n, k))
-        for j in range(k):
-            h = step * (1.0 + abs(free[j]))
-            up = free.copy()
-            up[j] += h
-            dn = free.copy()
-            dn[j] -= h
-            m[:, j] = (self.contributions(up) - self.contributions(dn)) / (2.0 * h)
+        sol = solve_mu(theta.psi, arrs)
+        if not sol.feasible:
+            raise FloatingPointError("profile scores requested at infeasible psi")
+        m = _case_scores(arrs, theta, self.spec)
+        e = tilt(arrs.s, theta.psi)
+        d = e - 1.0
+        denom = 1.0 + sol.mu * d
+        de = np.column_stack([e, e * arrs.s])          # d(e)/d(psi0, psi1)
+        g_mu = -math.fsum(arrs.w * d * d / denom**2)
+        g_psi = np.array([math.fsum(c) for c in (arrs.w / denom**2) * de.T])
+        dmu = -g_psi / g_mu
+        m[:, self.psi_cols] -= (arrs.w / denom)[:, None] * (sol.mu * de + d[:, None] * dmu)
+        if not np.isfinite(m).all():
+            raise FloatingPointError("non-finite profile score")
         return m
 
-    def hessian(self, free, step=1e-4):
-        """Central differences of the FD gradient, symmetrized; (k, k)."""
-        k = free.size
-        hess = np.empty((k, k))
-        for j in range(k):
-            h = step * (1.0 + abs(free[j]))
-            up = free.copy()
-            up[j] += h
-            dn = free.copy()
-            dn[j] -= h
-            hess[:, j] = (self.gradient(up) - self.gradient(dn)) / (2.0 * h)
-        return 0.5 * (hess + hess.T)
+    def gradient(self, free):
+        """Gradient of the (positive) profile objective; NaN where psi is
+        infeasible."""
+        try:
+            m = self.contribution_jacobian(free)
+        except (OverflowError, FloatingPointError):
+            return np.full(free.size, np.nan)
+        return np.array([math.fsum(m[:, j]) for j in range(m.shape[1])])
 
     def newton_polish(self, free, ll, max_steps=5):
         """Push the gradient below tolerance once BFGS stalls on value noise.
 
-        The line-search-free Newton iteration only needs the FD gradient
-        (noise ~1e-8), so it converges past the ~1e-5 floor imposed by
-        comparing near-equal objective values.
+        BFGS's line search compares near-equal objective values and stalls
+        near a 1e-5 score; Newton steps need only the analytic gradient and
+        its central-difference Jacobian, so they finish the last decades.
         """
         x = free.copy()
         for _ in range(max_steps):
@@ -246,7 +239,7 @@ class _ProfileObjective:
             if np.max(np.abs(g)) < SCORE_TOL:
                 break
             try:
-                step_vec = np.linalg.solve(self.hessian(x), -g)
+                step_vec = np.linalg.solve(_fd_score_jacobian(self.gradient, x), -g)
             except np.linalg.LinAlgError:
                 break
             scale = 1.0
@@ -270,8 +263,8 @@ def fit_extended(data, spec: ModelSpec, init: Theta | None = None, *,
                  enforce_weight_sum: bool = True) -> FitResult:
     """Maximize the profile likelihood over (beta, free eta, psi0, psi1).
 
-    Sandwich covariance is built from finite-difference per-subject
-    profile scores.  The result carries the multiplier at the optimum,
+    The sandwich covariance pairs the analytic per-subject profile scores
+    with the central-difference Jacobian of their total.  The result carries the multiplier at the optimum,
     the worst constraint residuals seen over accepted evaluations, and
     the number of infeasible-psi rejections.
     """
@@ -290,7 +283,7 @@ def fit_extended(data, spec: ModelSpec, init: Theta | None = None, *,
     # each of the two sign-compatible cones and keep the better optimum.
     med_s = float(np.median(arrs.s))
     names = spec.free_names()
-    i0, i1 = names.index("psi0"), names.index("psi1")
+    i0, i1 = obj.psi_cols
     delta = 0.1
     starts = []
     if init is not None and (init.psi is not None and np.any(init.psi != 0.0)):
@@ -321,7 +314,7 @@ def fit_extended(data, spec: ModelSpec, init: Theta | None = None, *,
     for start in starts:
         run_from(start)
     # BFGS stalls once objective differences fall below value noise;
-    # Newton steps on the FD gradient finish the last decades
+    # Newton steps on the analytic gradient finish the last decades
     if candidates:
         lead_x, lead_ll, lead_sup = select_candidate(candidates)
         if lead_sup >= SCORE_TOL:
@@ -338,23 +331,8 @@ def fit_extended(data, spec: ModelSpec, init: Theta | None = None, *,
     bic = -2.0 * ll + k * math.log(n)
     sol = solve_mu(theta_hat.psi, arrs)
     try:
-        m = obj.contribution_jacobian(x_hat)
-        c_mat = (m.T @ m) / n
-        info = np.empty((k, k))
-        for j in range(k):
-            h = 1e-4 * (1.0 + abs(x_hat[j]))
-            up = x_hat.copy()
-            up[j] += h
-            dn = x_hat.copy()
-            dn[j] -= h
-            info[:, j] = (obj.gradient(up) - obj.gradient(dn)) / (2.0 * h)
-        info = 0.5 * (info + info.T) / n
-        svals = np.linalg.svd(info, compute_uv=False)
-        if svals[-1] <= 1e-10 * max(svals[0], 1.0):
-            raise np.linalg.LinAlgError("singular profile information")
-        inv_info = np.linalg.solve(info, np.eye(k))
-        cov = inv_info @ c_mat @ inv_info.T / n
-        cov = 0.5 * (cov + cov.T)
+        cov = _sandwich(obj.contribution_jacobian(x_hat),
+                        _fd_score_jacobian(obj.gradient, x_hat), names)
     except (np.linalg.LinAlgError, FloatingPointError):
         cov = np.full((k, k), np.nan)
         converged = False

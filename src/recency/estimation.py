@@ -191,9 +191,9 @@ def _flat_directions(loglik_fn, free: np.ndarray, ll_hat: float) -> list[int]:
     return flat
 
 
-def _fd_score_jacobian(arrs, theta, spec, score_fn):
-    """Central finite differences of the total score, column per parameter."""
-    free = theta.free_values()
+def _fd_score_jacobian(score_fn, free: np.ndarray) -> np.ndarray:
+    """Central finite differences of a total score given as a function of
+    the free vector, one column per parameter; symmetrized."""
     k = free.size
     jac = np.empty((k, k))
     for j in range(k):
@@ -202,37 +202,23 @@ def _fd_score_jacobian(arrs, theta, spec, score_fn):
         up[j] += h
         dn = free.copy()
         dn[j] -= h
-        jac[:, j] = (score_fn(arrs, theta.with_free(up), spec)
-                     - score_fn(arrs, theta.with_free(dn), spec)) / (2.0 * h)
+        jac[:, j] = (score_fn(up) - score_fn(dn)) / (2.0 * h)
     return 0.5 * (jac + jac.T)
 
 
-def sandwich_covariance(data, theta_hat: Theta, spec: ModelSpec) -> np.ndarray:
-    """Robust covariance (1/n) I^-1 C I^-T of the free-parameter estimates.
-
-    I is the score Jacobian (finite differences of the analytic
-    per-subject scores), C the outer product of the per-subject scores.
-    Raises LinAlgError naming the nearly-unidentified parameter when I is
-    numerically singular.
-    """
-    arrs = as_arrays(data)
-    n = arrs.n
-    m = score_contributions(arrs, theta_hat, spec)
-    g = m.sum(axis=0)
-    sup = float(np.max(np.abs(g))) if g.size else 0.0
-    if sup >= 1e-4:
-        warnings.warn(
-            f"sandwich evaluated away from a stationary point (score sup-norm {sup:.2e})",
-            stacklevel=2,
-        )
-    info = _fd_score_jacobian(arrs, theta_hat, spec, score) / n
+def _sandwich(m: np.ndarray, jac: np.ndarray, names) -> np.ndarray:
+    """Robust covariance (1/n) I^-1 C I^-T from per-subject scores m (n, k)
+    and the total score Jacobian jac (k, k), with I = jac / n and
+    C = m^T m / n.  Raises LinAlgError naming the nearly-unidentified
+    parameter when I is numerically singular."""
+    n = m.shape[0]
+    info = jac / n
     c_mat = (m.T @ m) / n
     svals = np.linalg.svd(info, compute_uv=False)
     # near-singular information means an effectively unidentified direction,
     # e.g. a likelihood whose supremum sits at an infinite parameter value
     if svals[-1] <= NEAR_SINGULAR_RTOL * max(svals[0], 1.0):
         _, _, vt = np.linalg.svd(info)
-        names = spec.free_names()
         culprit = names[int(np.argmax(np.abs(vt[-1])))]
         raise np.linalg.LinAlgError(
             f"information matrix is numerically singular; parameter {culprit!r} "
@@ -241,6 +227,29 @@ def sandwich_covariance(data, theta_hat: Theta, spec: ModelSpec) -> np.ndarray:
     inv_info = np.linalg.solve(info, np.eye(info.shape[0]))
     cov = inv_info @ c_mat @ inv_info.T / n
     return 0.5 * (cov + cov.T)
+
+
+def sandwich_covariance(data, theta_hat: Theta, spec: ModelSpec) -> np.ndarray:
+    """Robust covariance (1/n) I^-1 C I^-T of the free-parameter estimates.
+
+    C is the outer product of the analytic per-subject scores, I the
+    central-difference Jacobian of their total; the density-ratio fit
+    feeds its own profile scores to the same :func:`_sandwich`.  Raises
+    LinAlgError naming the nearly-unidentified parameter when I is
+    numerically singular.
+    """
+    arrs = as_arrays(data)
+    m = score_contributions(arrs, theta_hat, spec)
+    g = m.sum(axis=0)
+    sup = float(np.max(np.abs(g))) if g.size else 0.0
+    if sup >= 1e-4:
+        warnings.warn(
+            f"sandwich evaluated away from a stationary point (score sup-norm {sup:.2e})",
+            stacklevel=2,
+        )
+    jac = _fd_score_jacobian(lambda v: score(arrs, theta_hat.with_free(v), spec),
+                             theta_hat.free_values())
+    return _sandwich(m, jac, spec.free_names())
 
 
 @dataclass

@@ -132,7 +132,11 @@ def score_contributions(data, theta: Theta, spec: ModelSpec) -> np.ndarray:
     any intermediate is non-finite, naming the offending subject.
     """
     check_theta_spec(theta, spec)
-    arrs = as_arrays(data)
+    return _case_scores(as_arrays(data), theta, spec)
+
+
+def _case_scores(arrs: SubjectArrays, theta: Theta, spec: ModelSpec) -> np.ndarray:
+    """Weighted per-subject derivatives of the case terms; (n, free)."""
     (lb, q0, q1, log_pi, log_1m_pi, log_p0, log_1m_p0,
      log_p1, log_1m_p1, tilt_exp) = _linear_pieces(arrs, theta, spec)
     m1, m2, m3, m4 = arrs.case_masks()
