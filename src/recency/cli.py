@@ -169,7 +169,7 @@ def cmd_fit(args) -> int:
     doc = fit_report(result)
     doc["preprocessing"] = _report_dict(report)
     (out / "fit.json").write_text(json.dumps(doc, indent=2))
-    export_predictions(out / "predictions.csv", subjects, result.theta_hat, spec)
+    export_predictions(out / "predictions.csv", subjects, result.theta_hat, spec, report.ids)
     _write_manifest(out, "fit", _resolved(args), args.seed, [args.data], started)
     if not result.converged:
         print("WARNING: fit did not converge (flagged, best iterate reported)", file=sys.stderr)
@@ -297,7 +297,7 @@ def cmd_predict(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    export_predictions(out / "predictions.csv", subjects, theta, spec)
+    export_predictions(out / "predictions.csv", subjects, theta, spec, report.ids)
     if args.p_hiv is not None:
         if args.p_art is None:
             raise UsageError("--p-hiv requires --p-art")

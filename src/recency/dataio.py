@@ -78,12 +78,14 @@ class RawRecord:
 
 @dataclass
 class StandardizationReport:
-    """What preprocessing did: scaling constants, drops, imputations."""
+    """What preprocessing did: scaling constants, drops, imputations, and
+    the ids of the retained rows in subject order."""
 
     stats: dict[str, tuple[float, float]] = field(default_factory=dict)
     dropped: list[tuple[str, str]] = field(default_factory=list)
     imputations: list[tuple[str, int]] = field(default_factory=list)
     n_retained: int = 0
+    ids: list[str] = field(default_factory=list)
 
 
 def _parse_cell(raw, row_num, col, kind):
@@ -299,4 +301,5 @@ def preprocess(records, seed: int = 0, covariates=("odn",), *,
         for i in range(n)
     ]
     report.n_retained = n
+    report.ids = [rec.id for rec, _, _ in kept]
     return subjects, report

@@ -46,7 +46,7 @@ from .estimation import (
     _sandwich,
     select_candidate,
 )
-from .likelihood import _case_scores, _case_terms
+from .likelihood import _case_pass, _case_scores, _case_terms, _column_fsum
 from .model import ModelSpec, Theta, as_arrays, check_theta_spec, initial_theta
 
 __all__ = [
@@ -59,6 +59,7 @@ __all__ = [
 
 SUM_TOL = 1e-10       # |sum(p) - 1|
 TILT_CONSTRAINT_TOL = 1e-8   # |sum(p (e - 1))|
+POLISH_STEPS = 5      # Newton steps after BFGS stalls
 
 
 def tilt(s, psi):
@@ -144,10 +145,11 @@ def _profile_pieces(arrs, theta, spec):
     sol = solve_mu(theta.psi, arrs)
     if not sol.feasible:
         return None, sol
-    e = tilt(arrs.s, theta.psi)
-    mu_term = -np.log1p(sol.mu * (e - 1.0))
-    contrib = arrs.w * (mu_term + _case_terms(arrs, theta, spec))
-    return contrib, sol
+    return _profile_contrib(arrs, theta.psi, sol, _case_terms(arrs, theta, spec)), sol
+
+
+def _profile_contrib(arrs, psi, sol, terms):
+    return arrs.w * (-np.log1p(sol.mu * (tilt(arrs.s, psi) - 1.0)) + terms)
 
 
 def profile_log_likelihood(data, theta: Theta, spec: ModelSpec) -> float:
@@ -176,22 +178,50 @@ class _ProfileObjective:
         self.rejections = 0
         self.max_residuals = [0.0, 0.0]
 
-    def value(self, free):
-        theta = self.template.with_free(free)
-        try:
-            contrib, sol = _profile_pieces(self.arrs, theta, self.spec)
-        except (OverflowError, FloatingPointError):
-            self.rejections += 1
-            return math.inf
-        if contrib is None or np.isneginf(contrib).any() or not np.isfinite(contrib).all():
+    def _negated_total(self, contrib, sol):
+        """-sum(contrib), or inf counted as a rejection when it is None."""
+        if contrib is None or not np.isfinite(contrib).all():
             self.rejections += 1
             return math.inf
         self.max_residuals[0] = max(self.max_residuals[0], abs(sol.residual_sum))
         self.max_residuals[1] = max(self.max_residuals[1], abs(sol.residual_tilt))
         return -math.fsum(contrib)
 
+    def value(self, free):
+        theta = self.template.with_free(free)
+        try:
+            contrib, sol = _profile_pieces(self.arrs, theta, self.spec)
+        except (OverflowError, FloatingPointError):
+            contrib = sol = None
+        return self._negated_total(contrib, sol)
+
+    def value_and_gradient(self, free):
+        """BFGS objective (value, -gradient) from one solve_mu and kernel pass."""
+        theta = self.template.with_free(free)
+        try:
+            sol = solve_mu(theta.psi, self.arrs)
+        except OverflowError:
+            sol = None
+        if sol is None or not sol.feasible:
+            return self._negated_total(None, sol), np.full(free.size, np.nan)
+        cp = _case_pass(self.arrs, theta, self.spec)
+        contrib = _profile_contrib(self.arrs, theta.psi, sol, cp.terms)
+        try:
+            grad = -_column_fsum(self._profile_scores(theta, sol, cp))
+        except FloatingPointError:
+            grad = np.full(free.size, np.nan)
+        return self._negated_total(contrib, sol), grad
+
     def contribution_jacobian(self, free):
-        """Per-subject profile scores m_i; (n, k).
+        """Per-subject profile scores m_i; (n, k)."""
+        theta = self.template.with_free(free)
+        sol = solve_mu(theta.psi, self.arrs)
+        if not sol.feasible:
+            raise FloatingPointError("profile scores requested at infeasible psi")
+        return self._profile_scores(theta, sol, _case_pass(self.arrs, theta, self.spec))
+
+    def _profile_scores(self, theta, sol, cp):
+        """Profile scores from the kernel pass cp at a feasible psi.
 
         The case-term scores, plus in the psi columns the derivative of
         -w log(1 + mu d) through d = e - 1 and through mu(psi), whose
@@ -200,17 +230,13 @@ class _ProfileObjective:
         up to the envelope gradient.
         """
         arrs = self.arrs
-        theta = self.template.with_free(free)
-        sol = solve_mu(theta.psi, arrs)
-        if not sol.feasible:
-            raise FloatingPointError("profile scores requested at infeasible psi")
-        m = _case_scores(arrs, theta, self.spec)
+        m = _case_scores(arrs, self.spec, cp)
         e = tilt(arrs.s, theta.psi)
         d = e - 1.0
         denom = 1.0 + sol.mu * d
         de = np.column_stack([e, e * arrs.s])          # d(e)/d(psi0, psi1)
         g_mu = -math.fsum(arrs.w * d * d / denom**2)
-        g_psi = np.array([math.fsum(c) for c in (arrs.w / denom**2) * de.T])
+        g_psi = _column_fsum((arrs.w / denom**2)[:, None] * de)
         dmu = -g_psi / g_mu
         m[:, self.psi_cols] -= (arrs.w / denom)[:, None] * (sol.mu * de + d[:, None] * dmu)
         if not np.isfinite(m).all():
@@ -224,9 +250,9 @@ class _ProfileObjective:
             m = self.contribution_jacobian(free)
         except (OverflowError, FloatingPointError):
             return np.full(free.size, np.nan)
-        return np.array([math.fsum(m[:, j]) for j in range(m.shape[1])])
+        return _column_fsum(m)
 
-    def newton_polish(self, free, ll, max_steps=5):
+    def newton_polish(self, free, ll):
         """Push the gradient below tolerance once BFGS stalls on value noise.
 
         BFGS's line search compares near-equal objective values and stalls
@@ -234,7 +260,7 @@ class _ProfileObjective:
         its central-difference Jacobian, so they finish the last decades.
         """
         x = free.copy()
-        for _ in range(max_steps):
+        for _ in range(POLISH_STEPS):
             g = self.gradient(x)
             if np.max(np.abs(g)) < SCORE_TOL:
                 break
@@ -300,9 +326,7 @@ def fit_extended(data, spec: ModelSpec, init: Theta | None = None, *,
     def run_from(start):
         nonlocal total_iter
         res = minimize(
-            obj.value, start,
-            jac=lambda z: -obj.gradient(z),
-            method="BFGS",
+            obj.value_and_gradient, start, jac=True, method="BFGS",
             options={"gtol": SCORE_TOL, "maxiter": MAX_ITER},
         )
         total_iter += res.nit

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import minimize
 
+from .likelihood import _case_pass, _case_scores, _column_fsum
 from .likelihood import log_pseudo_likelihood, score, score_contributions
 from .model import ModelSpec, Theta, as_arrays, initial_theta
 
@@ -92,19 +93,14 @@ def _check_weights(arrs, n):
 
 
 def _neg_objective(free, template, spec, arrs):
-    theta = template.with_free(free)
+    """BFGS objective: -log_pseudo_likelihood and -score from one kernel
+    pass; inf where a term is not finite, NaNs where a score is not."""
+    cp = _case_pass(arrs, template.with_free(free), spec)
+    value = -math.fsum(arrs.w * cp.terms) if np.isfinite(cp.terms).all() else math.inf
     try:
-        return -log_pseudo_likelihood(arrs, theta, spec)
+        return value, -_column_fsum(_case_scores(arrs, spec, cp))
     except FloatingPointError:
-        return math.inf
-
-
-def _neg_gradient(free, template, spec, arrs):
-    theta = template.with_free(free)
-    try:
-        return -score(arrs, theta, spec)
-    except FloatingPointError:
-        return np.full(free.size, np.nan)
+        return value, np.full(free.size, np.nan)
 
 
 def fit(data, spec: ModelSpec, init: Theta | None = None, *,
@@ -133,7 +129,7 @@ def fit(data, spec: ModelSpec, init: Theta | None = None, *,
         start = x0 if attempt == 0 else x0 + rng.normal(scale=0.25 * (1.0 + np.abs(x0)))
         res = minimize(
             _neg_objective, start, args=(template, spec, arrs),
-            jac=_neg_gradient, method="BFGS",
+            jac=True, method="BFGS",
             options={"gtol": SCORE_TOL, "maxiter": MAX_ITER},
         )
         total_iter += res.nit
@@ -156,7 +152,7 @@ def fit(data, spec: ModelSpec, init: Theta | None = None, *,
         theta_hat, ll, sup = template, -math.inf, math.inf
     converged = sup < SCORE_TOL
     if converged and _flat_directions(
-            lambda v: -_neg_objective(v, template, spec, arrs),
+            lambda v: log_pseudo_likelihood(arrs, template.with_free(v), spec),
             theta_hat.free_values(), ll):
         converged = False
 
@@ -300,11 +296,6 @@ def best_variant(variants: list[VariantFit]) -> VariantFit:
     return min(ok, key=lambda v: (round(v.fit.bic / 1e-9) * 1e-9, v.fit.n_free))
 
 
-def _subset_subjects(arrs, keep_idx):
-    from .model import SubjectArrays
-    return SubjectArrays(x=arrs.x[:, keep_idx], s=arrs.s, z=arrs.z, w=arrs.w)
-
-
 @dataclass
 class StepwiseResult:
     selected: tuple[str, ...]
@@ -329,7 +320,7 @@ def backward_stepwise(data, candidate_covariates, spec: ModelSpec) -> StepwiseRe
     def fit_cols(names):
         idx = [candidates.index(nm) for nm in names]
         sub_spec = replace(spec, covariate_names=tuple(names))
-        return fit(_subset_subjects(arrs, idx), sub_spec)
+        return fit(replace(arrs, x=arrs.x[:, idx]), sub_spec)
 
     current = list(candidates)
     current_fit = fit_cols(current)

@@ -15,6 +15,12 @@ factor exp(psi0 + psi1 * s).  The mixture cases III/IV are
 evaluated with log-sum-exp so extreme parameter values degrade to -inf
 instead of producing NaN from catastrophic cancellation.
 
+Only this module evaluates the terms: one :func:`_case_pass` gives them
+and all the per-subject scores need, so an optimizer step costs one pass.
+d(term)/d(tilt exponent) is the recent branch's share of the term: 1 in
+cell I, 0 in II, the Bayes posterior of recency in III and IV.  That is
+the Type-2 risk, which prediction reads from the same pass.
+
 Reductions over subjects use compensated summation (math.fsum), which
 makes the total exactly invariant under subject permutation.
 """
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +66,7 @@ class CaseContribution:
 
 
 def _linear_pieces(arrs: SubjectArrays, theta: Theta, spec: ModelSpec):
-    """Per-subject log-probability building blocks shared by value and score."""
+    """Per-subject log-probabilities of both models, and the tilt exponent."""
     lb = theta.beta[0] + arrs.x @ theta.beta[1:]
     q0 = theta.eta[0] + theta.eta[1] * (arrs.s - 1.0)
     q1 = theta.eta[2] + theta.eta[3] * (arrs.s - 1.0)
@@ -81,19 +88,35 @@ def _linear_pieces(arrs: SubjectArrays, theta: Theta, spec: ModelSpec):
         tilt_exp = theta.psi[0] + theta.psi[1] * arrs.s
     else:
         tilt_exp = np.zeros_like(arrs.s)
-    return lb, q0, q1, log_pi, log_1m_pi, log_p0, log_1m_p0, log_p1, log_1m_p1, tilt_exp
+    return log_pi, log_1m_pi, log_p0, log_1m_p0, log_p1, log_1m_p1, tilt_exp
+
+
+# v = d(term)/d(tilt exponent), the recent branch's posterior share
+_CasePass = namedtuple("_CasePass", "pieces masks terms v")
+
+
+def _case_pass(arrs: SubjectArrays, theta: Theta, spec: ModelSpec) -> _CasePass:
+    """The four case terms and their tilt coefficients v from one
+    :func:`_linear_pieces` pass."""
+    pieces = _linear_pieces(arrs, theta, spec)
+    log_pi, log_1m_pi, log_p0, log_1m_p0, log_p1, log_1m_p1, tilt_exp = pieces
+    m1, m2, m3, m4 = masks = arrs.case_masks()
+    terms = np.empty(arrs.n)
+    v = np.zeros(arrs.n)
+    terms[m1] = log_pi[m1] + log_1m_p1[m1] + tilt_exp[m1]
+    v[m1] = 1.0
+    terms[m2] = log_1m_pi[m2] + log_p0[m2]
+    log_r3 = log_pi[m3] + tilt_exp[m3] + log_p1[m3]
+    terms[m3] = np.logaddexp(log_1m_pi[m3], log_r3)
+    v[m3] = np.exp(log_r3 - terms[m3])
+    log_r4 = log_pi[m4] + tilt_exp[m4]
+    terms[m4] = np.logaddexp(log_1m_pi[m4] + log_1m_p0[m4], log_r4)
+    v[m4] = np.exp(log_r4 - terms[m4])
+    return _CasePass(pieces, masks, terms, v)
 
 
 def _case_terms(arrs: SubjectArrays, theta: Theta, spec: ModelSpec) -> np.ndarray:
-    (_, _, _, log_pi, log_1m_pi, log_p0, log_1m_p0,
-     log_p1, log_1m_p1, tilt_exp) = _linear_pieces(arrs, theta, spec)
-    m1, m2, m3, m4 = arrs.case_masks()
-    terms = np.empty(arrs.n)
-    terms[m1] = log_pi[m1] + log_1m_p1[m1] + tilt_exp[m1]
-    terms[m2] = log_1m_pi[m2] + log_p0[m2]
-    terms[m3] = np.logaddexp(log_1m_pi[m3], log_pi[m3] + tilt_exp[m3] + log_p1[m3])
-    terms[m4] = np.logaddexp(log_1m_pi[m4] + log_1m_p0[m4], log_pi[m4] + tilt_exp[m4])
-    return terms
+    return _case_pass(arrs, theta, spec).terms
 
 
 def case_log_contribution(subject, theta: Theta, spec: ModelSpec) -> CaseContribution:
@@ -132,44 +155,39 @@ def score_contributions(data, theta: Theta, spec: ModelSpec) -> np.ndarray:
     any intermediate is non-finite, naming the offending subject.
     """
     check_theta_spec(theta, spec)
-    return _case_scores(as_arrays(data), theta, spec)
+    arrs = as_arrays(data)
+    return _case_scores(arrs, spec, _case_pass(arrs, theta, spec))
 
 
-def _case_scores(arrs: SubjectArrays, theta: Theta, spec: ModelSpec) -> np.ndarray:
+def _case_scores(arrs: SubjectArrays, spec: ModelSpec, cp: _CasePass) -> np.ndarray:
     """Weighted per-subject derivatives of the case terms; (n, free)."""
-    (lb, q0, q1, log_pi, log_1m_pi, log_p0, log_1m_p0,
-     log_p1, log_1m_p1, tilt_exp) = _linear_pieces(arrs, theta, spec)
-    m1, m2, m3, m4 = arrs.case_masks()
+    log_pi, log_1m_pi, log_p0, log_1m_p0, log_p1, _, _ = cp.pieces
+    m1, m2, m3, m4 = cp.masks
     n = arrs.n
     pi = np.exp(log_pi)
     p1 = np.exp(log_p1)
     p0 = np.exp(log_p0)
+    v = cp.v                  # d(term)/d(tilt exponent)
 
     coef_beta = np.zeros(n)   # d(term)/d(linear predictor of pi)
     u0 = np.zeros(n)          # d(term)/d(q0)
     u1 = np.zeros(n)          # d(term)/d(q1)
-    v = np.zeros(n)           # d(term)/d(tilt exponent)
 
     coef_beta[m1] = 1.0 - pi[m1]
     u1[m1] = -p1[m1]
-    v[m1] = 1.0
 
     coef_beta[m2] = -pi[m2]
     u0[m2] = 1.0 - p0[m2]
 
-    log_d3 = np.logaddexp(log_1m_pi[m3], log_pi[m3] + tilt_exp[m3] + log_p1[m3])
-    a3 = np.exp(log_1m_pi[m3] - log_d3)                      # long-term share of mix
-    b3 = np.exp(log_pi[m3] + tilt_exp[m3] + log_p1[m3] - log_d3)
+    a3 = np.exp(log_1m_pi[m3] - cp.terms[m3])                # long-term share of mix
+    b3 = v[m3]
     coef_beta[m3] = (1.0 - pi[m3]) * b3 - pi[m3] * a3
     u1[m3] = b3 * (1.0 - p1[m3])
-    v[m3] = b3
 
-    log_d4 = np.logaddexp(log_1m_pi[m4] + log_1m_p0[m4], log_pi[m4] + tilt_exp[m4])
-    a4 = np.exp(log_1m_pi[m4] + log_1m_p0[m4] - log_d4)
-    b4 = np.exp(log_pi[m4] + tilt_exp[m4] - log_d4)
+    a4 = np.exp(log_1m_pi[m4] + log_1m_p0[m4] - cp.terms[m4])
+    b4 = v[m4]
     coef_beta[m4] = (1.0 - pi[m4]) * b4 - pi[m4] * a4
     u0[m4] = -a4 * p0[m4]
-    v[m4] = b4
 
     cols = [coef_beta]                                       # beta0
     cols += [coef_beta * arrs.x[:, j] for j in range(arrs.x.shape[1])]
@@ -189,7 +207,11 @@ def _case_scores(arrs: SubjectArrays, theta: Theta, spec: ModelSpec) -> np.ndarr
     return m
 
 
+def _column_fsum(m: np.ndarray) -> np.ndarray:
+    """Correctly rounded column sums of an (n, k) matrix."""
+    return np.array([math.fsum(col) for col in m.T.tolist()])
+
+
 def score(data, theta: Theta, spec: ModelSpec) -> np.ndarray:
     """Analytic gradient of the log pseudo-likelihood over free parameters."""
-    m = score_contributions(data, theta, spec)
-    return np.array([math.fsum(m[:, j]) for j in range(m.shape[1])])
+    return _column_fsum(score_contributions(data, theta, spec))

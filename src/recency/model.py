@@ -25,7 +25,6 @@ __all__ = [
     "SubjectArrays",
     "as_arrays",
     "logistic",
-    "log_logistic",
     "pi_recent",
     "p0_p1",
     "derive_label",
@@ -59,11 +58,6 @@ def logistic(x):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def log_logistic(x):
-    """log(expit(x)) = -log(1 + exp(-x)), stable for large |x|."""
-    return -np.logaddexp(0.0, -np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -315,12 +309,8 @@ def pi_recent(covariates, beta) -> float:
     """
     x = np.asarray(covariates, dtype=float)
     b = np.asarray(beta, dtype=float)
-    if x.ndim == 1:
-        if b.size != x.size + 1:
-            raise ValueError(f"beta length {b.size} does not match {x.size} covariates + intercept")
-        return logistic(b[0] + x @ b[1:])
-    if b.size != x.shape[1] + 1:
-        raise ValueError(f"beta length {b.size} does not match {x.shape[1]} covariates + intercept")
+    if b.size != x.shape[-1] + 1:
+        raise ValueError(f"beta length {b.size} does not match {x.shape[-1]} covariates + intercept")
     return logistic(b[0] + x @ b[1:])
 
 
@@ -357,13 +347,9 @@ class SubjectArrays:
     def n(self) -> int:
         return self.s.size
 
-    @property
-    def recent_window(self) -> np.ndarray:
-        return self.s <= 1.0
-
     def case_masks(self):
         """Boolean masks for the four (s, z) cells, in case order I-IV."""
-        inside = self.recent_window
+        inside = self.s <= 1.0
         pos = self.z == 1
         return (
             inside & ~pos,   # I: recent window, negative result -> recent

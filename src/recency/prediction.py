@@ -2,9 +2,11 @@
 
 Type-1 risk uses biomarkers alone; Type-2 risk folds in the self-report
 testing history, which pins the label exactly for two of the four (s, z)
-cells and has a closed Bayes form in the other two.  The incidence
-formula converts a recency rate into an annual incidence given externally
-supplied prevalence and treatment-coverage inputs.
+cells and has a closed Bayes form in the other two.  That posterior is
+d(term)/d(tilt exponent) of the subject's likelihood term, read from the
+likelihood kernel's pass: this module computes no log-probability.  The
+incidence formula converts a recency rate into an annual incidence given
+externally supplied prevalence and treatment-coverage inputs.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .likelihood import _case_pass
 from .model import (
     ModelSpec,
     Subject,
@@ -49,61 +52,30 @@ def type1_risk(subject: Subject, theta_hat: Theta) -> float:
 
 
 def _type2_vector(arrs, theta: Theta, spec: ModelSpec) -> np.ndarray:
-    lb = theta.beta[0] + arrs.x @ theta.beta[1:]
-    log_pi = -np.logaddexp(0.0, -lb)
-    log_1m_pi = -np.logaddexp(0.0, lb)
-    q0 = theta.eta[0] + theta.eta[1] * (arrs.s - 1.0)
-    q1 = theta.eta[2] + theta.eta[3] * (arrs.s - 1.0)
-    if spec is not None and spec.z_model_covariate is not None:
-        xz = arrs.x[:, spec.z_model_covariate_index]
-        q0 = q0 + theta.eta_x * xz
-        q1 = q1 + theta.eta_x * xz
-    log_p1 = -np.logaddexp(0.0, -q1)
-    if spec is not None and spec.p0_identically_one:
-        log_1m_p0 = np.full_like(q0, -np.inf)
-    else:
-        log_1m_p0 = -np.logaddexp(0.0, q0)
-    if theta.psi is not None:
-        tilt_exp = theta.psi[0] + theta.psi[1] * arrs.s
-    else:
-        tilt_exp = np.zeros_like(arrs.s)
-
-    inside = arrs.recent_window
-    pos = arrs.z == 1
-    out = np.empty(arrs.n)
-    out[inside & ~pos] = 1.0   # label-determined: recent
-    out[~inside & pos] = 0.0   # label-determined: long-term
-    m3 = inside & pos
-    log_num3 = log_pi[m3] + tilt_exp[m3] + log_p1[m3]
-    out[m3] = np.exp(log_num3 - np.logaddexp(log_1m_pi[m3], log_num3))
-    m4 = ~inside & ~pos
-    log_num4 = log_pi[m4] + tilt_exp[m4]
-    out[m4] = np.exp(log_num4 - np.logaddexp(log_1m_pi[m4] + log_1m_p0[m4], log_num4))
-    return out
+    return _case_pass(arrs, theta, spec).v
 
 
-def type2_risk(subject: Subject, theta_hat: Theta, spec: ModelSpec | None = None) -> float:
+def type2_risk(subject: Subject, theta_hat: Theta, spec: ModelSpec) -> float:
     """P(recent | s, z, covariates).
 
     Exactly 1 for (s <= 1, z = 0) and exactly 0 for (s > 1, z = 1); the
     unknown cells use the closed Bayes forms, which under p0 == 1 reduce
-    to 1 in the (s > 1, z = 0) cell.  A fitted tilt (psi present) enters
-    the recent-infection branch of both forms.
+    to 1 in the (s > 1, z = 0) cell.  Under an extended spec the fitted
+    tilt enters the recent-infection branch of both forms.
     """
-    if spec is not None:
-        check_theta_spec(theta_hat, spec)
+    check_theta_spec(theta_hat, spec)
     arrs = as_arrays([subject])
     return float(_type2_vector(arrs, theta_hat, spec)[0])
 
 
-def risk_pairs(data, theta_hat: Theta, spec: ModelSpec | None = None) -> list[RiskPair]:
+def risk_pairs(data, theta_hat: Theta, spec: ModelSpec) -> list[RiskPair]:
     arrs = as_arrays(data)
     t1 = pi_recent(arrs.x, theta_hat.beta)
     t2 = _type2_vector(arrs, theta_hat, spec)
     return [RiskPair(type1=float(a), type2=float(b)) for a, b in zip(np.atleast_1d(t1), t2)]
 
 
-def recency_rate(data, theta_hat: Theta, spec: ModelSpec | None = None) -> float:
+def recency_rate(data, theta_hat: Theta, spec: ModelSpec) -> float:
     """Weighted average Type-2 risk over every subject in the sample."""
     arrs = as_arrays(data)
     t2 = _type2_vector(arrs, theta_hat, spec)
@@ -130,8 +102,7 @@ def rita_classify(odn: float, vl: float) -> int:
     return int(odn <= 1.5 and vl >= 1000.0)
 
 
-def export_predictions(path, data, theta_hat: Theta, spec: ModelSpec | None = None,
-                       ids=None) -> None:
+def export_predictions(path, data, theta_hat: Theta, spec: ModelSpec, ids=None) -> None:
     """Write the prediction CSV: id, s, z, label, type1, type2."""
     subjects = list(data)
     arrs = as_arrays(subjects)

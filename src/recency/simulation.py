@@ -39,7 +39,7 @@ from scipy.stats import rankdata
 
 from .estimation import fit
 from .glm import fit_weighted_logistic
-from .model import ModelSpec, Subject, as_arrays, logistic
+from .model import ModelSpec, Subject, as_arrays, logistic, pi_recent
 from .prediction import _type2_vector, recency_rate
 
 __all__ = [
@@ -354,6 +354,7 @@ def _one_replicate(args):
     lr_row = {}
     lr_e_y = math.nan
     auc_lr = math.nan
+    x_test = np.stack([sub.covariates for sub in gen.test])
     if labeled:
         xs = np.stack([sub.covariates for sub, _ in labeled])
         ys = np.array([lab for _, lab in labeled])
@@ -368,7 +369,6 @@ def _one_replicate(args):
                     "truth": truth[name],
                     "covered": bool(abs(lr.beta[j] - truth[name]) <= 1.96 * lr.se[j]),
                 }
-            x_test = np.stack([sub.covariates for sub in gen.test])
             auc_lr = auc(lr.predict(x_test), gen.y_test)
             x_train = np.stack([sub.covariates for sub in gen.train])
             w_train = np.array([sub.w for sub in gen.train])
@@ -378,9 +378,7 @@ def _one_replicate(args):
     row["lr_params"] = lr_row
 
     theta = result.theta_hat
-    x_test = np.stack([sub.covariates for sub in gen.test])
-    scores1 = logistic(theta.beta[0] + x_test @ theta.beta[1:])
-    row["auc1"] = auc(scores1, gen.y_test)
+    row["auc1"] = auc(pi_recent(x_test, theta.beta), gen.y_test)
     # Type-2 AUC on the latent-status subjects, scored from what they reported
     latent = gen.test_latent
     y_b = gen.y_test[latent]

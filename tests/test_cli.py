@@ -166,6 +166,23 @@ class TestPredictCommand:
             elif row["label"] == "longterm":
                 assert float(row["type2"]) == 0.0
 
+    def test_ids_of_kept_rows(self, data_csv, fit_dir, tmp_path):
+        def ids(path):
+            with open(path, newline="") as fh:
+                return [row["id"] for row in csv.DictReader(fh)]
+
+        with open(data_csv, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[3][3] = "NA"   # row p2 loses its test result and is dropped
+        gap = tmp_path / "gap.csv"
+        with open(gap, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        out = tmp_path / "pred_ids"
+        assert main(["predict", "--fit", str(fit_dir / "fit.json"),
+                     "--data", str(gap), "--out", str(out)]) == 0
+        assert ids(out / "predictions.csv") == [r[0] for r in rows[1:] if r[0] != "p2"]
+        assert ids(fit_dir / "predictions.csv") == [r[0] for r in rows[1:]]
+
     def test_incidence_printed_when_requested(self, data_csv, fit_dir, tmp_path, capsys):
         code = main(["predict", "--fit", str(fit_dir / "fit.json"),
                      "--data", str(data_csv), "--out", str(tmp_path / "p2"),

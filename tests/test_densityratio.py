@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import gamma as gamma_dist
 
+from recency import densityratio
 from recency.densityratio import (
     _profile_pieces,
     _ProfileObjective,
@@ -230,6 +231,53 @@ class TestProfileScore:
     def test_infeasible_psi_gives_nan_gradient(self):
         free = np.array([0.3, -0.4, -0.5, -4.0, 0.3, 0.2])
         assert np.isnan(self.obj.gradient(free)).all()
+
+
+class TestOnePassObjective:
+    """The BFGS objective's one root-find and kernel pass against the
+    separate value and gradient."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(91)
+        self.arrs = as_arrays(random_subjects(rng, 50))
+        self.template = initial_theta(SPEC_EXT)
+        self.points = feasible_points(rng, self.arrs, 5)
+
+    def test_matches_value_and_gradient_exactly(self):
+        merged = _ProfileObjective(self.arrs, self.template, SPEC_EXT)
+        separate = _ProfileObjective(self.arrs, self.template, SPEC_EXT)
+        for free in self.points:
+            value, grad = merged.value_and_gradient(free)
+            assert value == separate.value(free)
+            np.testing.assert_array_equal(grad, -separate.gradient(free))
+        assert merged.max_residuals == separate.max_residuals
+        assert merged.rejections == separate.rejections == 0
+
+    def test_infeasible_psi_is_one_rejection(self):
+        obj = _ProfileObjective(self.arrs, self.template, SPEC_EXT)
+        value, grad = obj.value_and_gradient(np.array([0.3, -0.4, -0.5, -4.0, 0.3, 0.2]))
+        assert value == math.inf
+        assert grad.shape == (6,) and np.isnan(grad).all()
+        assert obj.rejections == 1
+
+    def test_one_root_find_per_evaluation(self, monkeypatch):
+        roots, per_eval = [], []
+        solve, objective = densityratio.solve_mu, _ProfileObjective.value_and_gradient
+
+        def counted_solve(*args):
+            roots.append(1)
+            return solve(*args)
+
+        def counted_objective(self, free):
+            before = len(roots)
+            out = objective(self, free)
+            per_eval.append(len(roots) - before)
+            return out
+
+        monkeypatch.setattr(densityratio, "solve_mu", counted_solve)
+        monkeypatch.setattr(_ProfileObjective, "value_and_gradient", counted_objective)
+        fit_extended(generate(default_config("6", n_total=1000, seed=5)).train, SPEC_EXT)
+        assert len(per_eval) > 5 and set(per_eval) == {1}
 
 
 def _case_term(sub, theta):

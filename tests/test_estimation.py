@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from recency import estimation, likelihood
 from recency.estimation import (
+    _neg_objective,
     backward_stepwise,
     best_variant,
     compare_eta_variants,
@@ -14,8 +16,8 @@ from recency.estimation import (
     sandwich_covariance,
 )
 from recency.glm import fit_weighted_logistic
-from recency.likelihood import score
-from recency.model import ModelSpec, Subject, initial_theta
+from recency.likelihood import log_pseudo_likelihood, score
+from recency.model import ModelSpec, Subject, as_arrays, initial_theta
 from recency.simulation import default_config, generate
 
 SPEC = ModelSpec(covariate_names=("odn",))
@@ -99,6 +101,56 @@ class TestFit:
         res = fit(subs, SPEC, init=warm)
         np.testing.assert_allclose(
             res.theta_hat.free_values(), base.theta_hat.free_values(), atol=1e-6)
+
+
+class TestBfgsObjective:
+    """The one-pass BFGS objective against the separate value and score."""
+
+    def test_matches_value_and_score_exactly(self):
+        rng = np.random.default_rng(19)
+        arrs = as_arrays(sim_train(19, n_total=600))
+        for spec in (SPEC,
+                     ModelSpec(covariate_names=("odn",), p0_identically_one=True, fix_eta00=None),
+                     ModelSpec(covariate_names=("odn",), z_model_covariate="odn")):
+            template = initial_theta(spec)
+            for _ in range(4):
+                free = template.free_values() + rng.normal(scale=0.5, size=len(spec.free_names()))
+                theta = template.with_free(free)
+                value, grad = _neg_objective(free, template, spec, arrs)
+                assert value == -log_pseudo_likelihood(arrs, theta, spec)
+                np.testing.assert_array_equal(grad, -score(arrs, theta, spec))
+
+    def test_degenerate_theta_gives_inf_and_nan_gradient(self):
+        # case IV with pi = 0 and p0 = 1: both branches are impossible
+        spec = ModelSpec(covariate_names=("odn",), p0_identically_one=True, fix_eta00=None)
+        template = initial_theta(spec)
+        arrs = as_arrays([Subject(covariates=np.zeros(1), s=2.0, z=0)])
+        free = np.array([-math.inf, 0.0, -5.0])
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(FloatingPointError):
+                score(arrs, template.with_free(free), spec)
+            value, grad = _neg_objective(free, template, spec, arrs)
+        assert value == math.inf
+        assert grad.shape == (3,) and np.isnan(grad).all()
+
+    def test_one_kernel_pass_per_evaluation(self, monkeypatch):
+        passes, per_eval = [], []
+        pieces, objective = likelihood._linear_pieces, estimation._neg_objective
+
+        def counted_pieces(*args):
+            passes.append(1)
+            return pieces(*args)
+
+        def counted_objective(*args):
+            before = len(passes)
+            out = objective(*args)
+            per_eval.append(len(passes) - before)
+            return out
+
+        monkeypatch.setattr(likelihood, "_linear_pieces", counted_pieces)
+        monkeypatch.setattr(estimation, "_neg_objective", counted_objective)
+        fit(sim_train(20, n_total=600), SPEC)
+        assert len(per_eval) > 5 and set(per_eval) == {1}
 
 
 class TestSandwich:
