@@ -293,6 +293,7 @@ def cmd_predict(args) -> int:
     subjects, report = preprocess(
         records, seed=args.seed, covariates=tuple(spec.covariate_names),
         impute_month=not args.no_impute_month,
+        standardization=fit_doc.get("preprocessing", {}).get("standardization", {}),
     )
 
     out = Path(args.out)

@@ -213,7 +213,7 @@ def _feasible_months(rec: RawRecord) -> list[int]:
 
 
 def preprocess(records, seed: int = 0, covariates=("odn",), *,
-               impute_month: bool = True):
+               impute_month: bool = True, standardization=None):
     """Turn raw records into Subjects plus a processing report.
 
     Derives s (years, month midpoints) where not precomputed, imputes
@@ -222,8 +222,13 @@ def preprocess(records, seed: int = 0, covariates=("odn",), *,
     logVL = log(VL + 1), standardizes continuous covariates to mean 0
     and sd 1, and rescales weights to sum to the retained count.
 
-    Running preprocess on already-processed values is idempotent only up
-    to re-standardization (moments are recomputed on the given rows).
+    ``standardization`` maps each continuous covariate to the frozen
+    (mean, sd) of a fitted sample, as ``fit.json`` stores them under
+    ``preprocessing.standardization``; new data scored against that fit
+    must be put on its scale, not re-standardized with its own moments.
+    Without it the moments are computed on the retained rows, so running
+    preprocess on already-processed values is idempotent only up to
+    re-standardization.
     """
     covariates = tuple(covariates)
     for name in covariates:
@@ -286,8 +291,13 @@ def preprocess(records, seed: int = 0, covariates=("odn",), *,
     matrix = np.array([[vals[name] for name in covariates] for _, _, vals in kept])
     for j, name in enumerate(covariates):
         if name in CONTINUOUS_COVARIATES:
-            mean = matrix[:, j].mean()
-            sd = matrix[:, j].std(ddof=0)
+            if standardization is None:
+                mean = matrix[:, j].mean()
+                sd = matrix[:, j].std(ddof=0)
+            elif name in standardization:
+                mean, sd = standardization[name]
+            else:
+                raise DataError(f"no frozen standardization for covariate {name!r}")
             if sd <= 0:
                 raise DataError(f"covariate {name!r} has zero variance; cannot standardize")
             matrix[:, j] = (matrix[:, j] - mean) / sd

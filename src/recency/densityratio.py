@@ -43,6 +43,7 @@ from .estimation import (
     _check_weights,
     _fd_score_jacobian,
     _flat_directions,
+    _newton_polish,
     _sandwich,
     select_candidate,
 )
@@ -59,7 +60,6 @@ __all__ = [
 
 SUM_TOL = 1e-10       # |sum(p) - 1|
 TILT_CONSTRAINT_TOL = 1e-8   # |sum(p (e - 1))|
-POLISH_STEPS = 5      # Newton steps after BFGS stalls
 
 
 def tilt(s, psi):
@@ -255,34 +255,12 @@ class _ProfileObjective:
     def newton_polish(self, free, ll):
         """Push the gradient below tolerance once BFGS stalls on value noise.
 
-        BFGS's line search compares near-equal objective values and stalls
-        near a 1e-5 score; Newton steps need only the analytic gradient and
-        its central-difference Jacobian, so they finish the last decades.
+        The shared :func:`estimation._newton_polish` loop, on the analytic
+        profile gradient and its central-difference Jacobian (the profile
+        has no analytic information: mu(psi) would add a Schur term).
         """
-        x = free.copy()
-        for _ in range(POLISH_STEPS):
-            g = self.gradient(x)
-            if np.max(np.abs(g)) < SCORE_TOL:
-                break
-            try:
-                step_vec = np.linalg.solve(_fd_score_jacobian(self.gradient, x), -g)
-            except np.linalg.LinAlgError:
-                break
-            scale = 1.0
-            improved = False
-            for _ in range(8):
-                cand = x + scale * step_vec
-                ll_cand = -self.value(cand)
-                # tolerate value-noise-level regressions: the gradient is
-                # the convergence witness here, not the objective
-                if math.isfinite(ll_cand) and ll_cand >= ll - 1e-8:
-                    x, ll = cand, ll_cand
-                    improved = True
-                    break
-                scale *= 0.5
-            if not improved:
-                break
-        return x, ll
+        return _newton_polish(lambda v: -self.value(v), self.gradient,
+                              lambda v: _fd_score_jacobian(self.gradient, v), free, ll)
 
 
 def fit_extended(data, spec: ModelSpec, init: Theta | None = None, *,

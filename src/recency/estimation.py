@@ -2,9 +2,13 @@
 
 The optimizer is quasi-Newton (BFGS) with line search on the negative
 log pseudo-likelihood, stopping when the score's sup-norm drops below
-1e-6 or after 500 iterations.  Non-convergence is flagged on the result,
-never raised, so replicate harnesses can count failures.  On failure the
-fit restarts up to three times from deterministically perturbed inits.
+1e-6 or after 500 iterations.  Near the optimum of a large sample the
+line search can no longer tell objective values apart and BFGS stalls
+with a score near 1e-5; Newton steps on the analytic Hessian then finish
+the last decades.  Only a start that still misses the tolerance after
+those steps is followed by a restart from a deterministically perturbed
+init, up to three of them.  Non-convergence is flagged on the result,
+never raised, so replicate harnesses can count failures.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import minimize
 
-from .likelihood import _case_pass, _case_scores, _column_fsum
-from .likelihood import log_pseudo_likelihood, score, score_contributions
-from .model import ModelSpec, Theta, as_arrays, initial_theta
+from .likelihood import _case_hessian, _case_pass, _case_scores, _column_fsum
+from .likelihood import hessian, log_pseudo_likelihood, score
+from .model import ModelSpec, Theta, as_arrays, check_theta_spec, initial_theta
 
 __all__ = [
     "FitResult",
@@ -34,6 +38,7 @@ __all__ = [
 SCORE_TOL = 1e-6
 MAX_ITER = 500
 N_RESTARTS = 3
+POLISH_STEPS = 5      # Newton steps after BFGS stalls
 WEIGHT_SUM_TOL = 1e-6
 NEAR_SINGULAR_RTOL = 1e-10
 # a direction is unidentified when a +-5 move costs < 0.01 log-likelihood:
@@ -122,6 +127,15 @@ def fit(data, spec: ModelSpec, init: Theta | None = None, *,
     template = init if init is not None else initial_theta(spec)
     x0 = template.free_values()
 
+    def loglik(v):
+        return log_pseudo_likelihood(arrs, template.with_free(v), spec)
+
+    def free_score(v):
+        return score(arrs, template.with_free(v), spec)
+
+    def free_hessian(v):
+        return hessian(arrs, template.with_free(v), spec)
+
     candidates = []
     total_iter = 0
     rng = np.random.default_rng(np.random.SeedSequence(20230915))
@@ -133,16 +147,18 @@ def fit(data, spec: ModelSpec, init: Theta | None = None, *,
             options={"gtol": SCORE_TOL, "maxiter": MAX_ITER},
         )
         total_iter += res.nit
-        theta = template.with_free(res.x)
+        x = res.x
         try:
-            ll = log_pseudo_likelihood(arrs, theta, spec)
+            ll = loglik(x)
             if not np.isfinite(ll):
                 continue
-            g = score(arrs, theta, spec)
+            sup = _sup_norm(free_score(x))
+            if sup >= SCORE_TOL:
+                x, ll = _newton_polish(loglik, free_score, free_hessian, x, ll)
+                sup = _sup_norm(free_score(x))
         except FloatingPointError:
             continue
-        sup = float(np.max(np.abs(g))) if g.size else 0.0
-        candidates.append((theta, ll, sup))
+        candidates.append((template.with_free(x), ll, sup))
         if sup < SCORE_TOL:
             break
     if candidates:
@@ -151,9 +167,7 @@ def fit(data, spec: ModelSpec, init: Theta | None = None, *,
         # every attempt degenerated; report the untouched init, flagged
         theta_hat, ll, sup = template, -math.inf, math.inf
     converged = sup < SCORE_TOL
-    if converged and _flat_directions(
-            lambda v: log_pseudo_likelihood(arrs, template.with_free(v), spec),
-            theta_hat.free_values(), ll):
+    if converged and _flat_directions(loglik, theta_hat.free_values(), ll):
         converged = False
 
     k = theta_hat.free_values().size
@@ -162,7 +176,7 @@ def fit(data, spec: ModelSpec, init: Theta | None = None, *,
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             cov = sandwich_covariance(arrs, theta_hat, spec)
-    except (np.linalg.LinAlgError, ValueError):
+    except (np.linalg.LinAlgError, ValueError, FloatingPointError):
         cov = np.full((k, k), np.nan)
         converged = False
     return FitResult(
@@ -170,6 +184,50 @@ def fit(data, spec: ModelSpec, init: Theta | None = None, *,
         n_subjects=n, converged=converged, iterations=total_iter,
         spec=spec, free_names=spec.free_names(), score_sup_norm=sup,
     )
+
+
+def _sup_norm(g: np.ndarray) -> float:
+    return float(np.max(np.abs(g))) if g.size else 0.0
+
+
+def _newton_polish(loglik_fn, score_fn, jac_fn, free: np.ndarray, ll: float):
+    """Newton steps from a stalled BFGS point until the score sup-norm is
+    below SCORE_TOL, at most POLISH_STEPS of them.
+
+    BFGS's line search compares near-equal objective values and stalls
+    near a 1e-5 score; a Newton step needs only the score and its
+    Jacobian ``jac_fn``, so it finishes the last decades.  Each step is
+    halved up to 8 times until the log-likelihood does not fall by more
+    than value noise (1e-8).  Returns the final point and its
+    log-likelihood; a failed solve or line search stops early.
+    """
+    x = free.copy()
+    for _ in range(POLISH_STEPS):
+        try:
+            g = score_fn(x)
+            if np.max(np.abs(g)) < SCORE_TOL:
+                break
+            step_vec = np.linalg.solve(jac_fn(x), -g)
+        except (np.linalg.LinAlgError, FloatingPointError):
+            break
+        scale = 1.0
+        improved = False
+        for _ in range(8):
+            cand = x + scale * step_vec
+            try:
+                ll_cand = loglik_fn(cand)
+            except FloatingPointError:
+                ll_cand = -math.inf
+            # tolerate value-noise-level regressions: the score is the
+            # convergence witness here, not the objective
+            if math.isfinite(ll_cand) and ll_cand >= ll - 1e-8:
+                x, ll = cand, ll_cand
+                improved = True
+                break
+            scale *= 0.5
+        if not improved:
+            break
+    return x, ll
 
 
 def _flat_directions(loglik_fn, free: np.ndarray, ll_hat: float) -> list[int]:
@@ -228,24 +286,23 @@ def _sandwich(m: np.ndarray, jac: np.ndarray, names) -> np.ndarray:
 def sandwich_covariance(data, theta_hat: Theta, spec: ModelSpec) -> np.ndarray:
     """Robust covariance (1/n) I^-1 C I^-T of the free-parameter estimates.
 
-    C is the outer product of the analytic per-subject scores, I the
-    central-difference Jacobian of their total; the density-ratio fit
-    feeds its own profile scores to the same :func:`_sandwich`.  Raises
-    LinAlgError naming the nearly-unidentified parameter when I is
-    numerically singular.
+    C is the outer product of the analytic per-subject scores and I the
+    analytic Hessian, both from one kernel pass; the density-ratio fit
+    feeds its own profile scores and Jacobian to the same
+    :func:`_sandwich`.  Raises LinAlgError naming the nearly-unidentified
+    parameter when I is numerically singular.
     """
+    check_theta_spec(theta_hat, spec)
     arrs = as_arrays(data)
-    m = score_contributions(arrs, theta_hat, spec)
-    g = m.sum(axis=0)
-    sup = float(np.max(np.abs(g))) if g.size else 0.0
+    cp = _case_pass(arrs, theta_hat, spec)
+    m = _case_scores(arrs, spec, cp)
+    sup = _sup_norm(m.sum(axis=0))
     if sup >= 1e-4:
         warnings.warn(
             f"sandwich evaluated away from a stationary point (score sup-norm {sup:.2e})",
             stacklevel=2,
         )
-    jac = _fd_score_jacobian(lambda v: score(arrs, theta_hat.with_free(v), spec),
-                             theta_hat.free_values())
-    return _sandwich(m, jac, spec.free_names())
+    return _sandwich(m, _case_hessian(arrs, spec, cp), spec.free_names())
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Weighted log pseudo-likelihood and its analytic per-subject scores.
+"""Weighted log pseudo-likelihood, its analytic scores and its Hessian.
 
 Each subject contributes one of four case terms according to its (s, z)
 cell:
@@ -19,7 +19,9 @@ Only this module evaluates the terms: one :func:`_case_pass` gives them
 and all the per-subject scores need, so an optimizer step costs one pass.
 d(term)/d(tilt exponent) is the recent branch's share of the term: 1 in
 cell I, 0 in II, the Bayes posterior of recency in III and IV.  That is
-the Type-2 risk, which prediction reads from the same pass.
+the Type-2 risk, which prediction reads from the same pass.  The same
+pass gives the Hessian (the negated observed information) that the
+Newton finish and the sandwich use.
 
 Reductions over subjects use compensated summation (math.fsum), which
 makes the total exactly invariant under subject permutation.
@@ -31,6 +33,8 @@ import enum
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -46,6 +50,7 @@ __all__ = [
     "Case",
     "CaseContribution",
     "case_log_contribution",
+    "hessian",
     "log_pseudo_likelihood",
     "score",
     "score_contributions",
@@ -159,6 +164,21 @@ def score_contributions(data, theta: Theta, spec: ModelSpec) -> np.ndarray:
     return _case_scores(arrs, spec, _case_pass(arrs, theta, spec))
 
 
+def _design(arrs: SubjectArrays, spec: ModelSpec) -> list:
+    """Design rows D_i, one (predictors, column) pair per free parameter in
+    free order: the linear predictors the parameter enters (a = logit pi,
+    q0, q1, t = tilt exponent) and d(predictor)/d(parameter)."""
+    ones = np.ones(arrs.n)
+    sm1 = arrs.s - 1.0
+    cols = [(("a",), ones)] + [(("a",), arrs.x[:, j]) for j in range(arrs.x.shape[1])]
+    cols += [(("q0",), ones), (("q0",), sm1), (("q1",), ones), (("q1",), sm1)]
+    if spec.z_model_covariate is not None:
+        cols.append((("q0", "q1"), arrs.x[:, spec.z_model_covariate_index]))
+    if spec.extended:
+        cols += [(("t",), ones), (("t",), arrs.s)]
+    return [col for col, fixed in zip(cols, spec.fixed_mask()) if not fixed]
+
+
 def _case_scores(arrs: SubjectArrays, spec: ModelSpec, cp: _CasePass) -> np.ndarray:
     """Weighted per-subject derivatives of the case terms; (n, free)."""
     log_pi, log_1m_pi, log_p0, log_1m_p0, log_p1, _, _ = cp.pieces
@@ -189,18 +209,9 @@ def _case_scores(arrs: SubjectArrays, spec: ModelSpec, cp: _CasePass) -> np.ndar
     coef_beta[m4] = (1.0 - pi[m4]) * b4 - pi[m4] * a4
     u0[m4] = -a4 * p0[m4]
 
-    cols = [coef_beta]                                       # beta0
-    cols += [coef_beta * arrs.x[:, j] for j in range(arrs.x.shape[1])]
-    cols += [u0, u0 * (arrs.s - 1.0), u1, u1 * (arrs.s - 1.0)]
-    if spec.z_model_covariate is not None:
-        xz = arrs.x[:, spec.z_model_covariate_index]
-        cols.append((u0 + u1) * xz)
-    if spec.extended:
-        cols += [v, v * arrs.s]
-    grad = np.column_stack(cols) * arrs.w[:, None]
-
-    free = ~spec.fixed_mask()
-    m = grad[:, free]
+    u = {"a": coef_beta, "q0": u0, "q1": u1, "t": v}
+    m = np.column_stack([reduce(add, (u[p] for p in preds)) * col
+                         for preds, col in _design(arrs, spec)]) * arrs.w[:, None]
     if not np.isfinite(m).all():
         bad = int(np.flatnonzero(~np.isfinite(m).all(axis=1))[0])
         raise FloatingPointError(f"non-finite score contribution at subject index {bad}")
@@ -215,3 +226,63 @@ def _column_fsum(m: np.ndarray) -> np.ndarray:
 def score(data, theta: Theta, spec: ModelSpec) -> np.ndarray:
     """Analytic gradient of the log pseudo-likelihood over free parameters."""
     return _column_fsum(score_contributions(data, theta, spec))
+
+
+def _case_hessian(arrs: SubjectArrays, spec: ModelSpec, cp: _CasePass) -> np.ndarray:
+    """Hessian of the weighted case terms over the free parameters; (k, k).
+
+    It is sum_i w_i D_i^T h_i D_i, with h_i the subject's curvature in its
+    linear predictors (a, q0, q1, t).  A single-branch cell is a sum of
+    log-logistic terms; a mixture cell log(e^l + e^r) has curvature
+    a l'' + b r'' + a b (r' - l')(r' - l')^T with b = v and a = 1 - v.
+    Since v is 1 in cell I and 0 in cell II, one formula covers all four
+    cells: q1 enters only where s <= 1 (I, III), q0 only where s > 1
+    (II, IV), so q0 and q1 never share a curvature term.  One fsum per
+    parameter pair keeps the result exactly permutation invariant, and no
+    (n, k, k) array exists.
+    """
+    log_pi, _, log_p0, _, log_p1, _, _ = cp.pieces
+    m1, _, m3, _ = cp.masks
+    inside = m1 | m3
+    pi = np.exp(log_pi)
+    p0 = np.exp(log_p0)
+    p1 = np.exp(log_p1)
+    v = cp.v
+    ab = v * (1.0 - v)
+    d0 = np.where(inside, 0.0, p0)            # d(r - l)/d(q0)
+    d1 = np.where(inside, 1.0 - p1, 0.0)      # d(r - l)/d(q1)
+    h = {
+        ("a", "a"): ab - pi * (1.0 - pi),
+        ("a", "q0"): ab * d0,
+        ("a", "q1"): ab * d1,
+        ("a", "t"): ab,
+        ("q0", "q0"): np.where(inside, 0.0, ab * p0 * p0 - (1.0 - v) * p0 * (1.0 - p0)),
+        ("q0", "t"): ab * d0,
+        ("q1", "q1"): np.where(inside, ab * d1 * d1 - v * p1 * (1.0 - p1), 0.0),
+        ("q1", "t"): ab * d1,
+        ("t", "t"): ab,
+    }
+    h.update({(q, p): val for (p, q), val in list(h.items())})
+    design = _design(arrs, spec)
+    hess = np.zeros((len(design), len(design)))
+    for j, (preds_j, col_j) in enumerate(design):
+        wc = arrs.w * col_j
+        for i in range(j, len(design)):
+            preds_i, col_i = design[i]
+            terms = [h[p, q] for p in preds_j for q in preds_i if (p, q) in h]
+            if terms:
+                hess[j, i] = hess[i, j] = math.fsum((wc * reduce(add, terms) * col_i).tolist())
+    if not np.isfinite(hess).all():
+        raise FloatingPointError("non-finite Hessian entry")
+    return hess
+
+
+def hessian(data, theta: Theta, spec: ModelSpec) -> np.ndarray:
+    """Analytic Hessian of the log pseudo-likelihood over free parameters.
+
+    It is the Jacobian of :func:`score`, i.e. the negated observed
+    information.
+    """
+    check_theta_spec(theta, spec)
+    arrs = as_arrays(data)
+    return _case_hessian(arrs, spec, _case_pass(arrs, theta, spec))

@@ -20,11 +20,11 @@ import numpy as np
 from .likelihood import _case_pass
 from .model import (
     ModelSpec,
+    RecencyLabel,
     Subject,
     Theta,
     as_arrays,
     check_theta_spec,
-    derive_label,
     pi_recent,
 )
 
@@ -104,18 +104,18 @@ def rita_classify(odn: float, vl: float) -> int:
 
 def export_predictions(path, data, theta_hat: Theta, spec: ModelSpec, ids=None) -> None:
     """Write the prediction CSV: id, s, z, label, type1, type2."""
-    subjects = list(data)
-    arrs = as_arrays(subjects)
+    arrs = as_arrays(data)
     t1 = np.atleast_1d(pi_recent(arrs.x, theta_hat.beta))
     t2 = _type2_vector(arrs, theta_hat, spec)
     if ids is None:
         ids = [str(i) for i in range(arrs.n)]
+    recent, longterm, _, _ = arrs.case_masks()
+    labels = np.where(recent, RecencyLabel.RECENT.value,
+                      np.where(longterm, RecencyLabel.LONG_TERM.value,
+                               RecencyLabel.UNKNOWN.value))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "s", "z", "label", "type1", "type2"])
-        for i, sub in enumerate(subjects):
-            label = derive_label(sub.s, sub.z)
-            writer.writerow([
-                ids[i], repr(float(sub.s)), sub.z, label.value,
-                repr(float(t1[i])), repr(float(t2[i])),
-            ])
+        writer.writerows(zip(ids, map(repr, arrs.s.tolist()), arrs.z.tolist(),
+                             labels.tolist(), map(repr, t1.tolist()), map(repr, t2.tolist()),
+                             strict=True))

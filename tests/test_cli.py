@@ -196,6 +196,36 @@ class TestPredictCommand:
         assert code == 0
         assert "incidence" not in capsys.readouterr().out
 
+    @staticmethod
+    def predict_rows(fit_dir, tmp_path, name, odn_values):
+        path = tmp_path / f"{name}.csv"
+        lines = ["id,weight,s,z,odn"] + [f"{name}{i},1.0,2.5,0,{v}"
+                                          for i, v in enumerate(odn_values)]
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / name
+        assert main(["predict", "--fit", str(fit_dir / "fit.json"),
+                     "--data", str(path), "--out", str(out)]) == 0
+        with open(out / "predictions.csv", newline="") as fh:
+            return [(row["type1"], row["type2"]) for row in csv.DictReader(fh)]
+
+    def test_frozen_moments_separate_shifted_batches(self, fit_dir, tmp_path):
+        # new rows go on the fitted sample's scale, not their own
+        low = self.predict_rows(fit_dir, tmp_path, "low", (2, 4))
+        high = self.predict_rows(fit_dir, tmp_path, "high", (102, 104))
+        assert low[0] != low[1]
+        assert low != high
+
+    def test_one_row_batch(self, fit_dir, tmp_path):
+        assert len(self.predict_rows(fit_dir, tmp_path, "one", (2,))) == 1
+
+    def test_fit_without_moments_names_covariate(self, data_csv, fit_dir, tmp_path, capsys):
+        doc = json.loads((fit_dir / "fit.json").read_text())
+        del doc["preprocessing"]
+        (fit_dir / "fit.json").write_text(json.dumps(doc))
+        assert main(["predict", "--fit", str(fit_dir / "fit.json"), "--data", str(data_csv),
+                     "--out", str(tmp_path / "p")]) == 1
+        assert "odn" in capsys.readouterr().err
+
     def test_covariate_mismatch_lists_missing(self, fit_dir, tmp_path):
         path = tmp_path / "thin.csv"
         path.write_text("id,weight,s,z,age\na,1.0,0.5,0,30\nb,1.0,2.5,1,40\n")
@@ -206,8 +236,16 @@ class TestPredictCommand:
 
 class TestEntryPoint:
     def test_console_script_help(self):
+        import os
         import subprocess
         import sys
+        from pathlib import Path
+
+        import recency
+        # the child imports the same source tree as this test process
+        src = str(Path(recency.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run([sys.executable, "-m", "recency.cli", "--version"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0

@@ -171,6 +171,15 @@ class TestPreprocess:
         with pytest.raises(DataError, match="odn"):
             preprocess(load(path), covariates=("odn",))
 
+    def test_frozen_standardization(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", HEADER, standard_rows()[:1])
+        subjects, report = preprocess(load(path), covariates=("odn",),
+                                      standardization={"odn": [1.0, 0.5]})
+        assert subjects[0].covariates[0] == pytest.approx((1.2 - 1.0) / 0.5)
+        assert report.stats["odn"] == (1.0, 0.5)
+        with pytest.raises(DataError, match="odn"):
+            preprocess(load(path), covariates=("odn",), standardization={})
+
     def test_all_rows_dropped_errors(self, tmp_path):
         rows = [["a", 1.0, "NA", "NA", 2016, 3, 0, 25, 1, 1.2, 0, 500]]
         path = write_csv(tmp_path / "d.csv", HEADER, rows)

@@ -16,7 +16,7 @@ from recency.estimation import (
     sandwich_covariance,
 )
 from recency.glm import fit_weighted_logistic
-from recency.likelihood import log_pseudo_likelihood, score
+from recency.likelihood import hessian, log_pseudo_likelihood, score
 from recency.model import ModelSpec, Subject, as_arrays, initial_theta
 from recency.simulation import default_config, generate
 
@@ -151,6 +151,54 @@ class TestBfgsObjective:
         monkeypatch.setattr(estimation, "_neg_objective", counted_objective)
         fit(sim_train(20, n_total=600), SPEC)
         assert len(per_eval) > 5 and set(per_eval) == {1}
+
+
+class TestStalledStart:
+    """A BFGS start that stops just short of the tolerance is finished by
+    Newton steps on the analytic Hessian, not by restarts."""
+
+    @staticmethod
+    def stalling_minimize(monkeypatch, offset=1e-7):
+        calls = []
+        real = estimation.minimize
+
+        def stalled(*args, **kwargs):
+            res = real(*args, **kwargs)
+            calls.append(res)
+            res.x = res.x + offset * np.arange(1, res.x.size + 1) / res.x.size
+            res.success = False
+            return res
+
+        monkeypatch.setattr(estimation, "minimize", stalled)
+        return calls
+
+    def test_polish_replaces_restarts(self, monkeypatch):
+        subs = sim_train(21, n_total=600)
+        base = fit(subs, SPEC)
+        assert base.converged
+        calls = self.stalling_minimize(monkeypatch)
+        stalled_start = fit(subs, SPEC)
+        assert len(calls) == 1
+        assert stalled_start.converged
+        assert stalled_start.score_sup_norm < estimation.SCORE_TOL
+        # the unperturbed fit itself stops anywhere below the score
+        # tolerance, one Newton step (here ~1e-7) short of the optimum
+        base_free = base.theta_hat.free_values()
+        optimum = base_free - np.linalg.solve(hessian(subs, base.theta_hat, SPEC),
+                                              score(subs, base.theta_hat, SPEC))
+        np.testing.assert_allclose(stalled_start.theta_hat.free_values(), optimum,
+                                   rtol=0, atol=1e-8)
+        np.testing.assert_allclose(stalled_start.theta_hat.free_values(), base_free, rtol=0,
+                                   atol=1e-8 + np.max(np.abs(optimum - base_free)))
+        assert stalled_start.log_pl == pytest.approx(base.log_pl, rel=1e-12)
+        np.testing.assert_allclose(stalled_start.se, base.se, rtol=1e-6)
+
+    def test_unidentified_model_stays_flagged(self, monkeypatch):
+        subs = sim_train(11, n_total=400)
+        dup = [Subject(covariates=np.array([s.covariates[0], s.covariates[0]]),
+                       s=s.s, z=s.z, w=s.w) for s in subs]
+        self.stalling_minimize(monkeypatch)
+        assert not fit(dup, ModelSpec(covariate_names=("odn", "odn2"))).converged
 
 
 class TestSandwich:

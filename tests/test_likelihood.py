@@ -1,13 +1,17 @@
-"""Case contributions, pseudo-likelihood value, and analytic score."""
+"""Case contributions, pseudo-likelihood value, analytic score and Hessian."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from recency.estimation import _fd_score_jacobian
 from recency.likelihood import (
     Case,
     case_log_contribution,
+    hessian,
     log_pseudo_likelihood,
     score,
     score_contributions,
@@ -232,3 +236,68 @@ class TestScore:
         base = score(subs, TABLE_THETA, SPEC)
         scaled = [Subject(covariates=s.covariates, s=s.s, z=s.z, w=2.0 * s.w) for s in subs]
         np.testing.assert_allclose(score(scaled, TABLE_THETA, SPEC), 2.0 * base, rtol=1e-12)
+
+
+HESSIAN_SPECS = {
+    "fixed_etas": ModelSpec(covariate_names=("odn", "age")),
+    "full_eta": ModelSpec(covariate_names=("odn", "age"), fix_eta00=None, fix_eta10=None),
+    "p0_one": ModelSpec(covariate_names=("odn", "age"), p0_identically_one=True,
+                        fix_eta00=None),
+    "z_model_covariate": ModelSpec(covariate_names=("odn", "age"), fix_eta10=None,
+                                   z_model_covariate="age"),
+    "extended": ModelSpec(covariate_names=("odn", "age"), fix_eta00=None, extended=True),
+}
+
+
+class TestHessian:
+    @pytest.mark.parametrize("variant", sorted(HESSIAN_SPECS))
+    def test_matches_central_differences_of_score(self, variant):
+        spec = HESSIAN_SPECS[variant]
+        rng = np.random.default_rng(sorted(HESSIAN_SPECS).index(variant) + 40)
+        subs = random_subjects(rng, 60, n_cov=2)
+        template = initial_theta(spec)
+        for _ in range(5):
+            free = template.free_values() + rng.normal(scale=0.7, size=len(spec.free_names()))
+            an = hessian(subs, template.with_free(free), spec)
+            fd = _fd_score_jacobian(lambda v: score(subs, template.with_free(v), spec), free)
+            assert an.shape == (free.size, free.size)
+            assert np.max(np.abs(an - fd) / (1.0 + np.abs(an))) < 1e-6
+
+
+@st.composite
+def weighted_sample(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(1, 40))
+    variant = draw(st.sampled_from(sorted(HESSIAN_SPECS)))
+    rng = np.random.default_rng(seed)
+    spec = HESSIAN_SPECS[variant]
+    template = initial_theta(spec)
+    theta = template.with_free(
+        template.free_values() + rng.normal(scale=1.0, size=len(spec.free_names())))
+    return random_subjects(rng, n, n_cov=2), theta, spec, rng
+
+
+class TestHessianProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(weighted_sample())
+    def test_symmetric(self, sample):
+        subs, theta, spec, _ = sample
+        h = hessian(subs, theta, spec)
+        np.testing.assert_allclose(h, h.T, rtol=0, atol=1e-10)
+
+    @settings(max_examples=30, deadline=None)
+    @given(weighted_sample(), st.floats(0.01, 100.0))
+    def test_linear_in_weights(self, sample, factor):
+        subs, theta, spec, _ = sample
+        scaled = [Subject(covariates=s.covariates, s=s.s, z=s.z, w=factor * s.w) for s in subs]
+        base = hessian(subs, theta, spec)
+        np.testing.assert_allclose(hessian(scaled, theta, spec), factor * base,
+                                   rtol=1e-12, atol=1e-10)
+
+    @settings(max_examples=30, deadline=None)
+    @given(weighted_sample())
+    def test_permutation_invariant(self, sample):
+        subs, theta, spec, rng = sample
+        perm = [subs[i] for i in rng.permutation(len(subs))]
+        np.testing.assert_allclose(hessian(perm, theta, spec), hessian(subs, theta, spec),
+                                   rtol=0, atol=1e-10)
