@@ -6,6 +6,7 @@ from .model import (
     ModelSpec,
     RecencyLabel,
     Subject,
+    SubjectArrays,
     Theta,
     derive_label,
     initial_theta,
@@ -59,11 +60,11 @@ from .simulation import (
     generate,
     run_replicates,
 )
-from .dataio import ColumnMap, DataError, RawRecord, StandardizationReport, load, preprocess
+from .dataio import ColumnMap, DataError, RawColumns, StandardizationReport, load, preprocess
 
 __all__ = [
     "__version__",
-    "ModelSpec", "RecencyLabel", "Subject", "Theta",
+    "ModelSpec", "RecencyLabel", "Subject", "SubjectArrays", "Theta",
     "derive_label", "initial_theta", "logistic", "p0_p1", "pi_recent",
     "Case", "CaseContribution", "case_log_contribution",
     "log_pseudo_likelihood", "score", "score_contributions",
@@ -76,5 +77,5 @@ __all__ = [
     "LogisticFit", "fit_weighted_logistic",
     "GeneratedData", "ParamStats", "ReplicateSummary", "ScenarioConfig",
     "auc", "default_config", "generate", "run_replicates",
-    "ColumnMap", "DataError", "RawRecord", "StandardizationReport", "load", "preprocess",
+    "ColumnMap", "DataError", "RawColumns", "StandardizationReport", "load", "preprocess",
 ]

@@ -137,15 +137,15 @@ def _build_spec(args, covariates) -> ModelSpec:
     )
 
 
-def _load_subjects(args):
+def _load_arrays(args):
     columns = _column_map(args)
     covariates = _covariate_list(args.covariates)
     records = load(args.data, columns, phia_vl=args.phia_vl)
-    subjects, report = preprocess(
+    arrays, report = preprocess(
         records, seed=args.seed, covariates=covariates,
         impute_month=not args.no_impute_month,
     )
-    return subjects, report, covariates
+    return arrays, report, covariates
 
 
 def _report_dict(report) -> dict:
@@ -159,17 +159,17 @@ def _report_dict(report) -> dict:
 
 def cmd_fit(args) -> int:
     started = time.time()
-    subjects, report, covariates = _load_subjects(args)
+    arrays, report, covariates = _load_arrays(args)
     spec = _build_spec(args, covariates)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    result = fit(subjects, spec)
-    result.recency_rate = recency_rate(subjects, result.theta_hat, spec)
+    result = fit(arrays, spec)
+    result.recency_rate = recency_rate(arrays, result.theta_hat, spec)
     doc = fit_report(result)
     doc["preprocessing"] = _report_dict(report)
     (out / "fit.json").write_text(json.dumps(doc, indent=2))
-    export_predictions(out / "predictions.csv", subjects, result.theta_hat, spec, report.ids)
+    export_predictions(out / "predictions.csv", arrays, result.theta_hat, spec, report.ids)
     _write_manifest(out, "fit", _resolved(args), args.seed, [args.data], started)
     if not result.converged:
         print("WARNING: fit did not converge (flagged, best iterate reported)", file=sys.stderr)
@@ -185,12 +185,12 @@ def cmd_select(args) -> int:
         args.covariates = args.candidates
     elif args.candidates and args.candidates != args.covariates:
         raise UsageError("--candidates and --covariates disagree; pass one of them")
-    subjects, report, covariates = _load_subjects(args)
+    arrays, report, covariates = _load_arrays(args)
     spec = _build_spec(args, covariates)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    variants = compare_eta_variants(subjects, covariates)
+    variants = compare_eta_variants(arrays, covariates)
     variant_rows = [
         {
             "variant": v.name,
@@ -204,7 +204,7 @@ def cmd_select(args) -> int:
     ]
     (out / "variants.json").write_text(json.dumps(variant_rows, indent=2))
 
-    stepwise = backward_stepwise(subjects, covariates, spec)
+    stepwise = backward_stepwise(arrays, covariates, spec)
     doc = {
         "selected": list(stepwise.selected),
         "trace": [
@@ -280,17 +280,14 @@ def cmd_predict(args) -> int:
     records = load(args.data, columns, phia_vl=args.phia_vl)
     absent = [
         name for name in spec.covariate_names
-        if not any(
-            (rec.vl is not None or rec.vl_raw is not None) if name == "logvl"
-            else getattr(rec, name) is not None
-            for rec in records
-        )
+        if np.isnan(records.vl if name == "logvl" else getattr(records, name)).all()
+        and not (name == "logvl" and records.vl_raw)
     ]
     if absent:
         raise DataError(
             f"data is missing covariate column(s) required by the fit: {', '.join(absent)}"
         )
-    subjects, report = preprocess(
+    arrays, report = preprocess(
         records, seed=args.seed, covariates=tuple(spec.covariate_names),
         impute_month=not args.no_impute_month,
         standardization=fit_doc.get("preprocessing", {}).get("standardization", {}),
@@ -298,11 +295,11 @@ def cmd_predict(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    export_predictions(out / "predictions.csv", subjects, theta, spec, report.ids)
+    export_predictions(out / "predictions.csv", arrays, theta, spec, report.ids)
     if args.p_hiv is not None:
         if args.p_art is None:
             raise UsageError("--p-hiv requires --p-art")
-        e_y = recency_rate(subjects, theta, spec)
+        e_y = recency_rate(arrays, theta, spec)
         inc = incidence(args.p_hiv, args.p_art, e_y)
         print(f"incidence: {inc:.6f} (E(Y)={e_y:.4f}, "
               f"p_hiv={args.p_hiv}, p_art={args.p_art})")

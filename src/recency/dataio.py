@@ -1,12 +1,18 @@
-"""CSV ingestion and survey preprocessing.
+"""CSV ingestion and survey preprocessing, one column at a time.
 
-The pipeline turns raw survey rows into model-ready subjects: derive the
-test-to-interview gap in years from month-resolution dates (each date
-taken at its month midpoint), impute missing test months uniformly over
-the months compatible with the interview date, log-transform viral load,
+:func:`load` reads a headered CSV once with the stdlib ``csv`` module into
+:class:`RawColumns`: the row ids plus one float64 array per field, with
+NaN for a missing cell.  Every cell is validated on the way, and the
+earliest bad row raises a :class:`DataError` that names it.
+
+:func:`preprocess` turns those columns into the model's
+:class:`~recency.model.SubjectArrays`: derive the test-to-interview gap
+in years from month-resolution dates (each date taken at its month
+midpoint), impute missing test months uniformly over the months
+compatible with the interview date, log-transform viral load,
 standardize continuous covariates, and rescale sampling weights so they
 sum to the retained sample size.  Rows that cannot be used are dropped
-with a recorded reason, never silently.
+with a recorded reason, never silently.  No per-row object is built.
 """
 
 from __future__ import annotations
@@ -15,14 +21,15 @@ import csv
 import math
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
-from .model import Subject
+from .model import SubjectArrays
 
 __all__ = [
     "ColumnMap",
-    "RawRecord",
+    "RawColumns",
     "StandardizationReport",
     "DataError",
     "load",
@@ -33,6 +40,9 @@ __all__ = [
 MISSING = "NA"
 CONTINUOUS_COVARIATES = ("age", "odn", "logvl", "cd4")
 KNOWN_COVARIATES = ("age", "gender", "odn", "logvl", "cd4")
+# parsed in this order after weight, so the first bad field is the one reported
+INT_FIELDS = ("test_year", "test_month", "interview_year", "interview_month", "z")
+FLOAT_FIELDS = ("age", "gender", "odn", "cd4", "vl", "s")
 
 
 class DataError(ValueError):
@@ -58,22 +68,33 @@ class ColumnMap:
     cd4: str | None = "cd4"
 
 
-@dataclass
-class RawRecord:
-    id: str
-    weight: float
-    test_year: int | None = None
-    test_month: int | None = None
-    interview_year: int | None = None
-    interview_month: int | None = None
-    z: int | None = None
-    age: float | None = None
-    gender: float | None = None
-    odn: float | None = None
-    vl: float | None = None
-    cd4: float | None = None
-    s: float | None = None
-    vl_raw: str | None = None
+@dataclass(frozen=True)
+class RawColumns:
+    """What :func:`load` read: the row ids and one float64 array per field.
+
+    NaN marks a cell that is ``NA`` or empty, and every cell of a column
+    the CSV lacks.  Integer fields hold whole numbers.  ``vl_raw`` maps
+    the row index of each categorical viral-load string (read under
+    ``phia_vl``) to its text; ``vl`` is NaN in those rows.
+    """
+
+    ids: list[str]
+    weight: np.ndarray
+    test_year: np.ndarray
+    test_month: np.ndarray
+    interview_year: np.ndarray
+    interview_month: np.ndarray
+    z: np.ndarray
+    age: np.ndarray
+    gender: np.ndarray
+    odn: np.ndarray
+    cd4: np.ndarray
+    vl: np.ndarray
+    s: np.ndarray
+    vl_raw: dict[int, str] = field(default_factory=dict)
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 @dataclass
@@ -88,89 +109,101 @@ class StandardizationReport:
     ids: list[str] = field(default_factory=list)
 
 
-def _parse_cell(raw, row_num, col, kind):
-    raw = raw.strip() if raw is not None else ""
-    if raw == "" or raw == MISSING:
-        return None
+def _parse(cells, kind, col, categorical=None) -> np.ndarray:
+    """One column's cells as float64, NaN where a cell is NA or empty.
+
+    Raises a DataError naming the row of the first cell ``kind`` cannot
+    parse or that is not finite.  With ``categorical`` (a dict), a cell
+    ``float`` cannot parse is stored there under its row index instead.
+    """
     try:
-        if kind is int:
-            return int(raw)
-        return float(raw)
+        values = np.array(list(map(kind, cells)), dtype=float)
+        if np.isfinite(values).all():
+            return values
     except ValueError:
-        raise DataError(f"row {row_num}: column {col!r} has unparseable value {raw!r}") from None
+        pass
+    out = []
+    for i, cell in enumerate(cells):
+        text = cell.strip()
+        value = math.nan
+        if text and text != MISSING:
+            try:
+                value = kind(text)
+            except ValueError:
+                if categorical is None:
+                    raise DataError(f"row {i + 2}: column {col!r} has unparseable "
+                                    f"value {text!r}") from None
+                categorical[i] = text
+            else:
+                if not math.isfinite(value):
+                    raise DataError(f"row {i + 2}: column {col!r} must be finite, got {text!r}")
+        out.append(value)
+    return np.array(out, dtype=float)
 
 
-def load(path, columns: ColumnMap = ColumnMap(), *, phia_vl: bool = False) -> list[RawRecord]:
-    """Read typed records from a headered CSV; missing token is ``NA``.
+def _check(bad, message):
+    """Raise a DataError for the first row where ``bad`` holds."""
+    if bad.any():
+        i = int(bad.argmax())
+        raise DataError(f"row {i + 2}: {message(i)}")
+
+
+def load(path, columns: ColumnMap = ColumnMap(), *, phia_vl: bool = False) -> RawColumns:
+    """Read a headered CSV into :class:`RawColumns`; missing token is ``NA``.
 
     Mandatory columns: weight, z, and either s or the interview date
-    pair.  With ``phia_vl`` the viral-load column may hold the survey's
-    categorical strings ("undetectable", "less than 20", ...), resolved
-    later by :func:`preprocess`.
+    pair.  Numeric cells must be finite; weights positive; months in
+    1..12; z 0 or 1; viral load nonnegative.  The first failing check
+    raises, at its first bad row: weight, then ``INT_FIELDS`` and
+    ``FLOAT_FIELDS`` in order, then the range checks.  With ``phia_vl``
+    the viral-load column may hold the survey's categorical strings
+    ("undetectable", "less than 20", ...), resolved later by
+    :func:`preprocess`.  A row with no id gets its 1-based data-row
+    number.
     """
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise DataError(f"{path}: no header row")
-        header = set(reader.fieldnames)
-        missing = []
-        if columns.weight not in header:
-            missing.append(columns.weight)
-        if columns.z not in header:
-            missing.append(columns.z)
-        has_s = columns.s is not None and columns.s in header
-        has_interview = (columns.interview_year in header
-                         and columns.interview_month in header)
-        if not has_s and not has_interview:
-            missing.append(f"{columns.s or 's'} or {columns.interview_year}+{columns.interview_month}")
-        if missing:
-            raise DataError(f"{path}: missing mandatory column(s): {', '.join(missing)}")
+        rows = [row for row in reader if row]   # blank lines are not rows
+    position = {name: j for j, name in enumerate(header)}   # a repeated name reads its last column
+    missing = [col for col in (columns.weight, columns.z) if col not in position]
+    has_s = columns.s is not None and columns.s in position
+    has_interview = columns.interview_year in position and columns.interview_month in position
+    if not has_s and not has_interview:
+        missing.append(f"{columns.s or 's'} or {columns.interview_year}+{columns.interview_month}")
+    if missing:
+        raise DataError(f"{path}: missing mandatory column(s): {', '.join(missing)}")
 
-        records = []
-        for row_num, row in enumerate(reader, start=2):
-            rid = row.get(columns.id, "").strip() if columns.id in header else ""
-            if not rid:
-                rid = str(row_num - 1)
-            weight = _parse_cell(row.get(columns.weight), row_num, columns.weight, float)
-            if weight is None:
-                raise DataError(f"row {row_num}: column {columns.weight!r} is mandatory")
-            if weight <= 0:
-                raise DataError(f"row {row_num}: weight must be positive, got {weight}")
-            rec = RawRecord(id=rid, weight=weight)
-            for name in ("test_year", "test_month", "interview_year", "interview_month", "z"):
-                col = getattr(columns, name)
-                if col and col in header:
-                    setattr(rec, name, _parse_cell(row.get(col), row_num, col, int))
-            for name in ("age", "gender", "odn", "cd4"):
-                col = getattr(columns, name)
-                if col and col in header:
-                    setattr(rec, name, _parse_cell(row.get(col), row_num, col, float))
-            if columns.vl and columns.vl in header:
-                raw = (row.get(columns.vl) or "").strip()
-                if phia_vl and raw and raw != MISSING and not _is_number(raw):
-                    rec.vl_raw = raw
-                else:
-                    rec.vl = _parse_cell(row.get(columns.vl), row_num, columns.vl, float)
-            if has_s:
-                rec.s = _parse_cell(row.get(columns.s), row_num, columns.s, float)
-            for name in ("test_month", "interview_month"):
-                val = getattr(rec, name)
-                if val is not None and not 1 <= val <= 12:
-                    raise DataError(f"row {row_num}: {name} must be in 1..12, got {val}")
-            if rec.z is not None and rec.z not in (0, 1):
-                raise DataError(f"row {row_num}: z must be 0 or 1, got {rec.z}")
-            if rec.vl is not None and rec.vl < 0:
-                raise DataError(f"row {row_num}: vl must be nonnegative, got {rec.vl}")
-            records.append(rec)
-    return records
+    n = len(rows)
+    width = len(header)
+    rows = [row + [""] * (width - len(row)) if len(row) < width else row for row in rows]
+    vl_raw: dict[int, str] = {}
 
+    def parse(name, kind):
+        col = getattr(columns, name)
+        if not col or col not in position:
+            return np.full(n, math.nan)
+        categorical = vl_raw if phia_vl and name == "vl" else None
+        return _parse(list(map(itemgetter(position[col]), rows)), kind, col, categorical)
 
-def _is_number(text: str) -> bool:
-    try:
-        float(text)
-        return True
-    except ValueError:
-        return False
+    weight = parse("weight", float)
+    _check(np.isnan(weight), lambda i: f"column {columns.weight!r} is mandatory")
+    _check(weight <= 0, lambda i: f"weight must be positive, got {float(weight[i])}")
+    parsed = {name: parse(name, int) for name in INT_FIELDS}
+    parsed.update({name: parse(name, float) for name in FLOAT_FIELDS})
+    for name in ("test_month", "interview_month"):
+        val = parsed[name]
+        _check((val < 1) | (val > 12), lambda i: f"{name} must be in 1..12, got {int(val[i])}")
+    z = parsed["z"]
+    _check((z != 0) & (z != 1) & ~np.isnan(z), lambda i: f"z must be 0 or 1, got {int(z[i])}")
+    vl = parsed["vl"]
+    _check(vl < 0, lambda i: f"vl must be nonnegative, got {float(vl[i])}")
+
+    id_cells = map(itemgetter(position[columns.id]), rows) if columns.id in position else [""] * n
+    ids = [cell.strip() or str(i + 1) for i, cell in enumerate(id_cells)]
+    return RawColumns(ids=ids, weight=weight, vl_raw=vl_raw, **parsed)
 
 
 _NUMBER = re.compile(r"[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?")
@@ -184,12 +217,8 @@ def _parse_quantity(text: str) -> float:
     return float(m.group(0)) * mult
 
 
-def _resolve_vl(rec: RawRecord, rng) -> float | None:
-    if rec.vl is not None:
-        return rec.vl
-    if rec.vl_raw is None:
-        return None
-    text = rec.vl_raw.strip().lower().replace("'", "").replace("`", "")
+def _resolve_vl(raw: str, rid: str, rng) -> float:
+    text = raw.strip().lower().replace("'", "").replace("`", "")
     try:
         if text == "undetectable":
             return 0.0
@@ -199,28 +228,26 @@ def _resolve_vl(rec: RawRecord, rng) -> float | None:
             return _parse_quantity(text)
     except ValueError:
         pass
-    raise DataError(f"record {rec.id}: unrecognized categorical viral load {rec.vl_raw!r}")
+    raise DataError(f"record {rid}: unrecognized categorical viral load {raw!r}")
 
 
-def _feasible_months(rec: RawRecord) -> list[int]:
-    # any month that leaves the test strictly before the interview (s > 0)
-    out = []
-    for m in range(1, 13):
-        gap = (rec.interview_year - rec.test_year) * 12 + (rec.interview_month - m)
-        if gap >= 1:
-            out.append(m)
-    return out
-
-
-def preprocess(records, seed: int = 0, covariates=("odn",), *,
+def preprocess(records: RawColumns, seed: int = 0, covariates=("odn",), *,
                impute_month: bool = True, standardization=None):
-    """Turn raw records into Subjects plus a processing report.
+    """Turn loaded columns into ``(SubjectArrays, StandardizationReport)``.
 
     Derives s (years, month midpoints) where not precomputed, imputes
     missing test months uniformly over feasible values, drops rows
     missing the test year / result / any requested covariate, applies
     logVL = log(VL + 1), standardizes continuous covariates to mean 0
-    and sd 1, and rescales weights to sum to the retained count.
+    and sd 1, and rescales weights to sum to the retained count.  The
+    report's ``ids`` name the retained rows in the arrays' order.
+
+    Random draws (a month for each row that needs one, a value for each
+    "less than N" viral load) are made row by row in file order, a row's
+    month before its viral load, so a seed gives the same data whatever
+    else the file holds.  A row is dropped for the first reason it
+    meets, covariates checked in the order given; a viral load is drawn
+    only for a row still kept when ``logvl`` is checked.
 
     ``standardization`` maps each continuous covariate to the frozen
     (mean, sd) of a fitted sample, as ``fit.json`` stores them under
@@ -236,60 +263,68 @@ def preprocess(records, seed: int = 0, covariates=("odn",), *,
             raise DataError(f"unknown covariate {name!r}; supported: {KNOWN_COVARIATES}")
     rng = np.random.default_rng(seed)
     report = StandardizationReport()
+    ids = records.ids
+    n = len(records)
+    alive = np.ones(n, dtype=bool)
+    reasons: dict[int, str] = {}
 
-    kept: list[tuple[RawRecord, float, dict]] = []
-    for rec in records:
-        if rec.z is None:
-            report.dropped.append((rec.id, "missing test result"))
-            continue
-        s = rec.s
-        if s is None:
-            if rec.test_year is None:
-                report.dropped.append((rec.id, "missing test year"))
-                continue
-            if rec.interview_year is None or rec.interview_month is None:
-                report.dropped.append((rec.id, "missing interview date"))
-                continue
-            test_month = rec.test_month
-            if test_month is None:
-                if not impute_month:
-                    report.dropped.append((rec.id, "missing test month (imputation disabled)"))
-                    continue
-                feasible = _feasible_months(rec)
-                if not feasible:
-                    report.dropped.append((rec.id, "no feasible test month"))
-                    continue
-                test_month = int(feasible[rng.integers(len(feasible))])
-                report.imputations.append((rec.id, test_month))
-            months = ((rec.interview_year - rec.test_year) * 12
-                      + (rec.interview_month - test_month))
-            s = months / 12.0
-        if not (math.isfinite(s) and s > 0):
-            report.dropped.append((rec.id, f"nonpositive time gap s={s}"))
-            continue
+    def drop(mask, why):
+        for i in np.flatnonzero(mask & alive):
+            reasons[int(i)] = why(i) if callable(why) else why
+        alive[mask] = False
 
-        values = {}
-        missing_cov = None
-        for name in covariates:
-            if name == "logvl":
-                vl = _resolve_vl(rec, rng)
-                values[name] = None if vl is None else math.log1p(vl)
-            else:
-                values[name] = getattr(rec, name)
-            if values[name] is None:
-                missing_cov = name
-                break
-        if missing_cov is not None:
-            report.dropped.append((rec.id, f"missing covariate {missing_cov}"))
-            continue
-        kept.append((rec, s, values))
+    drop(np.isnan(records.z), "missing test result")
+    dated = np.isnan(records.s)
+    drop(dated & np.isnan(records.test_year), "missing test year")
+    drop(dated & (np.isnan(records.interview_year) | np.isnan(records.interview_month)),
+         "missing interview date")
+    # the last test month that leaves the test strictly before the interview
+    latest = (records.interview_year - records.test_year) * 12 + records.interview_month - 1
+    month = records.test_month.copy()
+    imputing = dated & np.isnan(month) & alive
+    if not impute_month:
+        drop(imputing, "missing test month (imputation disabled)")
+    drop(imputing & ~(latest >= 1), "no feasible test month")
+    imputing &= alive
 
-    if not kept:
+    def gap(rows):
+        return ((records.interview_year[rows] - records.test_year[rows]) * 12
+                + (records.interview_month[rows] - month[rows])) / 12.0
+
+    s = records.s.copy()
+    known = dated & ~imputing & alive
+    s[known] = gap(known)
+    drop(~(s > 0) & ~imputing, lambda i: f"nonpositive time gap s={float(s[i])}")
+
+    vl = records.vl.copy()
+    resolving = np.zeros(n, dtype=bool)
+    for name in covariates:
+        if name == "logvl":
+            resolving[list(records.vl_raw)] = True
+            resolving &= alive
+            drop(np.isnan(vl) & ~resolving, "missing covariate logvl")
+        else:
+            drop(np.isnan(getattr(records, name)), f"missing covariate {name}")
+
+    for i in np.flatnonzero(imputing | resolving).tolist():
+        if imputing[i]:
+            month[i] = 1 + int(rng.integers(int(min(12, latest[i]))))
+            report.imputations.append((ids[i], int(month[i])))
+        if resolving[i]:
+            vl[i] = _resolve_vl(records.vl_raw[i], ids[i], rng)
+    s[imputing] = gap(imputing)
+    report.dropped = [(ids[i], reasons[i]) for i in sorted(reasons)]
+
+    kept = np.flatnonzero(alive)
+    n = kept.size
+    if not n:
         raise DataError("no usable rows after preprocessing")
-
-    n = len(kept)
-    matrix = np.array([[vals[name] for name in covariates] for _, _, vals in kept])
+    matrix = np.empty((n, len(covariates)))   # standardized in place, column by column
     for j, name in enumerate(covariates):
+        if name == "logvl":   # math.log1p, not np.log1p, which rounds some values differently
+            matrix[:, j] = [math.log1p(v) for v in vl[kept].tolist()]
+        else:
+            matrix[:, j] = getattr(records, name)[kept]
         if name in CONTINUOUS_COVARIATES:
             if standardization is None:
                 mean = matrix[:, j].mean()
@@ -303,13 +338,14 @@ def preprocess(records, seed: int = 0, covariates=("odn",), *,
             matrix[:, j] = (matrix[:, j] - mean) / sd
             report.stats[name] = (float(mean), float(sd))
 
-    weights = np.array([rec.weight for rec, _, _ in kept])
-    weights = weights * (n / weights.sum())
+    weights = records.weight[kept]
+    with np.errstate(over="ignore"):   # an overflowing sum is reported below
+        total = weights.sum()
+    weights = weights * (n / total)
+    if not (np.isfinite(weights).all() and (weights > 0).all()):
+        raise DataError(f"weights cannot be rescaled to sum to {n}: their sum is {total}")
 
-    subjects = [
-        Subject(covariates=matrix[i], s=kept[i][1], z=kept[i][0].z, w=weights[i])
-        for i in range(n)
-    ]
     report.n_retained = n
-    report.ids = [rec.id for rec, _, _ in kept]
-    return subjects, report
+    report.ids = [ids[i] for i in kept.tolist()]
+    arrays = SubjectArrays(x=matrix, s=s[kept], z=records.z[kept].astype(int), w=weights)
+    return arrays, report

@@ -336,7 +336,11 @@ def p0_p1(s, eta, p0_one: bool = False):
 
 @dataclass(frozen=True)
 class SubjectArrays:
-    """Column-oriented view of a dataset, precomputed once per fit."""
+    """A dataset as columns: the package's one in-memory data form.
+
+    ``preprocess`` and ``generate`` produce it and every kernel reads it;
+    ``as_arrays`` converts a Subject sequence at the public API edge.
+    """
 
     x: np.ndarray   # (n, c) covariates
     s: np.ndarray   # (n,)
@@ -346,6 +350,13 @@ class SubjectArrays:
     @property
     def n(self) -> int:
         return self.s.size
+
+    def __len__(self) -> int:
+        return self.n
+
+    def subset(self, mask) -> "SubjectArrays":
+        """The subjects selected by a boolean mask or an index array, in order."""
+        return SubjectArrays(x=self.x[mask], s=self.s[mask], z=self.z[mask], w=self.w[mask])
 
     def case_masks(self):
         """Boolean masks for the four (s, z) cells, in case order I-IV."""

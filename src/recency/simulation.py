@@ -39,7 +39,7 @@ from scipy.stats import rankdata
 
 from .estimation import fit
 from .glm import fit_weighted_logistic
-from .model import ModelSpec, Subject, as_arrays, logistic, pi_recent
+from .model import ModelSpec, Subject, SubjectArrays, logistic, pi_recent
 from .prediction import _type2_vector, recency_rate
 
 __all__ = [
@@ -125,30 +125,46 @@ def default_config(scenario: str, n_total: int | None = None, seed: int = 0,
 
 @dataclass
 class GeneratedData:
-    """Simulated train/test split plus the latent truth for evaluation."""
+    """Simulated train/test split plus the latent truth for evaluation.
 
-    train: list[Subject]
+    The draws are held as :class:`SubjectArrays` (``train_arrays``,
+    ``test_arrays`` and, for S2, ``contingency_arrays``).  ``train``,
+    ``test``, ``contingency``, ``test_a`` and ``test_b`` build Subject
+    lists from them each time they are read.
+    """
+
+    train_arrays: SubjectArrays
     y_train: np.ndarray
-    test: list[Subject]
+    test_arrays: SubjectArrays
     y_test: np.ndarray
     test_latent: np.ndarray   # true history leaves the status latent
-    contingency: list[Subject] | None = None
+    contingency_arrays: SubjectArrays | None = None
     y_contingency: np.ndarray | None = None
     solved_beta0: float | None = None
 
     @property
+    def train(self) -> list[Subject]:
+        return _subjects(self.train_arrays)
+
+    @property
+    def test(self) -> list[Subject]:
+        return _subjects(self.test_arrays)
+
+    @property
+    def contingency(self) -> list[Subject] | None:
+        return None if self.contingency_arrays is None else _subjects(self.contingency_arrays)
+
+    @property
     def test_labeled_mask(self) -> np.ndarray:
-        return np.array([sub.label.value != "unknown" for sub in self.test])
+        return _labeled(self.test_arrays)
 
     @property
     def test_a(self) -> list[Subject]:
-        mask = self.test_labeled_mask
-        return [sub for sub, m in zip(self.test, mask) if m]
+        return _subjects(self.test_arrays.subset(self.test_labeled_mask))
 
     @property
     def test_b(self) -> list[Subject]:
-        mask = self.test_labeled_mask
-        return [sub for sub, m in zip(self.test, mask) if not m]
+        return _subjects(self.test_arrays.subset(~self.test_labeled_mask))
 
     @property
     def y_test_a(self) -> np.ndarray:
@@ -160,7 +176,18 @@ class GeneratedData:
 
     @property
     def labeled_train_count(self) -> int:
-        return sum(1 for sub in self.train if sub.label.value != "unknown")
+        return int(_labeled(self.train_arrays).sum())
+
+
+def _labeled(arrs: SubjectArrays) -> np.ndarray:
+    """Subjects whose reported history determines the label (cases I and II)."""
+    recent, longterm, _, _ = arrs.case_masks()
+    return recent | longterm
+
+
+def _subjects(arrs: SubjectArrays) -> list[Subject]:
+    return [Subject(covariates=arrs.x[i], s=arrs.s[i], z=arrs.z[i], w=arrs.w[i])
+            for i in range(arrs.n)]
 
 
 def _draw_z(rng, y, s, q0, q1):
@@ -187,8 +214,8 @@ def _misreport(rng, noise, s, z):
     return s, z
 
 
-def _subjects(x, s, z):
-    return [Subject(covariates=x[i], s=s[i], z=z[i], w=1.0) for i in range(s.size)]
+def _arrays(x, s, z) -> SubjectArrays:
+    return SubjectArrays(x=x, s=s, z=z, w=np.ones(s.size))
 
 
 def generate(config: ScenarioConfig, rng: np.random.Generator | None = None) -> GeneratedData:
@@ -252,15 +279,15 @@ def generate(config: ScenarioConfig, rng: np.random.Generator | None = None) -> 
         s_te, z_te = _misreport(rng, config.noise, s_te, z_te)
 
     data = GeneratedData(
-        train=_subjects(x[idx_tr], s_tr, z_tr),
+        train_arrays=_arrays(x[idx_tr], s_tr, z_tr),
         y_train=y[idx_tr],
-        test=_subjects(x[idx_te], s_te, z_te),
+        test_arrays=_arrays(x[idx_te], s_te, z_te),
         y_test=y[idx_te],
         test_latent=test_latent,
         solved_beta0=solved_beta0,
     )
     if idx_ct is not None:
-        data.contingency = _subjects(x[idx_ct], s[idx_ct], z[idx_ct])
+        data.contingency_arrays = _arrays(x[idx_ct], s[idx_ct], z[idx_ct])
         data.y_contingency = y[idx_ct]
     return data
 
@@ -330,9 +357,11 @@ def _one_replicate(args):
     gen = generate(config, rng)
     truth = _truth_map(config, spec, gen.solved_beta0)
 
-    result = fit(gen.train, spec)
+    train, test = gen.train_arrays, gen.test_arrays
+    result = fit(train, spec)
+    labeled = _labeled(train)
     row = {"rep": rep, "converged": bool(result.converged),
-           "labeled_train": gen.labeled_train_count}
+           "labeled_train": int(labeled.sum())}
     est = result.estimates()
     ses = dict(zip(result.free_names, result.se))
     row["params"] = {
@@ -349,18 +378,14 @@ def _one_replicate(args):
         row["infeasible_rejections"] = result.infeasible_rejections
 
     # comparator: plain logistic regression on the label-determined train subset
-    labeled = [(sub, 1 if sub.label.value == "recent" else 0)
-               for sub in gen.train if sub.label.value != "unknown"]
     lr_row = {}
     lr_e_y = math.nan
     auc_lr = math.nan
-    x_test = np.stack([sub.covariates for sub in gen.test])
-    if labeled:
-        xs = np.stack([sub.covariates for sub, _ in labeled])
-        ys = np.array([lab for _, lab in labeled])
-        ws = np.array([sub.w for sub, _ in labeled])
+    if labeled.any():
+        recent = train.case_masks()[0]
         try:
-            lr = fit_weighted_logistic(xs, ys, ws)
+            lr = fit_weighted_logistic(train.x[labeled], recent[labeled].astype(int),
+                                       train.w[labeled])
             lr_names = ["beta0"] + [f"beta_{c}" for c in spec.covariate_names]
             for j, name in enumerate(lr_names):
                 lr_row[name] = {
@@ -369,27 +394,24 @@ def _one_replicate(args):
                     "truth": truth[name],
                     "covered": bool(abs(lr.beta[j] - truth[name]) <= 1.96 * lr.se[j]),
                 }
-            auc_lr = auc(lr.predict(x_test), gen.y_test)
-            x_train = np.stack([sub.covariates for sub in gen.train])
-            w_train = np.array([sub.w for sub in gen.train])
-            lr_e_y = float(np.average(lr.predict(x_train), weights=w_train))
+            auc_lr = auc(lr.predict(test.x), gen.y_test)
+            lr_e_y = float(np.average(lr.predict(train.x), weights=train.w))
         except (ValueError, np.linalg.LinAlgError):
             pass
     row["lr_params"] = lr_row
 
     theta = result.theta_hat
-    row["auc1"] = auc(pi_recent(x_test, theta.beta), gen.y_test)
+    row["auc1"] = auc(pi_recent(test.x, theta.beta), gen.y_test)
     # Type-2 AUC on the latent-status subjects, scored from what they reported
     latent = gen.test_latent
     y_b = gen.y_test[latent]
     if 0 < y_b.sum() < y_b.size:
-        test_b = [sub for sub, m in zip(gen.test, latent) if m]
-        t2 = _type2_vector(as_arrays(test_b), theta, spec)
+        t2 = _type2_vector(test.subset(latent), theta, spec)
         row["auc2"] = auc(t2, y_b)
     else:
         row["auc2"] = math.nan
     row["auc_lr"] = auc_lr
-    row["e_y"] = recency_rate(gen.train, theta, spec)
+    row["e_y"] = recency_rate(train, theta, spec)
     row["lr_e_y"] = lr_e_y
     return row
 

@@ -343,6 +343,7 @@ PHIA_NOTE = (
                     reason=PHIA_NOTE)
 class TestConditionalRealData:
     def test_malawi_style_recency_rate(self):
+        import dataclasses
         import os
 
         from recency.dataio import load, preprocess
@@ -350,12 +351,11 @@ class TestConditionalRealData:
         from recency.prediction import recency_rate
 
         records = load(os.environ["RECENCY_PHIA_CSV"], phia_vl=True)
-        subjects, _ = preprocess(records, seed=0,
-                                 covariates=("age", "gender", "odn", "logvl", "cd4"))
+        arrays, _ = preprocess(records, seed=0,
+                               covariates=("age", "gender", "odn", "logvl", "cd4"))
         names = ("age", "gender", "odn", "logvl", "cd4")
-        selected = backward_stepwise(subjects, names, ModelSpec(covariate_names=names))
+        selected = backward_stepwise(arrays, names, ModelSpec(covariate_names=names))
         e_y = recency_rate(
-            [Subject(covariates=sub.covariates[[names.index(c) for c in selected.selected]],
-                     s=sub.s, z=sub.z, w=sub.w) for sub in subjects],
+            dataclasses.replace(arrays, x=arrays.x[:, [names.index(c) for c in selected.selected]]),
             selected.fit.theta_hat, selected.fit.spec)
         assert abs(e_y - 0.71) <= 0.02

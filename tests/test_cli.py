@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from recency.cli import main
+from recency.model import Subject
 from recency.simulation import default_config, generate
 
 
@@ -76,6 +77,53 @@ class TestFitCommand:
         code = main(["fit", "--data", str(path), "--covariates", "odn,cd4",
                      "--out", str(tmp_path / "out2")])
         assert code == 2
+
+    @pytest.mark.parametrize("column, token", [("odn", "nan"), ("weight", "inf")])
+    def test_nonfinite_cell_exit_1_names_row(self, data_csv, tmp_path, capsys, column, token):
+        with open(data_csv, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[5][rows[0].index(column)] = token
+        path = tmp_path / "bad.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        out = tmp_path / "out_bad"
+        code = main(["fit", "--data", str(path), "--covariates", "odn", "--out", str(out)])
+        assert code == 1
+        assert f"row 6: column '{column}' must be finite" in capsys.readouterr().err
+        assert not (out / "fit.json").exists()
+
+
+class TestNoPerRowObjects:
+    def test_fit_and_predict_build_no_subject(self, tmp_path, monkeypatch):
+        # a survey extract with dates, NA test months and both covariates
+        arrs = generate(default_config("1", n_total=1000, seed=3)).train_arrays
+        rng = np.random.default_rng(4)
+        gap = np.maximum(1, np.rint(arrs.s * 12)).astype(int)
+        interview = 2016 * 12 + rng.integers(0, 12, size=arrs.n)
+        test = interview - gap
+        path = tmp_path / "survey.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["id", "weight", "test_year", "test_month", "interview_year",
+                             "interview_month", "z", "odn", "vl"])
+            for i in range(arrs.n):
+                writer.writerow([f"p{i}", repr(float(rng.uniform(0.5, 2.0))), test[i] // 12,
+                                 "NA" if i % 10 == 0 else test[i] % 12 + 1, interview[i] // 12,
+                                 interview[i] % 12 + 1, arrs.z[i], repr(float(arrs.x[i, 0])),
+                                 int(rng.integers(0, 100000))])
+        calls = []
+        original = Subject.__post_init__
+
+        def counting(self):
+            calls.append(1)
+            original(self)
+
+        monkeypatch.setattr(Subject, "__post_init__", counting)
+        assert main(["fit", "--data", str(path), "--covariates", "odn,logvl",
+                     "--out", str(tmp_path / "fit")]) in (0, 2)
+        assert main(["predict", "--fit", str(tmp_path / "fit" / "fit.json"), "--data", str(path),
+                     "--out", str(tmp_path / "pred"), "--p-hiv", "0.1", "--p-art", "0.7"]) == 0
+        assert len(calls) == 0
 
 
 class TestSelectCommand:

@@ -30,14 +30,14 @@ class TestLoad:
         path = write_csv(tmp_path / "d.csv", HEADER, standard_rows())
         records = load(path)
         assert len(records) == 3
-        assert records[0].id == "a" and records[0].weight == 1.0
-        assert records[1].z == 1 and records[1].vl == 12000
+        assert records.ids[0] == "a" and records.weight[0] == 1.0
+        assert records.z[1] == 1 and records.vl[1] == 12000
 
     def test_na_token_becomes_none(self, tmp_path):
         rows = standard_rows()
         rows[0][3] = "NA"
         path = write_csv(tmp_path / "d.csv", HEADER, rows)
-        assert load(path)[0].test_month is None
+        assert math.isnan(load(path).test_month[0])
 
     def test_unparseable_weight_names_row(self, tmp_path):
         rows = standard_rows()
@@ -57,7 +57,14 @@ class TestLoad:
         path = write_csv(tmp_path / "d.csv", ["id", "weight", "z", "s", "odn"],
                          [["a", 1.0, 0, 0.5, 1.2], ["b", 1.0, 1, 2.5, 0.3]])
         records = load(path)
-        assert records[0].s == 0.5
+        assert records.s[0] == 0.5
+
+    def test_short_row_reads_missing_cells(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("weight,z,s,odn,id\n1.0,0,0.5,1.2\n1.0,1,2.5\n")
+        records = load(path)
+        assert records.ids == ["1", "2"]
+        assert records.odn[0] == 1.2 and math.isnan(records.odn[1])
 
     def test_month_out_of_range(self, tmp_path):
         rows = standard_rows()
@@ -73,6 +80,22 @@ class TestLoad:
         with pytest.raises(DataError, match="vl"):
             load(path)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["weight", "age", "gender", "odn", "vl", "cd4"])
+    def test_nonfinite_cell_names_row(self, tmp_path, column, token):
+        rows = standard_rows()
+        rows[1][HEADER.index(column)] = token
+        path = write_csv(tmp_path / "d.csv", HEADER, rows)
+        with pytest.raises(DataError, match=f"row 3: column '{column}' must be finite"):
+            load(path, phia_vl=column == "vl")
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_nonfinite_s_names_row(self, tmp_path, token):
+        path = write_csv(tmp_path / "d.csv", ["id", "weight", "z", "s", "odn"],
+                         [["a", 1.0, 0, 0.5, 1.2], ["b", 1.0, 1, token, 0.3]])
+        with pytest.raises(DataError, match="row 3: column 's' must be finite"):
+            load(path)
+
     def test_column_mapping_override(self, tmp_path):
         header = ["pid", "wt", "ty", "tm", "iy", "im", "result", "odn_val"]
         rows = [["x", 1.5, 2015, 2, 2016, 2, 1, 0.8]]
@@ -80,17 +103,17 @@ class TestLoad:
         cmap = ColumnMap(id="pid", weight="wt", test_year="ty", test_month="tm",
                          interview_year="iy", interview_month="im", z="result",
                          s=None, odn="odn_val")
-        rec = load(path, cmap)[0]
-        assert rec.id == "x" and rec.odn == 0.8
+        records = load(path, cmap)
+        assert records.ids[0] == "x" and records.odn[0] == 0.8
 
 
 class TestPreprocess:
     def test_month_arithmetic_boundary(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", HEADER, standard_rows())
-        subjects, report = preprocess(load(path), covariates=("odn",))
+        arrays, report = preprocess(load(path), covariates=("odn",))
         # test 2015-03 to interview 2016-03 is exactly one year
-        assert subjects[0].s == pytest.approx(1.0)
-        assert subjects[1].s == pytest.approx(19 / 12)
+        assert arrays.s[0] == pytest.approx(1.0)
+        assert arrays.s[1] == pytest.approx(19 / 12)
         assert report.n_retained == 3
 
     def test_logvl_of_zero_vl(self, tmp_path):
@@ -104,8 +127,8 @@ class TestPreprocess:
 
     def test_weight_rescaling(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", HEADER, standard_rows())
-        subjects, _ = preprocess(load(path), covariates=("odn",))
-        weights = [sub.w for sub in subjects]
+        arrays, _ = preprocess(load(path), covariates=("odn",))
+        weights = arrays.w.tolist()
         assert weights == pytest.approx([0.5, 1.0, 1.5])
         assert math.fsum(weights) == pytest.approx(3.0, abs=1e-9)
 
@@ -118,8 +141,8 @@ class TestPreprocess:
                          float(rng.normal(2, 1)), float(rng.uniform(0, 1e5)),
                          float(rng.uniform(200, 900))])
         path = write_csv(tmp_path / "d.csv", HEADER, rows)
-        subjects, _ = preprocess(load(path), covariates=("age", "odn", "logvl", "cd4"))
-        mat = np.stack([sub.covariates for sub in subjects])
+        arrays, _ = preprocess(load(path), covariates=("age", "odn", "logvl", "cd4"))
+        mat = arrays.x
         np.testing.assert_allclose(mat.mean(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(mat.std(axis=0), 1.0, atol=1e-9)
 
@@ -132,35 +155,35 @@ class TestPreprocess:
         rows.append(["e", 1.0, 2015, 1, 2016, 1, 1, 30, 0, 0.9, 20, 450])  # kept
         rows.append(["f", 1.0, 2014, 5, 2016, 1, 0, 22, 1, 2.4, 30, 520])  # kept
         path = write_csv(tmp_path / "d.csv", HEADER, rows)
-        subjects, report = preprocess(load(path), covariates=("odn",))
+        arrays, report = preprocess(load(path), covariates=("odn",))
         reasons = dict(report.dropped)
         assert "missing test result" in reasons["a"]
         assert "missing test year" in reasons["b"]
         assert "covariate odn" in reasons["c"]
         assert "nonpositive" in reasons["d"]
-        assert len(subjects) == 2
+        assert arrays.n == 2
 
     def test_imputation_reproducible_and_feasible(self, tmp_path):
         rows = []
         for i in range(30):
             rows.append([f"r{i}", 1.0, 2016, "NA", 2016, 7, 1, 30, 1, 1.0 + 0.1 * i, 10, 400])
         path = write_csv(tmp_path / "d.csv", HEADER, rows)
-        subs_a, rep_a = preprocess(load(path), seed=5, covariates=("odn",))
-        subs_b, rep_b = preprocess(load(path), seed=5, covariates=("odn",))
-        assert [s.s for s in subs_a] == [s.s for s in subs_b]
+        arrs_a, rep_a = preprocess(load(path), seed=5, covariates=("odn",))
+        arrs_b, rep_b = preprocess(load(path), seed=5, covariates=("odn",))
+        assert arrs_a.s.tolist() == arrs_b.s.tolist()
         assert rep_a.imputations == rep_b.imputations
         # same-year imputation must leave the test strictly before the interview
         for _, month in rep_a.imputations:
             assert 1 <= month <= 6
-        subs_c, _ = preprocess(load(path), seed=6, covariates=("odn",))
-        assert [s.s for s in subs_c] != [s.s for s in subs_a]
+        arrs_c, _ = preprocess(load(path), seed=6, covariates=("odn",))
+        assert arrs_c.s.tolist() != arrs_a.s.tolist()
 
     def test_imputation_disabled_drops(self, tmp_path):
         rows = standard_rows()
         rows[0][3] = "NA"
         path = write_csv(tmp_path / "d.csv", HEADER, rows)
-        subjects, report = preprocess(load(path), covariates=("odn",), impute_month=False)
-        assert len(subjects) == 2
+        arrays, report = preprocess(load(path), covariates=("odn",), impute_month=False)
+        assert arrays.n == 2
         assert any("imputation disabled" in reason for _, reason in report.dropped)
 
     def test_zero_variance_covariate_errors(self, tmp_path):
@@ -173,12 +196,49 @@ class TestPreprocess:
 
     def test_frozen_standardization(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", HEADER, standard_rows()[:1])
-        subjects, report = preprocess(load(path), covariates=("odn",),
-                                      standardization={"odn": [1.0, 0.5]})
-        assert subjects[0].covariates[0] == pytest.approx((1.2 - 1.0) / 0.5)
+        arrays, report = preprocess(load(path), covariates=("odn",),
+                                    standardization={"odn": [1.0, 0.5]})
+        assert arrays.x[0, 0] == pytest.approx((1.2 - 1.0) / 0.5)
         assert report.stats["odn"] == (1.0, 0.5)
         with pytest.raises(DataError, match="odn"):
             preprocess(load(path), covariates=("odn",), standardization={})
+
+    def test_weights_that_cannot_be_rescaled(self, tmp_path):
+        rows = standard_rows()
+        for r in rows:
+            r[1] = 1e308   # the sum overflows
+        path = write_csv(tmp_path / "d.csv", HEADER, rows)
+        with pytest.raises(DataError, match="cannot be rescaled"):
+            preprocess(load(path), covariates=("odn",))
+
+    def test_random_draws_keep_row_order(self, tmp_path):
+        # Pins the draw order: months for NA test months and values for
+        # "less than N" loads are drawn row by row, a row's month first; a
+        # row imputed and then dropped (c, f) still consumes its draws, and
+        # one with no feasible month (d) or no result (h) consumes none.
+        # The expected values were recorded from the row-by-row implementation.
+        rows = [
+            ["a", 1.0, 2015, "NA", 2016, 3, 0, 25, 1, 1.2, "less than 20", 500],
+            ["b", 2.0, 2015, 6, 2016, 1, 1, 40, 0, 3.1, "less than 1000", 350],
+            ["c", 1.5, 2016, "NA", 2016, 7, 1, 31, 1, "NA", "less than 50", 610],
+            ["d", 1.0, 2016, "NA", 2016, 1, 0, 28, 0, 0.4, 900, 410],
+            ["e", 1.0, 2014, "NA", 2016, 5, 1, 33, 1, 2.0, "undetectable", 420],
+            ["f", 1.0, 2015, "NA", 2016, 2, 0, 45, 0, 0.7, "NA", 380],
+            ["g", 1.0, 2015, 9, 2016, 2, 1, 52, 1, 1.9, "less than 40", 700],
+            ["h", 1.0, 2015, 4, 2016, 4, "NA", 29, 0, 1.1, "less than 30", 300],
+            ["i", 1.0, 2013, "NA", 2016, 8, 1, 37, 1, 0.5, "more than 10 million", 560],
+        ]
+        path = write_csv(tmp_path / "d.csv", HEADER, rows)
+        arrays, report = preprocess(load(path, phia_vl=True), seed=3, covariates=("logvl", "odn"),
+                                    standardization={"logvl": [0.0, 1.0], "odn": [0.0, 1.0]})
+        assert report.imputations == [("a", 10), ("c", 1), ("e", 1), ("f", 2), ("i", 8)]
+        assert report.dropped == [("c", "missing covariate odn"), ("d", "no feasible test month"),
+                                  ("f", "missing covariate logvl"), ("h", "missing test result")]
+        assert report.ids == ["a", "b", "e", "g", "i"]
+        assert arrays.s.tolist() == [0.4166666666666667, 0.5833333333333334, 2.3333333333333335,
+                                     0.4166666666666667, 3.0]
+        assert arrays.x[:, 0].tolist() == [1.746798736503929, 6.687450775263712, 0.0,
+                                           2.9082704829320387, 16.118095750958314]
 
     def test_all_rows_dropped_errors(self, tmp_path):
         rows = [["a", 1.0, "NA", "NA", 2016, 3, 0, 25, 1, 1.2, 0, 500]]
@@ -188,8 +248,8 @@ class TestPreprocess:
 
     def test_gender_passthrough_not_standardized(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", HEADER, standard_rows())
-        subjects, report = preprocess(load(path), covariates=("gender", "odn"))
-        assert {sub.covariates[0] for sub in subjects} == {0.0, 1.0}
+        arrays, report = preprocess(load(path), covariates=("gender", "odn"))
+        assert set(arrays.x[:, 0].tolist()) == {0.0, 1.0}
         assert "gender" not in report.stats
 
     def test_phia_vl_categories(self, tmp_path):
@@ -201,14 +261,13 @@ class TestPreprocess:
         ]
         path = write_csv(tmp_path / "d.csv", HEADER, rows)
         records = load(path, phia_vl=True)
-        subjects, report = preprocess(records, seed=3, covariates=("logvl",))
+        arrays, report = preprocess(records, seed=3, covariates=("logvl",))
         mean, sd = report.stats["logvl"]
-        assert len(subjects) == 4
-        raw = {rec.id: rec for rec in records}
-        assert raw["a"].vl_raw == "undetectable"
+        assert arrays.n == 4
+        raw = dict(zip(records.ids, range(len(records))))
+        assert records.vl_raw[raw["a"]] == "undetectable"
         # recover the resolved values from the standardized columns
-        resolved = {sub_id: mean + sd * sub.covariates[0]
-                    for sub_id, sub in zip("abcd", subjects)}
+        resolved = {sub_id: mean + sd * x[0] for sub_id, x in zip("abcd", arrays.x)}
         assert resolved["a"] == pytest.approx(0.0, abs=1e-9)
         assert 0.0 <= math.expm1(resolved["b"]) < 20.0
         assert math.expm1(resolved["c"]) == pytest.approx(1e7, rel=1e-6)

@@ -272,6 +272,18 @@ class TestRunReplicates:
         rows = set(zip(arrays.s.tolist(), arrays.z.tolist()))
         assert all((sub.s, sub.z) in rows for sub in misreported)
 
+    def test_replicate_builds_no_subject(self, monkeypatch):
+        calls = []
+        original = simulation.Subject.__post_init__
+
+        def counting(self):
+            calls.append(1)
+            original(self)
+
+        monkeypatch.setattr(simulation.Subject, "__post_init__", counting)
+        summary = run_replicates(default_config("1", seed=4), 1, SPEC, n_jobs=1)
+        assert summary.n_reps == 1 and len(calls) == 0
+
     def test_parallel_matches_serial(self):
         cfg = default_config("1", n_total=400, seed=16)
         serial = run_replicates(cfg, 4, SPEC, n_jobs=1)
