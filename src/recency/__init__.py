@@ -11,13 +11,9 @@ from .model import (
     derive_label,
     initial_theta,
     logistic,
-    p0_p1,
     pi_recent,
 )
 from .likelihood import (
-    Case,
-    CaseContribution,
-    case_log_contribution,
     log_pseudo_likelihood,
     score,
     score_contributions,
@@ -41,7 +37,6 @@ from .densityratio import (
     tilt,
 )
 from .prediction import (
-    RiskPair,
     export_predictions,
     incidence,
     recency_rate,
@@ -65,14 +60,13 @@ from .dataio import ColumnMap, DataError, RawColumns, StandardizationReport, loa
 __all__ = [
     "__version__",
     "ModelSpec", "RecencyLabel", "Subject", "SubjectArrays", "Theta",
-    "derive_label", "initial_theta", "logistic", "p0_p1", "pi_recent",
-    "Case", "CaseContribution", "case_log_contribution",
+    "derive_label", "initial_theta", "logistic", "pi_recent",
     "log_pseudo_likelihood", "score", "score_contributions",
     "FitResult", "StepwiseResult", "VariantFit", "backward_stepwise",
     "best_variant", "compare_eta_variants", "fit", "fit_report",
     "sandwich_covariance",
     "TiltSolution", "fit_extended", "profile_log_likelihood", "solve_mu", "tilt",
-    "RiskPair", "export_predictions", "incidence", "recency_rate",
+    "export_predictions", "incidence", "recency_rate",
     "rita_classify", "type1_risk", "type2_risk",
     "LogisticFit", "fit_weighted_logistic",
     "GeneratedData", "ParamStats", "ReplicateSummary", "ScenarioConfig",

@@ -85,6 +85,9 @@ def _covariate_list(text: str) -> tuple[str, ...]:
     names = tuple(t.strip() for t in text.split(",") if t.strip())
     if not names:
         raise UsageError("empty covariate list")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise UsageError(f"covariate(s) listed more than once: {', '.join(repeated)}")
     return names
 
 
@@ -256,6 +259,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_predict(args) -> int:
     started = time.time()
+    if (args.p_hiv is None) != (args.p_art is None):
+        raise UsageError("--p-hiv and --p-art must be given together")
     fit_doc = json.loads(Path(args.fit).read_text())
     spec_doc = fit_doc["spec"]
     spec = ModelSpec(
@@ -297,8 +302,6 @@ def cmd_predict(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     export_predictions(out / "predictions.csv", arrays, theta, spec, report.ids)
     if args.p_hiv is not None:
-        if args.p_art is None:
-            raise UsageError("--p-hiv requires --p-art")
         e_y = recency_rate(arrays, theta, spec)
         inc = incidence(args.p_hiv, args.p_art, e_y)
         print(f"incidence: {inc:.6f} (E(Y)={e_y:.4f}, "

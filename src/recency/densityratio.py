@@ -25,6 +25,13 @@ d mu / d psi = -g_psi / g_mu from the implicit-function rule, with
     g_mu  = -sum_i w_i d_i^2 / (1 + mu d_i)^2,
     g_psi =  sum_i w_i e_i (1, s_i) / (1 + mu d_i)^2,    d_i = e_i - 1
 
+The profile Hessian is the case-term Hessian plus, in the psi block,
+
+    -sum_i w_i mu (1 - mu) e_i x_i x_i^T / (1 + mu d_i)^2 + g_psi g_psi^T / g_mu,
+
+with x_i = (1, s_i): the curvature of -w log(1 + mu d) at fixed mu, and
+its mixed mu-psi derivative -g_psi times d mu / d psi.  Since the term's
+mu-derivative -g vanishes at the root, no d^2 mu / d psi^2 term appears
 (Qin & Lawless 1994, Ann. Stat. 22:300; Qin 1998, Biometrika 85:619).
 """
 
@@ -41,13 +48,12 @@ from .estimation import (
     MAX_ITER,
     SCORE_TOL,
     _check_weights,
-    _fd_score_jacobian,
     _flat_directions,
     _newton_polish,
     _sandwich,
     select_candidate,
 )
-from .likelihood import _case_pass, _case_scores, _case_terms, _column_fsum
+from .likelihood import _case_hessian, _case_pass, _case_scores, _case_terms, _column_fsum
 from .model import ModelSpec, Theta, as_arrays, check_theta_spec, initial_theta
 
 __all__ = [
@@ -167,7 +173,7 @@ def profile_log_likelihood(data, theta: Theta, spec: ModelSpec) -> float:
 
 class _ProfileObjective:
     """Negated profile likelihood with rejection counting, and its
-    analytic per-subject scores."""
+    analytic per-subject scores and Hessian."""
 
     def __init__(self, arrs, template, spec):
         self.arrs = arrs
@@ -197,14 +203,10 @@ class _ProfileObjective:
 
     def value_and_gradient(self, free):
         """BFGS objective (value, -gradient) from one solve_mu and kernel pass."""
-        theta = self.template.with_free(free)
         try:
-            sol = solve_mu(theta.psi, self.arrs)
-        except OverflowError:
-            sol = None
-        if sol is None or not sol.feasible:
-            return self._negated_total(None, sol), np.full(free.size, np.nan)
-        cp = _case_pass(self.arrs, theta, self.spec)
+            theta, sol, cp = self._feasible_pass(free)
+        except FloatingPointError:
+            return self._negated_total(None, None), np.full(free.size, np.nan)
         contrib = _profile_contrib(self.arrs, theta.psi, sol, cp.terms)
         try:
             grad = -_column_fsum(self._profile_scores(theta, sol, cp))
@@ -212,13 +214,32 @@ class _ProfileObjective:
             grad = np.full(free.size, np.nan)
         return self._negated_total(contrib, sol), grad
 
+    def _feasible_pass(self, free):
+        """Theta, tilt solution and kernel pass at ``free``; raises
+        FloatingPointError where psi is infeasible or its tilt overflows."""
+        theta = self.template.with_free(free)
+        try:
+            sol = solve_mu(theta.psi, self.arrs)
+        except OverflowError as exc:
+            raise FloatingPointError(str(exc)) from None
+        if not sol.feasible:
+            raise FloatingPointError("profile derivatives requested at infeasible psi")
+        return theta, sol, _case_pass(self.arrs, theta, self.spec)
+
     def contribution_jacobian(self, free):
         """Per-subject profile scores m_i; (n, k)."""
-        theta = self.template.with_free(free)
-        sol = solve_mu(theta.psi, self.arrs)
-        if not sol.feasible:
-            raise FloatingPointError("profile scores requested at infeasible psi")
-        return self._profile_scores(theta, sol, _case_pass(self.arrs, theta, self.spec))
+        return self._profile_scores(*self._feasible_pass(free))
+
+    def _multiplier_pieces(self, theta, sol):
+        """e, d = e - 1, 1 + mu d, d(e)/d(psi0, psi1), g_mu and g_psi."""
+        arrs = self.arrs
+        e = tilt(arrs.s, theta.psi)
+        d = e - 1.0
+        denom = 1.0 + sol.mu * d
+        de = np.column_stack([e, e * arrs.s])
+        g_mu = -math.fsum(arrs.w * d * d / denom**2)
+        g_psi = _column_fsum((arrs.w / denom**2)[:, None] * de)
+        return e, d, denom, de, g_mu, g_psi
 
     def _profile_scores(self, theta, sol, cp):
         """Profile scores from the kernel pass cp at a feasible psi.
@@ -231,36 +252,45 @@ class _ProfileObjective:
         """
         arrs = self.arrs
         m = _case_scores(arrs, self.spec, cp)
-        e = tilt(arrs.s, theta.psi)
-        d = e - 1.0
-        denom = 1.0 + sol.mu * d
-        de = np.column_stack([e, e * arrs.s])          # d(e)/d(psi0, psi1)
-        g_mu = -math.fsum(arrs.w * d * d / denom**2)
-        g_psi = _column_fsum((arrs.w / denom**2)[:, None] * de)
+        _, d, denom, de, g_mu, g_psi = self._multiplier_pieces(theta, sol)
         dmu = -g_psi / g_mu
         m[:, self.psi_cols] -= (arrs.w / denom)[:, None] * (sol.mu * de + d[:, None] * dmu)
         if not np.isfinite(m).all():
             raise FloatingPointError("non-finite profile score")
         return m
 
+    def hessian(self, free):
+        """Hessian of the (positive) profile objective; (k, k).
+
+        The case-term Hessian plus the psi-block correction of the module
+        docstring; raises FloatingPointError where psi is infeasible.
+        """
+        theta, sol, cp = self._feasible_pass(free)
+        e, _, denom, _, g_mu, g_psi = self._multiplier_pieces(theta, sol)
+        s = self.arrs.s
+        q = self.arrs.w * sol.mu * (1.0 - sol.mu) * e / denom**2
+        c00, c01, c11 = _column_fsum(np.column_stack([q, q * s, q * s * s]))
+        hess = _case_hessian(self.arrs, self.spec, cp)
+        hess[np.ix_(self.psi_cols, self.psi_cols)] += (
+            np.outer(g_psi, g_psi) / g_mu - np.array([[c00, c01], [c01, c11]]))
+        if not np.isfinite(hess).all():
+            raise FloatingPointError("non-finite profile Hessian")
+        return hess
+
     def gradient(self, free):
         """Gradient of the (positive) profile objective; NaN where psi is
         infeasible."""
         try:
             m = self.contribution_jacobian(free)
-        except (OverflowError, FloatingPointError):
+        except FloatingPointError:
             return np.full(free.size, np.nan)
         return _column_fsum(m)
 
     def newton_polish(self, free, ll):
-        """Push the gradient below tolerance once BFGS stalls on value noise.
-
-        The shared :func:`estimation._newton_polish` loop, on the analytic
-        profile gradient and its central-difference Jacobian (the profile
-        has no analytic information: mu(psi) would add a Schur term).
-        """
-        return _newton_polish(lambda v: -self.value(v), self.gradient,
-                              lambda v: _fd_score_jacobian(self.gradient, v), free, ll)
+        """Push the gradient below tolerance once BFGS stalls on value noise,
+        with the shared :func:`estimation._newton_polish` loop on the
+        analytic profile gradient and Hessian."""
+        return _newton_polish(lambda v: -self.value(v), self.gradient, self.hessian, free, ll)
 
 
 def fit_extended(data, spec: ModelSpec, init: Theta | None = None, *,
@@ -268,9 +298,9 @@ def fit_extended(data, spec: ModelSpec, init: Theta | None = None, *,
     """Maximize the profile likelihood over (beta, free eta, psi0, psi1).
 
     The sandwich covariance pairs the analytic per-subject profile scores
-    with the central-difference Jacobian of their total.  The result carries the multiplier at the optimum,
-    the worst constraint residuals seen over accepted evaluations, and
-    the number of infeasible-psi rejections.
+    with the analytic profile Hessian.  The result carries the multiplier
+    at the optimum, the worst constraint residuals seen over accepted
+    evaluations, and the number of infeasible-psi rejections.
     """
     if not spec.extended:
         raise ValueError("fit_extended requires spec.extended")
@@ -333,8 +363,7 @@ def fit_extended(data, spec: ModelSpec, init: Theta | None = None, *,
     bic = -2.0 * ll + k * math.log(n)
     sol = solve_mu(theta_hat.psi, arrs)
     try:
-        cov = _sandwich(obj.contribution_jacobian(x_hat),
-                        _fd_score_jacobian(obj.gradient, x_hat), names)
+        cov = _sandwich(obj.contribution_jacobian(x_hat), obj.hessian(x_hat), names)
     except (np.linalg.LinAlgError, FloatingPointError):
         cov = np.full((k, k), np.nan)
         converged = False

@@ -245,21 +245,6 @@ def _flat_directions(loglik_fn, free: np.ndarray, ll_hat: float) -> list[int]:
     return flat
 
 
-def _fd_score_jacobian(score_fn, free: np.ndarray) -> np.ndarray:
-    """Central finite differences of a total score given as a function of
-    the free vector, one column per parameter; symmetrized."""
-    k = free.size
-    jac = np.empty((k, k))
-    for j in range(k):
-        h = 1e-5 * (1.0 + abs(free[j]))
-        up = free.copy()
-        up[j] += h
-        dn = free.copy()
-        dn[j] -= h
-        jac[:, j] = (score_fn(up) - score_fn(dn)) / (2.0 * h)
-    return 0.5 * (jac + jac.T)
-
-
 def _sandwich(m: np.ndarray, jac: np.ndarray, names) -> np.ndarray:
     """Robust covariance (1/n) I^-1 C I^-T from per-subject scores m (n, k)
     and the total score Jacobian jac (k, k), with I = jac / n and
@@ -288,7 +273,7 @@ def sandwich_covariance(data, theta_hat: Theta, spec: ModelSpec) -> np.ndarray:
 
     C is the outer product of the analytic per-subject scores and I the
     analytic Hessian, both from one kernel pass; the density-ratio fit
-    feeds its own profile scores and Jacobian to the same
+    feeds its own profile scores and Hessian to the same
     :func:`_sandwich`.  Raises LinAlgError naming the nearly-unidentified
     parameter when I is numerically singular.
     """

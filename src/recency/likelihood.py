@@ -29,10 +29,8 @@ makes the total exactly invariant under subject permutation.
 
 from __future__ import annotations
 
-import enum
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import reduce
 from operator import add
 
@@ -47,27 +45,11 @@ from .model import (
 )
 
 __all__ = [
-    "Case",
-    "CaseContribution",
-    "case_log_contribution",
     "hessian",
     "log_pseudo_likelihood",
     "score",
     "score_contributions",
 ]
-
-
-class Case(enum.Enum):
-    I = "I"
-    II = "II"
-    III = "III"
-    IV = "IV"
-
-
-@dataclass(frozen=True)
-class CaseContribution:
-    case_id: Case
-    log_value: float
 
 
 def _linear_pieces(arrs: SubjectArrays, theta: Theta, spec: ModelSpec):
@@ -122,18 +104,6 @@ def _case_pass(arrs: SubjectArrays, theta: Theta, spec: ModelSpec) -> _CasePass:
 
 def _case_terms(arrs: SubjectArrays, theta: Theta, spec: ModelSpec) -> np.ndarray:
     return _case_pass(arrs, theta, spec).terms
-
-
-def case_log_contribution(subject, theta: Theta, spec: ModelSpec) -> CaseContribution:
-    """Unweighted log likelihood term of a single subject."""
-    check_theta_spec(theta, spec)
-    arrs = as_arrays([subject])
-    term = float(_case_terms(arrs, theta, spec)[0])
-    if subject.s <= 1.0:
-        case = Case.I if subject.z == 0 else Case.III
-    else:
-        case = Case.II if subject.z == 1 else Case.IV
-    return CaseContribution(case_id=case, log_value=term)
 
 
 def log_pseudo_likelihood(data, theta: Theta, spec: ModelSpec) -> float:

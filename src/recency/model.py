@@ -2,8 +2,8 @@
 
 Everything downstream (likelihood, estimation, prediction, simulation)
 composes the primitives defined here: the stable logistic function, the
-recency probability ``pi_recent``, the test-result probabilities
-``p0_p1``, and the tri-state label derived from testing history.
+recency probability ``pi_recent``, and the tri-state label derived from
+testing history.
 
 All types are immutable after construction and all functions are pure.
 """
@@ -26,7 +26,6 @@ __all__ = [
     "as_arrays",
     "logistic",
     "pi_recent",
-    "p0_p1",
     "derive_label",
     "initial_theta",
 ]
@@ -312,26 +311,6 @@ def pi_recent(covariates, beta) -> float:
     if b.size != x.shape[-1] + 1:
         raise ValueError(f"beta length {b.size} does not match {x.shape[-1]} covariates + intercept")
     return logistic(b[0] + x @ b[1:])
-
-
-def p0_p1(s, eta, p0_one: bool = False):
-    """Test-result probabilities (p0, p1) at time-gap s.
-
-    p0 = P(positive | long-term, s > 1), p1 = P(positive | recent,
-    s <= 1).  Both are evaluated unconditionally; callers pick the branch
-    matching their (s, z) cell.  With ``p0_one`` the long-term branch is
-    the constant 1.
-    """
-    s = np.asarray(s, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    p1 = logistic(eta[2] + eta[3] * (s - 1.0))
-    if p0_one:
-        p0 = np.ones_like(np.asarray(p1))
-        if np.ndim(p1) == 0:
-            p0 = 1.0
-    else:
-        p0 = logistic(eta[0] + eta[1] * (s - 1.0))
-    return p0, p1
 
 
 @dataclass(frozen=True)

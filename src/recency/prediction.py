@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,21 +28,13 @@ from .model import (
 )
 
 __all__ = [
-    "RiskPair",
     "type1_risk",
     "type2_risk",
-    "risk_pairs",
     "recency_rate",
     "incidence",
     "rita_classify",
     "export_predictions",
 ]
-
-
-@dataclass(frozen=True)
-class RiskPair:
-    type1: float
-    type2: float | None
 
 
 def type1_risk(subject: Subject, theta_hat: Theta) -> float:
@@ -66,13 +57,6 @@ def type2_risk(subject: Subject, theta_hat: Theta, spec: ModelSpec) -> float:
     check_theta_spec(theta_hat, spec)
     arrs = as_arrays([subject])
     return float(_type2_vector(arrs, theta_hat, spec)[0])
-
-
-def risk_pairs(data, theta_hat: Theta, spec: ModelSpec) -> list[RiskPair]:
-    arrs = as_arrays(data)
-    t1 = pi_recent(arrs.x, theta_hat.beta)
-    t2 = _type2_vector(arrs, theta_hat, spec)
-    return [RiskPair(type1=float(a), type2=float(b)) for a, b in zip(np.atleast_1d(t1), t2)]
 
 
 def recency_rate(data, theta_hat: Theta, spec: ModelSpec) -> float:

@@ -167,16 +167,8 @@ class GeneratedData:
         return _subjects(self.test_arrays.subset(~self.test_labeled_mask))
 
     @property
-    def y_test_a(self) -> np.ndarray:
-        return self.y_test[self.test_labeled_mask]
-
-    @property
     def y_test_b(self) -> np.ndarray:
         return self.y_test[~self.test_labeled_mask]
-
-    @property
-    def labeled_train_count(self) -> int:
-        return int(_labeled(self.train_arrays).sum())
 
 
 def _labeled(arrs: SubjectArrays) -> np.ndarray:

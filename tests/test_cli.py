@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from recency import cli
 from recency.cli import main
 from recency.model import Subject
 from recency.simulation import default_config, generate
@@ -92,6 +93,16 @@ class TestFitCommand:
         assert f"row 6: column '{column}' must be finite" in capsys.readouterr().err
         assert not (out / "fit.json").exists()
 
+    def test_repeated_covariate_usage_error(self, data_csv, tmp_path, capsys, monkeypatch):
+        loads = []
+        monkeypatch.setattr(cli, "load", lambda *a, **k: loads.append(a))
+        out = tmp_path / "dup"
+        code = main(["fit", "--data", str(data_csv), "--covariates", "odn,age,odn",
+                     "--out", str(out)])
+        assert code == 1
+        assert "listed more than once: odn" in capsys.readouterr().err
+        assert loads == [] and not out.exists()
+
 
 class TestNoPerRowObjects:
     def test_fit_and_predict_build_no_subject(self, tmp_path, monkeypatch):
@@ -140,6 +151,16 @@ class TestSelectCommand:
         # age is pure noise here; odn carries the signal
         assert stepwise["selected"] == ["odn"]
         assert stepwise["trace"][0]["kept"] == ["odn", "age"]
+
+    def test_repeated_candidate_usage_error(self, data_csv, tmp_path, capsys, monkeypatch):
+        loads = []
+        monkeypatch.setattr(cli, "load", lambda *a, **k: loads.append(a))
+        out = tmp_path / "sel_dup"
+        code = main(["select", "--data", str(data_csv), "--candidates", "age,odn,age",
+                     "--out", str(out)])
+        assert code == 1
+        assert "listed more than once: age" in capsys.readouterr().err
+        assert loads == [] and not out.exists()
 
 
 class TestSimulateCommand:
@@ -237,6 +258,16 @@ class TestPredictCommand:
                      "--p-hiv", "0", "--p-art", "0.5"])
         assert code == 0
         assert "incidence: 0.000000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--p-hiv", "--p-art"])
+    def test_unpaired_prevalence_flag_writes_nothing(self, data_csv, fit_dir, tmp_path,
+                                                     capsys, flag):
+        out = tmp_path / "p_unpaired"
+        code = main(["predict", "--fit", str(fit_dir / "fit.json"),
+                     "--data", str(data_csv), "--out", str(out), flag, "0.1"])
+        assert code == 1
+        assert "--p-hiv and --p-art must be given together" in capsys.readouterr().err
+        assert not (out / "predictions.csv").exists()
 
     def test_no_incidence_without_flags(self, data_csv, fit_dir, tmp_path, capsys):
         code = main(["predict", "--fit", str(fit_dir / "fit.json"),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import gamma as gamma_dist
 
+from fd_oracle import central_differences
 from recency import densityratio
 from recency.densityratio import (
     _profile_pieces,
@@ -183,20 +184,10 @@ def feasible_points(rng, arrs, count):
     return points
 
 
-def central_differences(fn, free, h_rel=1e-6):
-    cols = []
-    for j in range(free.size):
-        h = h_rel * (1.0 + abs(free[j]))
-        up, dn = free.copy(), free.copy()
-        up[j] += h
-        dn[j] -= h
-        cols.append((fn(up) - fn(dn)) / (2.0 * h))
-    return np.stack(cols, axis=-1)
-
-
 class TestProfileScore:
     """Envelope gradient and implicit-function per-subject scores against
-    central differences of the profile values."""
+    central differences of the profile values, and the profile Hessian
+    against central differences of the gradient."""
 
     def setup_method(self):
         rng = np.random.default_rng(90)
@@ -228,9 +219,24 @@ class TestProfileScore:
             m = self.obj.contribution_jacobian(free)
             assert np.max(np.abs(m.sum(axis=0) - total) / (1.0 + np.abs(total))) < 1e-12
 
+    def test_hessian_matches_finite_differences(self):
+        for free in self.points:
+            an = self.obj.hessian(free)
+            fd = central_differences(self.obj.gradient, free)
+            np.testing.assert_array_equal(an, an.T)
+            assert np.max(np.abs(an - fd) / (1.0 + np.abs(an))) < 1e-6
+
     def test_infeasible_psi_gives_nan_gradient(self):
         free = np.array([0.3, -0.4, -0.5, -4.0, 0.3, 0.2])
         assert np.isnan(self.obj.gradient(free)).all()
+
+    @pytest.mark.parametrize("psi", [(0.3, 0.2), (0.0, 800.0)], ids=["infeasible", "overflow"])
+    def test_hessian_raises_where_psi_is_not_usable(self, psi):
+        free = np.array([0.3, -0.4, -0.5, -4.0, *psi])
+        with pytest.raises(FloatingPointError):
+            self.obj.hessian(free)
+        with pytest.raises(FloatingPointError):
+            self.obj.contribution_jacobian(free)
 
 
 class TestOnePassObjective:
@@ -356,7 +362,33 @@ class TestFitExtended:
         x_hat = ext.theta_hat.free_values()
         obj = _ProfileObjective(as_arrays(gen.train), ext.theta_hat, SPEC_EXT)
         assert np.max(np.abs(obj.gradient(x_hat))) < SCORE_TOL
-        # the information from a 10x smaller step gives the same SEs
+        # a central-difference information gives the same SEs
         jac = central_differences(obj.gradient, x_hat)
         cov = _sandwich(obj.contribution_jacobian(x_hat), 0.5 * (jac + jac.T), ext.free_names)
         np.testing.assert_allclose(np.sqrt(np.diag(cov)), ext.se, rtol=1e-4)
+
+    def test_se_match_small_step_oracle(self):
+        # a converged replicate of the sim6_extended acceptance fixture whose
+        # psi block reaches 1.4e7: a finite-difference information with the
+        # default step erred there by 0.8 % in the psi1 SE
+        cfg = default_config("6", n_total=4000, seed=99)
+        gen = generate(cfg, np.random.default_rng(np.random.SeedSequence(99).spawn(40)[10]))
+        ext = fit_extended(gen.train_arrays, SPEC_EXT)
+        assert ext.converged
+        x_hat = ext.theta_hat.free_values()
+        obj = _ProfileObjective(gen.train_arrays, ext.theta_hat, SPEC_EXT)
+        jac = central_differences(obj.gradient, x_hat, h_rel=1e-7)
+        cov = _sandwich(obj.contribution_jacobian(x_hat), 0.5 * (jac + jac.T), ext.free_names)
+        np.testing.assert_allclose(ext.se, np.sqrt(np.diag(cov)), rtol=1e-5, atol=0)
+
+    def test_newton_polish_finishes_a_stalled_point(self):
+        arrs = generate(default_config("6", n_total=4000, seed=3)).train_arrays
+        ext = fit_extended(arrs, SPEC_EXT)
+        x_hat = ext.theta_hat.free_values()
+        obj = _ProfileObjective(arrs, ext.theta_hat, SPEC_EXT)
+        start = x_hat + 1e-4 * np.arange(1, x_hat.size + 1) / x_hat.size
+        assert np.max(np.abs(obj.gradient(start))) > 1.0
+        x_pol, ll_pol = obj.newton_polish(start, -obj.value(start))
+        assert np.max(np.abs(obj.gradient(x_pol))) < SCORE_TOL
+        assert ll_pol >= ext.log_pl - 1e-8
+        np.testing.assert_allclose(x_pol, x_hat, rtol=0, atol=1e-6)

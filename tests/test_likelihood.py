@@ -7,16 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recency.estimation import _fd_score_jacobian
+from fd_oracle import central_differences
 from recency.likelihood import (
-    Case,
-    case_log_contribution,
+    _case_pass,
     hessian,
     log_pseudo_likelihood,
     score,
     score_contributions,
 )
-from recency.model import ModelSpec, Subject, initial_theta, logistic
+from recency.model import ModelSpec, Subject, as_arrays, initial_theta, logistic
 
 SPEC = ModelSpec(covariate_names=("odn",))
 TABLE_THETA = initial_theta(SPEC).with_packed(np.array([0.95, -0.53, 7.0, -0.62, -7.0, -5.71]))
@@ -49,14 +48,21 @@ def brute_force_term(sub, theta, spec):
     return math.log((1 - pi) * (1 - p0) + pi * e)
 
 
+def case_term(sub, theta, spec):
+    """(case I-IV, unweighted term) of one subject from the kernel pass."""
+    cp = _case_pass(as_arrays([sub]), theta, spec)
+    case = ("I", "II", "III", "IV")[[bool(mask[0]) for mask in cp.masks].index(True)]
+    return case, float(cp.terms[0])
+
+
 class TestCaseContribution:
     def test_case_iii_collapses_to_one_minus_pi(self):
         # p1 forced to zero -> the mixture term is exactly 1 - pi = 0.5
         theta = initial_theta(SPEC).with_packed(np.array([0.0, 0.0, 7.0, 0.0, -800.0, 0.0]))
         sub = Subject(covariates=np.zeros(1), s=0.5, z=1)
-        contrib = case_log_contribution(sub, theta, SPEC)
-        assert contrib.case_id is Case.III
-        assert contrib.log_value == pytest.approx(math.log(0.5), abs=1e-15)
+        case, term = case_term(sub, theta, SPEC)
+        assert case == "III"
+        assert term == pytest.approx(math.log(0.5), abs=1e-15)
 
     def test_case_iv_with_p0_one(self):
         # (1-pi)(1-p0) vanishes, leaving log(pi) with pi = 0.3
@@ -64,24 +70,24 @@ class TestCaseContribution:
         beta0 = math.log(0.3 / 0.7)
         theta = initial_theta(spec).with_packed(np.array([beta0, 0.0, 0.0, -7.0, -5.0]))
         sub = Subject(covariates=np.zeros(0), s=2.0, z=0)
-        contrib = case_log_contribution(sub, theta, spec)
-        assert contrib.case_id is Case.IV
-        assert contrib.log_value == pytest.approx(math.log(0.3), abs=1e-12)
+        case, term = case_term(sub, theta, spec)
+        assert case == "IV"
+        assert term == pytest.approx(math.log(0.3), abs=1e-12)
 
     def test_composed_oracle_point(self):
         # case I at the generating truths: log[expit(0.95) * (1 - expit(-4.145))]
         sub = Subject(covariates=np.zeros(1), s=0.5, z=0)
         expected = math.log(logistic(0.95) * (1.0 - logistic(-4.145)))
-        contrib = case_log_contribution(sub, TABLE_THETA, SPEC)
-        assert contrib.case_id is Case.I
-        assert contrib.log_value == pytest.approx(expected, abs=1e-12)
+        case, term = case_term(sub, TABLE_THETA, SPEC)
+        assert case == "I"
+        assert term == pytest.approx(expected, abs=1e-12)
 
     def test_case_ids_match_labels(self):
         rng = np.random.default_rng(5)
         for sub in random_subjects(rng, 50):
-            case = case_log_contribution(sub, TABLE_THETA, SPEC).case_id
+            case, _ = case_term(sub, TABLE_THETA, SPEC)
             label = sub.label.value
-            if case in (Case.I, Case.II):
+            if case in ("I", "II"):
                 assert label != "unknown"
             else:
                 assert label == "unknown"
@@ -157,11 +163,11 @@ class TestLogPseudoLikelihood:
         theta = TABLE_THETA
         for sub in subs:
             pi = logistic(theta.beta[0] + float(sub.covariates @ theta.beta[1:]))
-            term = case_log_contribution(sub, theta, SPEC)
-            if term.case_id is Case.III:
-                assert term.log_value >= math.log(1 - pi) - 1e-12
-            elif term.case_id is Case.IV:
-                assert term.log_value >= math.log(pi) - 1e-12
+            case, term = case_term(sub, theta, SPEC)
+            if case == "III":
+                assert term >= math.log(1 - pi) - 1e-12
+            elif case == "IV":
+                assert term >= math.log(pi) - 1e-12
 
     def test_empty_dataset_errors(self):
         with pytest.raises(ValueError):
@@ -177,17 +183,9 @@ class TestLogPseudoLikelihood:
         assert log_pseudo_likelihood([sub], theta, spec) == -math.inf
 
 
-def fd_gradient(subs, theta, spec, step=1e-6):
-    free = theta.free_values()
-    grad = np.empty(free.size)
-    for j in range(free.size):
-        h = step * (1.0 + abs(free[j]))
-        up, dn = free.copy(), free.copy()
-        up[j] += h
-        dn[j] -= h
-        grad[j] = (log_pseudo_likelihood(subs, theta.with_free(up), spec)
-                   - log_pseudo_likelihood(subs, theta.with_free(dn), spec)) / (2 * h)
-    return grad
+def fd_gradient(subs, theta, spec):
+    return central_differences(
+        lambda v: log_pseudo_likelihood(subs, theta.with_free(v), spec), theta.free_values())
 
 
 class TestScore:
@@ -259,7 +257,8 @@ class TestHessian:
         for _ in range(5):
             free = template.free_values() + rng.normal(scale=0.7, size=len(spec.free_names()))
             an = hessian(subs, template.with_free(free), spec)
-            fd = _fd_score_jacobian(lambda v: score(subs, template.with_free(v), spec), free)
+            fd = central_differences(lambda v: score(subs, template.with_free(v), spec), free,
+                                     h_rel=1e-5)
             assert an.shape == (free.size, free.size)
             assert np.max(np.abs(an - fd) / (1.0 + np.abs(an))) < 1e-6
 

@@ -5,16 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from recency.likelihood import _linear_pieces
 from recency.model import (
     ModelSpec,
     RecencyLabel,
     Subject,
+    SubjectArrays,
     Theta,
     as_arrays,
     derive_label,
     initial_theta,
     logistic,
-    p0_p1,
     pi_recent,
 )
 
@@ -70,6 +71,17 @@ class TestPiRecent:
         a = pi_recent(x, np.concatenate([[0.3], slopes]))
         b = pi_recent(x[perm], np.concatenate([[0.3], slopes[perm]]))
         assert a == pytest.approx(b, abs=1e-15)
+
+
+def p0_p1(s, eta, p0_one=False):
+    """Test-result probabilities (p0, p1) at gaps s, read from the kernel."""
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    spec = ModelSpec(covariate_names=(), fix_eta00=None, fix_eta10=None,
+                     p0_identically_one=p0_one)
+    arrs = SubjectArrays(x=np.zeros((s.size, 0)), s=s, z=np.zeros(s.size, dtype=int),
+                         w=np.ones(s.size))
+    pieces = _linear_pieces(arrs, Theta(beta=np.zeros(1), eta=eta), spec)
+    return np.exp(pieces[2]), np.exp(pieces[4])
 
 
 class TestP0P1:

@@ -12,7 +12,6 @@ from recency.prediction import (
     incidence,
     recency_rate,
     rita_classify,
-    risk_pairs,
     type1_risk,
     type2_risk,
 )
@@ -170,7 +169,7 @@ class TestExport:
         assert [r["label"] for r in rows] == ["recent", "unknown", "unknown", "longterm"]
         assert float(rows[0]["type2"]) == 1.0
         assert float(rows[3]["type2"]) == 0.0
-        pairs = risk_pairs(subs, THETA, SPEC)
-        for row, pair in zip(rows, pairs):
-            assert float(row["type1"]) == pytest.approx(pair.type1, rel=1e-12)
-            assert float(row["type2"]) == pytest.approx(pair.type2, rel=1e-12)
+        for row, subject in zip(rows, subs, strict=True):
+            assert float(row["type1"]) == pytest.approx(type1_risk(subject, THETA), rel=1e-12)
+            assert float(row["type2"]) == pytest.approx(type2_risk(subject, THETA, SPEC),
+                                                        rel=1e-12)
