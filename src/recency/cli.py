@@ -261,6 +261,9 @@ def cmd_predict(args) -> int:
     started = time.time()
     if (args.p_hiv is None) != (args.p_art is None):
         raise UsageError("--p-hiv and --p-art must be given together")
+    for flag, value in (("--p-hiv", args.p_hiv), ("--p-art", args.p_art)):
+        if value is not None and not 0.0 <= value <= 1.0:
+            raise UsageError(f"{flag} must be in [0, 1], got {value}")
     fit_doc = json.loads(Path(args.fit).read_text())
     spec_doc = fit_doc["spec"]
     spec = ModelSpec(

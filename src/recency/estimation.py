@@ -1,14 +1,21 @@
 """Pseudo-likelihood maximization, sandwich covariance, and model selection.
 
-The optimizer is quasi-Newton (BFGS) with line search on the negative
-log pseudo-likelihood, stopping when the score's sup-norm drops below
-1e-6 or after 500 iterations.  Near the optimum of a large sample the
-line search can no longer tell objective values apart and BFGS stalls
-with a score near 1e-5; Newton steps on the analytic Hessian then finish
-the last decades.  Only a start that still misses the tolerance after
-those steps is followed by a restart from a deterministically perturbed
-init, up to three of them.  Non-convergence is flagged on the result,
-never raised, so replicate harnesses can count failures.
+The optimizer takes exact trust-region Newton steps (More & Sorensen
+1983; scipy's ``trust-exact``) on the analytic score and Hessian of the
+negative log pseudo-likelihood, stopping when the score's norm drops
+below 1e-6 or after 500 iterations.  Near the optimum of a large sample
+the trust region can no longer tell objective values apart and stops
+with a score near 1e-5; plain Newton steps then finish the last decades.
+
+The likelihood has a plateau: as eta01 -> +inf, p0 -> 1 for every s > 1,
+and a walk started at eta01 = 0 can run out to it.  So the default start
+puts eta01 on the decreasing side (-0.5, and eta00 at 7 when it is
+free), and an attempt counts as settled only when its score meets the
+tolerance and the flatness probe finds no direction the data cannot
+reject.  An unsettled attempt restarts further down that side
+(eta01 = -1, then -2), then from deterministically perturbed starts.
+Non-convergence is flagged on the result, never raised, so replicate
+harnesses can count failures.
 """
 
 from __future__ import annotations
@@ -37,8 +44,11 @@ __all__ = [
 
 SCORE_TOL = 1e-6
 MAX_ITER = 500
-N_RESTARTS = 3
-POLISH_STEPS = 5      # Newton steps after BFGS stalls
+N_RESTARTS = 3        # perturbed starts after the eta01 ladder
+POLISH_STEPS = 5      # Newton steps after the trust region stalls
+START_ETA00 = 7.0
+START_ETA01 = -0.5
+RESTART_ETA01 = (-1.0, -2.0)
 WEIGHT_SUM_TOL = 1e-6
 NEAR_SINGULAR_RTOL = 1e-10
 # a direction is unidentified when a +-5 move costs < 0.01 log-likelihood:
@@ -97,22 +107,79 @@ def _check_weights(arrs, n):
         )
 
 
-def _neg_objective(free, template, spec, arrs):
-    """BFGS objective: -log_pseudo_likelihood and -score from one kernel
-    pass; inf where a term is not finite, NaNs where a score is not."""
-    cp = _case_pass(arrs, template.with_free(free), spec)
-    value = -math.fsum(arrs.w * cp.terms) if np.isfinite(cp.terms).all() else math.inf
-    try:
-        return value, -_column_fsum(_case_scores(arrs, spec, cp))
-    except FloatingPointError:
-        return value, np.full(free.size, np.nan)
+class _NegObjective:
+    """-log_pseudo_likelihood, -score and -hessian over the free
+    parameters from one kernel pass per distinct point: trust-exact asks
+    for all three at every trial point, the Hessian first."""
+
+    def __init__(self, arrs, template, spec):
+        self.arrs, self.template, self.spec = arrs, template, spec
+        self._x = self._cp = None
+
+    def _pass(self, free):
+        if self._x is None or not np.array_equal(free, self._x):
+            self._cp = _case_pass(self.arrs, self.template.with_free(free), self.spec)
+            self._x = np.array(free, dtype=float)
+        return self._cp
+
+    def __call__(self, free):
+        """(value, gradient); inf where a term is not finite, NaNs where a
+        score is not."""
+        cp = self._pass(free)
+        terms = cp.terms
+        value = -math.fsum(self.arrs.w * terms) if np.isfinite(terms).all() else math.inf
+        try:
+            return value, -_column_fsum(_case_scores(self.arrs, self.spec, cp))
+        except FloatingPointError:
+            return value, np.full(free.size, np.nan)
+
+    def hess(self, free):
+        return -_case_hessian(self.arrs, self.spec, self._pass(free))
+
+    def run(self, start):
+        """One trust-exact run from ``start``.  The cached pass is dropped
+        on return, so no later stage holds it."""
+        try:
+            return minimize(self, start, jac=True, hess=self.hess, method="trust-exact",
+                            options={"gtol": SCORE_TOL, "maxiter": MAX_ITER})
+        finally:
+            self._x = self._cp = None
+
+
+def _default_start(spec: ModelSpec) -> Theta:
+    """:func:`initial_theta` with eta01 on the decreasing side of p0, and
+    eta00 at START_ETA00 when it is free."""
+    theta = initial_theta(spec)
+    names = spec.free_names()
+    eta = theta.eta.copy()
+    if "eta00" in names:
+        eta[0] = START_ETA00
+    if "eta01" in names:
+        eta[1] = START_ETA01
+    return replace(theta, eta=eta)
+
+
+def _starts(x0: np.ndarray, names):
+    """``x0``, then x0 with eta01 further down its decreasing side, then
+    N_RESTARTS deterministic perturbations of x0."""
+    yield x0
+    if "eta01" in names:
+        j = names.index("eta01")
+        for value in RESTART_ETA01:
+            start = x0.copy()
+            start[j] = value
+            yield start
+    rng = np.random.default_rng(np.random.SeedSequence(20230915))
+    for _ in range(N_RESTARTS):
+        yield x0 + rng.normal(scale=0.25 * (1.0 + np.abs(x0)))
 
 
 def fit(data, spec: ModelSpec, init: Theta | None = None, *,
         enforce_weight_sum: bool = True) -> FitResult:
     """Maximize the weighted log pseudo-likelihood over free parameters.
 
-    ``init`` overrides the default starting point (zeros, eta11 = -5).
+    ``init`` overrides the default starting point (zeros, eta01 = -0.5,
+    eta11 = -5, and eta00 = 7 when free) and is always the first start.
     Weights must already be rescaled to sum to the subject count unless
     ``enforce_weight_sum`` is disabled (the rescale only affects the
     sandwich/BIC scale, not the argmax).
@@ -124,7 +191,7 @@ def fit(data, spec: ModelSpec, init: Theta | None = None, *,
     n = arrs.n
     if enforce_weight_sum:
         _check_weights(arrs, n)
-    template = init if init is not None else initial_theta(spec)
+    template = init if init is not None else _default_start(spec)
     x0 = template.free_values()
 
     def loglik(v):
@@ -136,19 +203,14 @@ def fit(data, spec: ModelSpec, init: Theta | None = None, *,
     def free_hessian(v):
         return hessian(arrs, template.with_free(v), spec)
 
+    obj = _NegObjective(arrs, template, spec)
     candidates = []
     total_iter = 0
-    rng = np.random.default_rng(np.random.SeedSequence(20230915))
-    for attempt in range(1 + N_RESTARTS):
-        start = x0 if attempt == 0 else x0 + rng.normal(scale=0.25 * (1.0 + np.abs(x0)))
-        res = minimize(
-            _neg_objective, start, args=(template, spec, arrs),
-            jac=True, method="BFGS",
-            options={"gtol": SCORE_TOL, "maxiter": MAX_ITER},
-        )
-        total_iter += res.nit
-        x = res.x
+    for start in _starts(x0, spec.free_names()):
         try:
+            res = obj.run(start)
+            total_iter += res.nit
+            x = res.x
             ll = loglik(x)
             if not np.isfinite(ll):
                 continue
@@ -158,17 +220,17 @@ def fit(data, spec: ModelSpec, init: Theta | None = None, *,
                 sup = _sup_norm(free_score(x))
         except FloatingPointError:
             continue
-        candidates.append((template.with_free(x), ll, sup))
-        if sup < SCORE_TOL:
+        # the plateau guard: a stationary point with a direction the data
+        # cannot reject is the plateau or a shallow local maximum beside it
+        settled = sup < SCORE_TOL and not _flat_directions(loglik, x, ll)
+        candidates.append((template.with_free(x), ll, sup, settled))
+        if settled:
             break
     if candidates:
-        theta_hat, ll, sup = select_candidate(candidates)
+        theta_hat, ll, sup, converged = select_candidate(candidates)
     else:
         # every attempt degenerated; report the untouched init, flagged
-        theta_hat, ll, sup = template, -math.inf, math.inf
-    converged = sup < SCORE_TOL
-    if converged and _flat_directions(loglik, theta_hat.free_values(), ll):
-        converged = False
+        theta_hat, ll, sup, converged = template, -math.inf, math.inf, False
 
     k = theta_hat.free_values().size
     bic = -2.0 * ll + k * math.log(n)
@@ -191,12 +253,13 @@ def _sup_norm(g: np.ndarray) -> float:
 
 
 def _newton_polish(loglik_fn, score_fn, jac_fn, free: np.ndarray, ll: float):
-    """Newton steps from a stalled BFGS point until the score sup-norm is
-    below SCORE_TOL, at most POLISH_STEPS of them.
+    """Newton steps from a stalled optimizer point until the score
+    sup-norm is below SCORE_TOL, at most POLISH_STEPS of them.
 
-    BFGS's line search compares near-equal objective values and stalls
-    near a 1e-5 score; a Newton step needs only the score and its
-    Jacobian ``jac_fn``, so it finishes the last decades.  Each step is
+    The trust region (and the density-ratio fit's BFGS line search)
+    compares near-equal objective values and stalls near a 1e-5 score; a
+    Newton step needs only the score and its Jacobian ``jac_fn``, so it
+    finishes the last decades.  Each step is
     halved up to 8 times until the log-likelihood does not fall by more
     than value noise (1e-8).  Returns the final point and its
     log-likelihood; a failed solve or line search stops early.

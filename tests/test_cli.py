@@ -269,6 +269,19 @@ class TestPredictCommand:
         assert "--p-hiv and --p-art must be given together" in capsys.readouterr().err
         assert not (out / "predictions.csv").exists()
 
+    @pytest.mark.parametrize("p_hiv,p_art,flag", [("1.5", "0.5", "--p-hiv"),
+                                                   ("0.1", "-0.2", "--p-art"),
+                                                   ("nan", "0.5", "--p-hiv")])
+    def test_prevalence_out_of_range_writes_nothing(self, data_csv, fit_dir, tmp_path,
+                                                    capsys, p_hiv, p_art, flag):
+        out = tmp_path / "p_range"
+        code = main(["predict", "--fit", str(fit_dir / "fit.json"),
+                     "--data", str(data_csv), "--out", str(out),
+                     "--p-hiv", p_hiv, "--p-art", p_art])
+        assert code == 1
+        assert f"{flag} must be in [0, 1]" in capsys.readouterr().err
+        assert not (out / "predictions.csv").exists()
+
     def test_no_incidence_without_flags(self, data_csv, fit_dir, tmp_path, capsys):
         code = main(["predict", "--fit", str(fit_dir / "fit.json"),
                      "--data", str(data_csv), "--out", str(tmp_path / "p3")])

@@ -7,7 +7,7 @@ import pytest
 
 from recency import estimation, likelihood
 from recency.estimation import (
-    _neg_objective,
+    _NegObjective,
     backward_stepwise,
     best_variant,
     compare_eta_variants,
@@ -104,7 +104,8 @@ class TestFit:
 
 
 class TestBfgsObjective:
-    """The one-pass BFGS objective against the separate value and score."""
+    """The fit's one-pass objective (now driving trust-exact) against the
+    separate value, score and Hessian."""
 
     def test_matches_value_and_score_exactly(self):
         rng = np.random.default_rng(19)
@@ -113,12 +114,14 @@ class TestBfgsObjective:
                      ModelSpec(covariate_names=("odn",), p0_identically_one=True, fix_eta00=None),
                      ModelSpec(covariate_names=("odn",), z_model_covariate="odn")):
             template = initial_theta(spec)
+            objective = _NegObjective(arrs, template, spec)
             for _ in range(4):
                 free = template.free_values() + rng.normal(scale=0.5, size=len(spec.free_names()))
                 theta = template.with_free(free)
-                value, grad = _neg_objective(free, template, spec, arrs)
+                value, grad = objective(free)
                 assert value == -log_pseudo_likelihood(arrs, theta, spec)
                 np.testing.assert_array_equal(grad, -score(arrs, theta, spec))
+                np.testing.assert_array_equal(objective.hess(free), -hessian(arrs, theta, spec))
 
     def test_degenerate_theta_gives_inf_and_nan_gradient(self):
         # case IV with pi = 0 and p0 = 1: both branches are impossible
@@ -129,33 +132,46 @@ class TestBfgsObjective:
         with np.errstate(invalid="ignore"):
             with pytest.raises(FloatingPointError):
                 score(arrs, template.with_free(free), spec)
-            value, grad = _neg_objective(free, template, spec, arrs)
+            value, grad = _NegObjective(arrs, template, spec)(free)
         assert value == math.inf
         assert grad.shape == (3,) and np.isnan(grad).all()
 
     def test_one_kernel_pass_per_evaluation(self, monkeypatch):
-        passes, per_eval = [], []
-        pieces, objective = likelihood._linear_pieces, estimation._neg_objective
+        # one _linear_pieces pass per distinct point the trust region
+        # visits: the value, score and Hessian there share it, whichever
+        # of them is asked for first
+        passes, seen = [], {}
+        pieces = likelihood._linear_pieces
 
         def counted_pieces(*args):
             passes.append(1)
             return pieces(*args)
 
-        def counted_objective(*args):
-            before = len(passes)
-            out = objective(*args)
-            per_eval.append(len(passes) - before)
-            return out
+        def counted(method, kind):
+            def wrapper(self, free):
+                before = len(passes)
+                out = method(self, free)
+                calls = seen.setdefault(free.tobytes(), {"passes": 0, "kinds": set()})
+                calls["passes"] += len(passes) - before
+                calls["kinds"].add(kind)
+                return out
+            return wrapper
+
+        class Counted(_NegObjective):
+            __call__ = counted(_NegObjective.__call__, "value")
+            hess = counted(_NegObjective.hess, "hess")
 
         monkeypatch.setattr(likelihood, "_linear_pieces", counted_pieces)
-        monkeypatch.setattr(estimation, "_neg_objective", counted_objective)
-        fit(sim_train(20, n_total=600), SPEC)
-        assert len(per_eval) > 5 and set(per_eval) == {1}
+        monkeypatch.setattr(estimation, "_NegObjective", Counted)
+        assert fit(sim_train(20, n_total=600), SPEC).converged
+        assert len(seen) > 3
+        assert [calls["passes"] for calls in seen.values()] == [1] * len(seen)
+        assert all(calls["kinds"] == {"value", "hess"} for calls in seen.values())
 
 
 class TestStalledStart:
-    """A BFGS start that stops just short of the tolerance is finished by
-    Newton steps on the analytic Hessian, not by restarts."""
+    """A trust-region start that stops just short of the tolerance is
+    finished by Newton steps on the analytic Hessian, not by restarts."""
 
     @staticmethod
     def stalling_minimize(monkeypatch, offset=1e-7):
@@ -199,6 +215,53 @@ class TestStalledStart:
                        s=s.s, z=s.z, w=s.w) for s in subs]
         self.stalling_minimize(monkeypatch)
         assert not fit(dup, ModelSpec(covariate_names=("odn", "odn2"))).converged
+
+
+class TestStarts:
+    """The default start, the explicit init, and the plateau guard."""
+
+    @staticmethod
+    def recorded_starts(monkeypatch):
+        starts = []
+        real = estimation.minimize
+
+        def recording(fun, x0, *args, **kwargs):
+            starts.append(np.array(x0, dtype=float))
+            return real(fun, x0, *args, **kwargs)
+
+        monkeypatch.setattr(estimation, "minimize", recording)
+        return starts
+
+    def test_default_start_on_decreasing_side(self, monkeypatch):
+        starts = self.recorded_starts(monkeypatch)
+        subs = sim_train(22, n_total=600)
+        fit(subs, SPEC)
+        fit(subs, ModelSpec(covariate_names=("odn",), fix_eta00=None))
+        np.testing.assert_array_equal(starts[0], [0.0, 0.0, -0.5, -5.0])
+        np.testing.assert_array_equal(starts[1], [0.0, 0.0, 7.0, -0.5, -5.0])
+
+    def test_explicit_init_is_first_start(self, monkeypatch):
+        starts = self.recorded_starts(monkeypatch)
+        subs = sim_train(6, n_total=600)
+        warm = initial_theta(SPEC).with_free(np.array([0.5, -0.3, 0.4, -6.0]))
+        res = fit(subs, SPEC, init=warm)
+        np.testing.assert_array_equal(starts[0], warm.free_values())
+        assert res.converged
+
+    def test_plateau_guard_restarts_from_shallow_local_maximum(self, monkeypatch):
+        # replicate 24 of the criterion-3 fixture: from eta01 = -0.5 the
+        # trust region stops at a shallow local maximum (eta01 near +0.7,
+        # flat in eta01) whose score meets the tolerance; the guard
+        # restarts from eta01 = -1 and reaches the optimum
+        starts = self.recorded_starts(monkeypatch)
+        config = default_config("5", n_total=2000, seed=777)
+        seed = np.random.SeedSequence(777).spawn(300)[24]
+        train = generate(config, np.random.default_rng(seed)).train_arrays
+        res = fit(train, SPEC)
+        assert len(starts) == 2 and starts[1][2] == -1.0
+        assert res.converged
+        assert res.log_pl == pytest.approx(-588.4907, abs=1e-4)
+        assert res.estimates()["eta01"] == pytest.approx(-0.35, abs=0.01)
 
 
 class TestSandwich:
