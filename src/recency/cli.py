@@ -223,6 +223,8 @@ def cmd_select(args) -> int:
 
 def cmd_simulate(args) -> int:
     started = time.time()
+    if args.reps < 1:
+        raise UsageError(f"--reps must be at least 1, got {args.reps}")
     overrides = {}
     if args.beta:
         overrides["beta_true"] = tuple(float(v) for v in args.beta.split(","))

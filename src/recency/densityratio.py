@@ -43,18 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, minimize
 
-from .estimation import (
-    FitResult,
-    MAX_ITER,
-    SCORE_TOL,
-    _check_weights,
-    _flat_directions,
-    _newton_polish,
-    _sandwich,
-    select_candidate,
-)
+from .estimation import FitResult, MAX_ITER, SCORE_TOL, _maximize, _newton_polish, _prepare, _sandwich
 from .likelihood import _case_hessian, _case_pass, _case_scores, _case_terms, _column_fsum
-from .model import ModelSpec, Theta, as_arrays, check_theta_spec, initial_theta
+from .model import ModelSpec, Theta, as_arrays, check_theta_spec
 
 __all__ = [
     "TiltSolution",
@@ -172,8 +163,11 @@ def profile_log_likelihood(data, theta: Theta, spec: ModelSpec) -> float:
 
 
 class _ProfileObjective:
-    """Negated profile likelihood with rejection counting, and its
-    analytic per-subject scores and Hessian."""
+    """Negated profile likelihood with rejection counting, its analytic
+    per-subject scores and Hessian, and one trust-exact run.  One cached
+    root-find and kernel pass per distinct point serves the value and
+    gradient, the Hessian and the per-subject scores: trust-exact asks
+    for all of them at every trial point, the Hessian first."""
 
     def __init__(self, arrs, template, spec):
         self.arrs = arrs
@@ -183,6 +177,7 @@ class _ProfileObjective:
         self.psi_cols = [names.index("psi0"), names.index("psi1")]
         self.rejections = 0
         self.max_residuals = [0.0, 0.0]
+        self._x = self._pieces = None
 
     def _negated_total(self, contrib, sol):
         """-sum(contrib), or inf counted as a rejection when it is None."""
@@ -202,7 +197,8 @@ class _ProfileObjective:
         return self._negated_total(contrib, sol)
 
     def value_and_gradient(self, free):
-        """BFGS objective (value, -gradient) from one solve_mu and kernel pass."""
+        """Trust-exact objective (value, -gradient) from the cached pass;
+        (inf, NaNs) where psi is infeasible."""
         try:
             theta, sol, cp = self._feasible_pass(free)
         except FloatingPointError:
@@ -214,17 +210,37 @@ class _ProfileObjective:
             grad = np.full(free.size, np.nan)
         return self._negated_total(contrib, sol), grad
 
-    def _feasible_pass(self, free):
-        """Theta, tilt solution and kernel pass at ``free``; raises
-        FloatingPointError where psi is infeasible or its tilt overflows."""
-        theta = self.template.with_free(free)
+    def hess(self, free):
+        """-hessian for trust-exact.  Zeros where psi is not usable: the
+        Hessian is asked for before the value, which is inf there, so the
+        step is rejected anyway, and scipy raises on a non-finite one."""
         try:
-            sol = solve_mu(theta.psi, self.arrs)
-        except OverflowError as exc:
-            raise FloatingPointError(str(exc)) from None
-        if not sol.feasible:
+            return -self.hessian(free)
+        except FloatingPointError:
+            return np.zeros((free.size, free.size))
+
+    def run(self, start):
+        """One trust-exact run from ``start``."""
+        return minimize(self.value_and_gradient, start, jac=True, hess=self.hess,
+                        method="trust-exact", options={"gtol": SCORE_TOL, "maxiter": MAX_ITER})
+
+    def _feasible_pass(self, free):
+        """Theta, tilt solution and kernel pass at ``free``, kept for the
+        last distinct point; raises FloatingPointError where psi is
+        infeasible or its tilt overflows."""
+        if self._x is None or not np.array_equal(free, self._x):
+            theta = self.template.with_free(free)
+            try:
+                sol = solve_mu(theta.psi, self.arrs)
+            except OverflowError:
+                sol = None
+            feasible = sol is not None and sol.feasible
+            cp = _case_pass(self.arrs, theta, self.spec) if feasible else None
+            self._x, self._pieces = np.array(free, dtype=float), (theta, sol, cp)
+        theta, sol, cp = self._pieces
+        if cp is None:
             raise FloatingPointError("profile derivatives requested at infeasible psi")
-        return theta, sol, _case_pass(self.arrs, theta, self.spec)
+        return theta, sol, cp
 
     def contribution_jacobian(self, free):
         """Per-subject profile scores m_i; (n, k)."""
@@ -287,8 +303,8 @@ class _ProfileObjective:
         return _column_fsum(m)
 
     def newton_polish(self, free, ll):
-        """Push the gradient below tolerance once BFGS stalls on value noise,
-        with the shared :func:`estimation._newton_polish` loop on the
+        """Push the gradient below tolerance once trust-exact stalls on value
+        noise, with the shared :func:`estimation._newton_polish` loop on the
         analytic profile gradient and Hessian."""
         return _newton_polish(lambda v: -self.value(v), self.gradient, self.hessian, free, ll)
 
@@ -297,73 +313,45 @@ def fit_extended(data, spec: ModelSpec, init: Theta | None = None, *,
                  enforce_weight_sum: bool = True) -> FitResult:
     """Maximize the profile likelihood over (beta, free eta, psi0, psi1).
 
-    The sandwich covariance pairs the analytic per-subject profile scores
-    with the analytic profile Hessian.  The result carries the multiplier
-    at the optimum, the worst constraint residuals seen over accepted
-    evaluations, and the number of infeasible-psi rejections.
+    The basic fit's attempt loop (:func:`estimation._maximize`) runs
+    trust-exact on the analytic profile gradient and Hessian from
+    ``init`` when its psi is nonzero, then from one start inside each
+    sign-compatible tilt cone, and stops at the first settled attempt.
+    The other parameters start at ``init``, or at the basic fit's default
+    start.  The sandwich covariance pairs the analytic per-subject profile
+    scores with the analytic profile Hessian.  The result carries the
+    multiplier at the optimum, the worst constraint residuals seen over
+    accepted evaluations, and the number of infeasible-psi rejections.
     """
     if not spec.extended:
         raise ValueError("fit_extended requires spec.extended")
-    arrs = as_arrays(data)
+    arrs, template = _prepare(data, spec, init, enforce_weight_sum)
     n = arrs.n
-    if enforce_weight_sum:
-        _check_weights(arrs, n)
-    template = init if init is not None else initial_theta(spec)
     obj = _ProfileObjective(arrs, template, spec)
     x0 = template.free_values()
 
     # psi = 0 sits on the boundary of the feasible cone (the tilt must
     # cross 1 inside the observed s-range), so start a small step inside
-    # each of the two sign-compatible cones and keep the better optimum.
+    # each of the two sign-compatible cones
     med_s = float(np.median(arrs.s))
-    names = spec.free_names()
     i0, i1 = obj.psi_cols
     delta = 0.1
-    starts = []
-    if init is not None and (init.psi is not None and np.any(init.psi != 0.0)):
-        starts.append(x0)
+    starts = [x0] if np.any(template.psi != 0.0) else []
     for sign in (+1.0, -1.0):
         cone = x0.copy()
         cone[i0] = sign * delta
         cone[i1] = -sign * delta / med_s
         starts.append(cone)
 
-    candidates = []
-    total_iter = 0
-
-    def run_from(start):
-        nonlocal total_iter
-        res = minimize(
-            obj.value_and_gradient, start, jac=True, method="BFGS",
-            options={"gtol": SCORE_TOL, "maxiter": MAX_ITER},
-        )
-        total_iter += res.nit
-        ll = -obj.value(res.x)
-        if math.isfinite(ll):
-            g = obj.gradient(res.x)
-            candidates.append((res.x.copy(), ll, float(np.max(np.abs(g)))))
-
-    for start in starts:
-        run_from(start)
-    # BFGS stalls once objective differences fall below value noise;
-    # Newton steps on the analytic gradient finish the last decades
-    if candidates:
-        lead_x, lead_ll, lead_sup = select_candidate(candidates)
-        if lead_sup >= SCORE_TOL:
-            x_pol, ll_pol = obj.newton_polish(lead_x, lead_ll)
-            g = obj.gradient(x_pol)
-            candidates.append((x_pol, ll_pol, float(np.max(np.abs(g)))))
-    x_hat, ll, sup = select_candidate(candidates) if candidates else (x0, -math.inf, math.inf)
+    (x_hat, ll, sup, converged), total_iter = _maximize(
+        obj, x0, starts, lambda v: -obj.value(v), obj.gradient, obj.newton_polish)
     theta_hat = template.with_free(x_hat)
-    converged = sup < SCORE_TOL
-    if converged and _flat_directions(lambda v: -obj.value(v), x_hat, ll):
-        converged = False
 
     k = x_hat.size
     bic = -2.0 * ll + k * math.log(n)
     sol = solve_mu(theta_hat.psi, arrs)
     try:
-        cov = _sandwich(obj.contribution_jacobian(x_hat), obj.hessian(x_hat), names)
+        cov = _sandwich(obj.contribution_jacobian(x_hat), obj.hessian(x_hat), spec.free_names())
     except (np.linalg.LinAlgError, FloatingPointError):
         cov = np.full((k, k), np.nan)
         converged = False

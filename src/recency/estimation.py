@@ -13,7 +13,8 @@ puts eta01 on the decreasing side (-0.5, and eta00 at 7 when it is
 free), and an attempt counts as settled only when its score meets the
 tolerance and the flatness probe finds no direction the data cannot
 reject.  An unsettled attempt restarts further down that side
-(eta01 = -1, then -2), then from deterministically perturbed starts.
+(eta01 = -1, then -2).  The density-ratio fit runs the same attempt
+loop (:func:`_maximize`) on its profile objective from its own starts.
 Non-convergence is flagged on the result, never raised, so replicate
 harnesses can count failures.
 """
@@ -44,7 +45,6 @@ __all__ = [
 
 SCORE_TOL = 1e-6
 MAX_ITER = 500
-N_RESTARTS = 3        # perturbed starts after the eta01 ladder
 POLISH_STEPS = 5      # Newton steps after the trust region stalls
 START_ETA00 = 7.0
 START_ETA01 = -0.5
@@ -160,8 +160,7 @@ def _default_start(spec: ModelSpec) -> Theta:
 
 
 def _starts(x0: np.ndarray, names):
-    """``x0``, then x0 with eta01 further down its decreasing side, then
-    N_RESTARTS deterministic perturbations of x0."""
+    """``x0``, then x0 with eta01 further down its decreasing side."""
     yield x0
     if "eta01" in names:
         j = names.index("eta01")
@@ -169,44 +168,40 @@ def _starts(x0: np.ndarray, names):
             start = x0.copy()
             start[j] = value
             yield start
-    rng = np.random.default_rng(np.random.SeedSequence(20230915))
-    for _ in range(N_RESTARTS):
-        yield x0 + rng.normal(scale=0.25 * (1.0 + np.abs(x0)))
 
 
-def fit(data, spec: ModelSpec, init: Theta | None = None, *,
-        enforce_weight_sum: bool = True) -> FitResult:
-    """Maximize the weighted log pseudo-likelihood over free parameters.
-
-    ``init`` overrides the default starting point (zeros, eta01 = -0.5,
-    eta11 = -5, and eta00 = 7 when free) and is always the first start.
-    Weights must already be rescaled to sum to the subject count unless
-    ``enforce_weight_sum`` is disabled (the rescale only affects the
-    sandwich/BIC scale, not the argmax).
-    """
-    if spec.extended:
-        from .densityratio import fit_extended
-        return fit_extended(data, spec, init, enforce_weight_sum=enforce_weight_sum)
+def _prepare(data, spec: ModelSpec, init: Theta | None, enforce_weight_sum: bool):
+    """Arrays and start template of either fit: ``init`` when given, else
+    :func:`_default_start`.  An ``init`` built for another spec is a
+    ValueError, raised before any kernel pass."""
+    if init is not None:
+        check_theta_spec(init, spec)
+        if not np.array_equal(init.fixed_mask, spec.fixed_mask()):
+            raise ValueError(
+                "init was built for another spec: its free parameters do not match "
+                f"{spec.free_names()}"
+            )
     arrs = as_arrays(data)
-    n = arrs.n
     if enforce_weight_sum:
-        _check_weights(arrs, n)
-    template = init if init is not None else _default_start(spec)
-    x0 = template.free_values()
+        _check_weights(arrs, arrs.n)
+    return arrs, init if init is not None else _default_start(spec)
 
-    def loglik(v):
-        return log_pseudo_likelihood(arrs, template.with_free(v), spec)
 
-    def free_score(v):
-        return score(arrs, template.with_free(v), spec)
+def _maximize(obj, x0, starts, loglik, free_score, polish):
+    """The attempt loop both fits share.
 
-    def free_hessian(v):
-        return hessian(arrs, template.with_free(v), spec)
-
-    obj = _NegObjective(arrs, template, spec)
+    For each start in turn: ``obj.run`` it, ``polish`` the end point
+    when its score is above SCORE_TOL, and apply the plateau guard (a
+    stationary point with a direction the data cannot reject is the
+    plateau or a shallow local maximum beside it); stop at the first
+    settled attempt.  Returns the :func:`select_candidate` pick as
+    (free values, log-likelihood, score sup-norm, settled), or the
+    untouched ``x0`` flagged when every attempt degenerated, and the
+    total optimizer iterations.
+    """
     candidates = []
     total_iter = 0
-    for start in _starts(x0, spec.free_names()):
+    for start in starts:
         try:
             res = obj.run(start)
             total_iter += res.nit
@@ -216,23 +211,53 @@ def fit(data, spec: ModelSpec, init: Theta | None = None, *,
                 continue
             sup = _sup_norm(free_score(x))
             if sup >= SCORE_TOL:
-                x, ll = _newton_polish(loglik, free_score, free_hessian, x, ll)
+                x, ll = polish(x, ll)
                 sup = _sup_norm(free_score(x))
         except FloatingPointError:
             continue
-        # the plateau guard: a stationary point with a direction the data
-        # cannot reject is the plateau or a shallow local maximum beside it
         settled = sup < SCORE_TOL and not _flat_directions(loglik, x, ll)
-        candidates.append((template.with_free(x), ll, sup, settled))
+        candidates.append((x, ll, sup, settled))
         if settled:
             break
-    if candidates:
-        theta_hat, ll, sup, converged = select_candidate(candidates)
-    else:
-        # every attempt degenerated; report the untouched init, flagged
-        theta_hat, ll, sup, converged = template, -math.inf, math.inf, False
+    if not candidates:
+        return (x0, -math.inf, math.inf, False), total_iter
+    return select_candidate(candidates), total_iter
 
-    k = theta_hat.free_values().size
+
+def fit(data, spec: ModelSpec, init: Theta | None = None, *,
+        enforce_weight_sum: bool = True) -> FitResult:
+    """Maximize the weighted log pseudo-likelihood over free parameters.
+
+    ``init`` overrides the default starting point (zeros, eta01 = -0.5,
+    eta11 = -5, and eta00 = 7 when free) and is always the first start;
+    it must have been built for ``spec``.
+    Weights must already be rescaled to sum to the subject count unless
+    ``enforce_weight_sum`` is disabled (the rescale only affects the
+    sandwich/BIC scale, not the argmax).
+    """
+    if spec.extended:
+        from .densityratio import fit_extended
+        return fit_extended(data, spec, init, enforce_weight_sum=enforce_weight_sum)
+    arrs, template = _prepare(data, spec, init, enforce_weight_sum)
+    n = arrs.n
+    x0 = template.free_values()
+
+    def loglik(v):
+        return log_pseudo_likelihood(arrs, template.with_free(v), spec)
+
+    def free_score(v):
+        return score(arrs, template.with_free(v), spec)
+
+    def polish(x, ll):
+        return _newton_polish(loglik, free_score,
+                              lambda v: hessian(arrs, template.with_free(v), spec), x, ll)
+
+    (x_hat, ll, sup, converged), total_iter = _maximize(
+        _NegObjective(arrs, template, spec), x0, _starts(x0, spec.free_names()),
+        loglik, free_score, polish)
+    theta_hat = template.with_free(x_hat)
+
+    k = x_hat.size
     bic = -2.0 * ll + k * math.log(n)
     try:
         with warnings.catch_warnings():
@@ -256,10 +281,9 @@ def _newton_polish(loglik_fn, score_fn, jac_fn, free: np.ndarray, ll: float):
     """Newton steps from a stalled optimizer point until the score
     sup-norm is below SCORE_TOL, at most POLISH_STEPS of them.
 
-    The trust region (and the density-ratio fit's BFGS line search)
-    compares near-equal objective values and stalls near a 1e-5 score; a
-    Newton step needs only the score and its Jacobian ``jac_fn``, so it
-    finishes the last decades.  Each step is
+    The trust region compares near-equal objective values and stalls
+    near a 1e-5 score; a Newton step needs only the score and its
+    Jacobian ``jac_fn``, so it finishes the last decades.  Each step is
     halved up to 8 times until the log-likelihood does not fall by more
     than value noise (1e-8).  Returns the final point and its
     log-likelihood; a failed solve or line search stops early.

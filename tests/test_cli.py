@@ -189,6 +189,15 @@ class TestSimulateCommand:
                      "--out", str(tmp_path / "x")])
         assert code == 1
 
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_nonpositive_reps_is_usage_error_and_writes_nothing(self, tmp_path, capsys, reps):
+        out = tmp_path / "none"
+        code = main(["simulate", "--scenario", "1", "--reps", reps, "--n", "400",
+                     "--out", str(out)])
+        assert code == 1
+        assert "usage error: --reps must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_replicate_degenerate_sd(self, tmp_path):
         out = tmp_path / "one"
         code = main(["simulate", "--scenario", "1", "--reps", "1", "--n", "400",

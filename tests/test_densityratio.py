@@ -240,8 +240,8 @@ class TestProfileScore:
 
 
 class TestOnePassObjective:
-    """The BFGS objective's one root-find and kernel pass against the
-    separate value and gradient."""
+    """The trust-exact objective's one root-find and kernel pass against
+    the separate value and gradient."""
 
     def setup_method(self):
         rng = np.random.default_rng(91)
@@ -267,23 +267,35 @@ class TestOnePassObjective:
         assert obj.rejections == 1
 
     def test_one_root_find_per_evaluation(self, monkeypatch):
-        roots, per_eval = [], []
-        solve, objective = densityratio.solve_mu, _ProfileObjective.value_and_gradient
+        # one solve_mu per distinct point, shared by the value/gradient and
+        # the Hessian, whichever of them asks first
+        roots, per_point = [], {}
+        asked = {"value_and_gradient": set(), "hess": set()}
+        solve = densityratio.solve_mu
 
         def counted_solve(*args):
             roots.append(1)
             return solve(*args)
 
-        def counted_objective(self, free):
-            before = len(roots)
-            out = objective(self, free)
-            per_eval.append(len(roots) - before)
-            return out
+        def counted(method):
+            original = getattr(_ProfileObjective, method)
+
+            def wrapper(self, free):
+                before = len(roots)
+                out = original(self, free)
+                key = tuple(free)
+                per_point[key] = per_point.get(key, 0) + len(roots) - before
+                asked[method].add(key)
+                return out
+
+            monkeypatch.setattr(_ProfileObjective, method, wrapper)
 
         monkeypatch.setattr(densityratio, "solve_mu", counted_solve)
-        monkeypatch.setattr(_ProfileObjective, "value_and_gradient", counted_objective)
+        counted("value_and_gradient")
+        counted("hess")
         fit_extended(generate(default_config("6", n_total=1000, seed=5)).train, SPEC_EXT)
-        assert len(per_eval) > 5 and set(per_eval) == {1}
+        assert len(per_point) > 5 and set(per_point.values()) == {1}
+        assert asked["hess"] == asked["value_and_gradient"]
 
 
 def _case_term(sub, theta):
@@ -380,6 +392,30 @@ class TestFitExtended:
         jac = central_differences(obj.gradient, x_hat, h_rel=1e-7)
         cov = _sandwich(obj.contribution_jacobian(x_hat), 0.5 * (jac + jac.T), ext.free_names)
         np.testing.assert_allclose(ext.se, np.sqrt(np.diag(cov)), rtol=1e-5, atol=0)
+
+    def test_fixture_replicate_reaches_the_positive_cone_optimum(self):
+        # replicate 32 of the sim6_extended acceptance fixture: a BFGS run
+        # from eta01 = 0 ended in the negative tilt cone, not converged, at
+        # log-likelihood -1064.669957
+        cfg = default_config("6", n_total=4000, seed=99)
+        seed = np.random.SeedSequence(99).spawn(40)[32]
+        ext = fit_extended(generate(cfg, np.random.default_rng(seed)).train_arrays, SPEC_EXT)
+        assert ext.converged
+        assert ext.log_pl == pytest.approx(-1043.566262, abs=1e-6)
+        assert ext.estimates()["psi0"] > 0.0
+
+    def test_strong_tilt_replicate_recovers_the_tilt(self):
+        # a BFGS run flagged this replicate converged at psi0 = -0.051
+        # (truth 0.684), log-likelihood -1096.540475
+        cfg = default_config("6", n_total=4000, seed=5, s_gamma=(0.60, 0.08, 0.25))
+        seed = np.random.SeedSequence(5).spawn(15)[4]
+        ext = fit_extended(generate(cfg, np.random.default_rng(seed)).train_arrays, SPEC_EXT)
+        assert ext.converged
+        assert ext.log_pl == pytest.approx(-1048.121993, abs=1e-6)
+        est = ext.estimates()
+        ses = dict(zip(ext.free_names, ext.se))
+        for name, truth in zip(("psi0", "psi1"), cfg.psi_true):
+            assert abs(est[name] - truth) <= 3 * ses[name]
 
     def test_newton_polish_finishes_a_stalled_point(self):
         arrs = generate(default_config("6", n_total=4000, seed=3)).train_arrays

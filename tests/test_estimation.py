@@ -264,6 +264,26 @@ class TestStarts:
         assert res.estimates()["eta01"] == pytest.approx(-0.35, abs=0.01)
 
 
+class TestInitSpecMismatch:
+    """An ``init`` built for another spec is a named error in both fits,
+    raised before any kernel pass."""
+
+    @pytest.mark.parametrize("spec, init_spec", [
+        (ModelSpec(("odn",), fix_eta00=None, fix_eta10=-7.0),
+         ModelSpec(("odn",), fix_eta00=7.0, fix_eta10=None)),
+        (SPEC, ModelSpec(("odn",), extended=True)),
+        (ModelSpec(("odn",), extended=True), SPEC),
+        (SPEC, ModelSpec(("odn", "age"))),
+    ], ids=["fixed_eta", "psi_present", "psi_missing", "beta_size"])
+    def test_mismatched_init_is_value_error(self, monkeypatch, spec, init_spec):
+        def no_kernel(*args):
+            raise AssertionError("kernel pass before the init check")
+
+        monkeypatch.setattr(estimation, "as_arrays", no_kernel)
+        with pytest.raises(ValueError, match="init was built for another spec|beta has|requires"):
+            fit(sim_train(6, n_total=400), spec, init=initial_theta(init_spec))
+
+
 class TestSandwich:
     def test_se_shrinks_at_root_n(self):
         # rate check over the solidly identified beta block; the rare-event

@@ -284,8 +284,12 @@ class TestRunReplicates:
         summary = run_replicates(default_config("1", seed=4), 1, SPEC, n_jobs=1)
         assert summary.n_reps == 1 and len(calls) == 0
 
-    def test_parallel_matches_serial(self):
-        cfg = default_config("1", n_total=400, seed=16)
-        serial = run_replicates(cfg, 4, SPEC, n_jobs=1)
-        parallel = run_replicates(cfg, 4, SPEC, n_jobs=2)
+    @pytest.mark.parametrize("scenario, n_total, spec", [
+        ("1", 400, SPEC),
+        ("6", 600, ModelSpec(covariate_names=("odn",), extended=True)),
+    ], ids=["basic", "extended"])
+    def test_parallel_matches_serial(self, scenario, n_total, spec):
+        cfg = default_config(scenario, n_total=n_total, seed=16)
+        serial = run_replicates(cfg, 4, spec, n_jobs=1)
+        parallel = run_replicates(cfg, 4, spec, n_jobs=2)
         assert summary_to_dict(serial) == summary_to_dict(parallel)
