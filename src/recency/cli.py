@@ -100,10 +100,12 @@ def _column_map(args) -> ColumnMap:
     return dataclasses.replace(ColumnMap(), **overrides)
 
 
+COVARIATES_HELP = "comma-separated covariate names (age,gender,odn,logvl,cd4)"
+
+
 def _add_data_flags(p):
+    """The input flags of every command that reads a survey CSV."""
     p.add_argument("--data", required=True, help="input CSV path")
-    p.add_argument("--covariates", required=True,
-                   help="comma-separated covariate names (age,gender,odn,logvl,cd4)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--no-impute-month", action="store_true",
@@ -328,17 +330,16 @@ def build_parser() -> _Parser:
 
     p_fit = sub.add_parser("fit", help="fit the recency model to a CSV")
     _add_data_flags(p_fit)
+    p_fit.add_argument("--covariates", required=True, help=COVARIATES_HELP)
     _add_model_flags(p_fit)
     p_fit.set_defaults(func=cmd_fit)
 
     p_sel = sub.add_parser("select", help="eta-variant table and stepwise covariate selection")
     _add_data_flags(p_sel)
+    p_sel.add_argument("--covariates", default=None, help=COVARIATES_HELP)
     _add_model_flags(p_sel)
     p_sel.add_argument("--candidates", default=None,
                        help="candidate covariates for stepwise deletion (defaults to --covariates)")
-    for action in p_sel._actions:
-        if action.dest == "covariates":
-            action.required = False
     p_sel.set_defaults(func=cmd_select)
 
     p_sim = sub.add_parser("simulate", help="run a Monte-Carlo scenario")
@@ -361,16 +362,9 @@ def build_parser() -> _Parser:
 
     p_pred = sub.add_parser("predict", help="predictions from a stored fit")
     p_pred.add_argument("--fit", required=True, help="fit.json from a previous run")
-    p_pred.add_argument("--data", required=True)
-    p_pred.add_argument("--out", required=True)
-    p_pred.add_argument("--seed", type=int, default=0)
+    _add_data_flags(p_pred)
     p_pred.add_argument("--p-hiv", type=float, default=None)
     p_pred.add_argument("--p-art", type=float, default=None)
-    p_pred.add_argument("--no-impute-month", action="store_true")
-    p_pred.add_argument("--phia-vl", action="store_true")
-    for f in dataclasses.fields(ColumnMap):
-        p_pred.add_argument(f"--col-{f.name.replace('_', '-')}", dest=f"col_{f.name}",
-                            default=None)
     p_pred.set_defaults(func=cmd_predict)
     return parser
 

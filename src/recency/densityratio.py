@@ -38,7 +38,7 @@ mu-derivative -g vanishes at the root, no d^2 mu / d psi^2 term appears
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq, minimize
@@ -163,11 +163,12 @@ def profile_log_likelihood(data, theta: Theta, spec: ModelSpec) -> float:
 
 
 class _ProfileObjective:
-    """Negated profile likelihood with rejection counting, its analytic
-    per-subject scores and Hessian, and one trust-exact run.  One cached
-    root-find and kernel pass per distinct point serves the value and
-    gradient, the Hessian and the per-subject scores: trust-exact asks
-    for all of them at every trial point, the Hessian first."""
+    """The extended fit's objective for :func:`estimation._maximize`:
+    the profile likelihood, its analytic gradient, Hessian and sandwich,
+    and trust-exact runs on its negation with rejection counting.  One
+    cached root-find and kernel pass per distinct point serves every
+    method but ``value``: trust-exact asks for the value, gradient and
+    Hessian at each trial point, the Hessian first."""
 
     def __init__(self, arrs, template, spec):
         self.arrs = arrs
@@ -242,6 +243,13 @@ class _ProfileObjective:
             raise FloatingPointError("profile derivatives requested at infeasible psi")
         return theta, sol, cp
 
+    def multiplier(self, free):
+        """mu at ``free``, or None where psi is infeasible."""
+        try:
+            return self._feasible_pass(free)[1].mu
+        except FloatingPointError:
+            return None
+
     def contribution_jacobian(self, free):
         """Per-subject profile scores m_i; (n, k)."""
         return self._profile_scores(*self._feasible_pass(free))
@@ -302,31 +310,36 @@ class _ProfileObjective:
             return np.full(free.size, np.nan)
         return _column_fsum(m)
 
+    def loglik(self, free):
+        return -self.value(free)
+
     def newton_polish(self, free, ll):
         """Push the gradient below tolerance once trust-exact stalls on value
         noise, with the shared :func:`estimation._newton_polish` loop on the
         analytic profile gradient and Hessian."""
-        return _newton_polish(lambda v: -self.value(v), self.gradient, self.hessian, free, ll)
+        return _newton_polish(self, free, ll)
+
+    def covariance(self, free):
+        """Sandwich of the analytic per-subject profile scores and the
+        analytic profile Hessian."""
+        return _sandwich(self.contribution_jacobian(free), self.hessian(free),
+                         self.spec.free_names())
 
 
-def fit_extended(data, spec: ModelSpec, init: Theta | None = None, *,
-                 enforce_weight_sum: bool = True) -> FitResult:
+def fit_extended(data, spec: ModelSpec) -> FitResult:
     """Maximize the profile likelihood over (beta, free eta, psi0, psi1).
 
     The basic fit's attempt loop (:func:`estimation._maximize`) runs
-    trust-exact on the analytic profile gradient and Hessian from
-    ``init`` when its psi is nonzero, then from one start inside each
-    sign-compatible tilt cone, and stops at the first settled attempt.
-    The other parameters start at ``init``, or at the basic fit's default
-    start.  The sandwich covariance pairs the analytic per-subject profile
-    scores with the analytic profile Hessian.  The result carries the
-    multiplier at the optimum, the worst constraint residuals seen over
-    accepted evaluations, and the number of infeasible-psi rejections.
+    trust-exact on the analytic profile gradient and Hessian from one
+    start inside each sign-compatible tilt cone, the other parameters at
+    the basic fit's default start, and stops at the first settled
+    attempt.  The result also carries the multiplier at the optimum, the
+    worst constraint residuals seen over accepted evaluations, and the
+    number of infeasible-psi rejections.
     """
     if not spec.extended:
         raise ValueError("fit_extended requires spec.extended")
-    arrs, template = _prepare(data, spec, init, enforce_weight_sum)
-    n = arrs.n
+    arrs, template = _prepare(data, spec)
     obj = _ProfileObjective(arrs, template, spec)
     x0 = template.free_values()
 
@@ -336,30 +349,15 @@ def fit_extended(data, spec: ModelSpec, init: Theta | None = None, *,
     med_s = float(np.median(arrs.s))
     i0, i1 = obj.psi_cols
     delta = 0.1
-    starts = [x0] if np.any(template.psi != 0.0) else []
+    starts = []
     for sign in (+1.0, -1.0):
         cone = x0.copy()
         cone[i0] = sign * delta
         cone[i1] = -sign * delta / med_s
         starts.append(cone)
 
-    (x_hat, ll, sup, converged), total_iter = _maximize(
-        obj, x0, starts, lambda v: -obj.value(v), obj.gradient, obj.newton_polish)
-    theta_hat = template.with_free(x_hat)
-
-    k = x_hat.size
-    bic = -2.0 * ll + k * math.log(n)
-    sol = solve_mu(theta_hat.psi, arrs)
-    try:
-        cov = _sandwich(obj.contribution_jacobian(x_hat), obj.hessian(x_hat), spec.free_names())
-    except (np.linalg.LinAlgError, FloatingPointError):
-        cov = np.full((k, k), np.nan)
-        converged = False
-    return FitResult(
-        theta_hat=theta_hat, covariance=cov, log_pl=ll, bic=bic,
-        n_subjects=n, converged=converged, iterations=total_iter,
-        spec=spec, free_names=spec.free_names(), score_sup_norm=sup,
-        mu=sol.mu if sol.feasible else None,
-        constraint_residuals=(obj.max_residuals[0], obj.max_residuals[1]),
-        infeasible_rejections=obj.rejections,
-    )
+    res = _maximize(obj, starts)
+    # the covariance left the cached pass at the optimum
+    return replace(res, mu=obj.multiplier(res.theta_hat.free_values()),
+                   constraint_residuals=tuple(obj.max_residuals),
+                   infeasible_rejections=obj.rejections)

@@ -98,19 +98,11 @@ class FitResult:
         return {name: float(v) for name, v in zip(self.free_names, free)}
 
 
-def _check_weights(arrs, n):
-    total = math.fsum(arrs.w)
-    if abs(total - n) > WEIGHT_SUM_TOL:
-        raise ValueError(
-            f"weights sum to {total:.6f} but must equal the subject count {n}; "
-            "rescale them (w *= n / w.sum()) before fitting"
-        )
-
-
 class _NegObjective:
-    """-log_pseudo_likelihood, -score and -hessian over the free
-    parameters from one kernel pass per distinct point: trust-exact asks
-    for all three at every trial point, the Hessian first."""
+    """The basic fit's objective for :func:`_maximize`.  Trust-exact gets
+    -log_pseudo_likelihood, -score and -hessian from one kernel pass per
+    distinct point (it asks for all three at every trial point, the
+    Hessian first); the other methods call the public kernel functions."""
 
     def __init__(self, arrs, template, spec):
         self.arrs, self.template, self.spec = arrs, template, spec
@@ -145,6 +137,21 @@ class _NegObjective:
         finally:
             self._x = self._cp = None
 
+    def loglik(self, free):
+        return log_pseudo_likelihood(self.arrs, self.template.with_free(free), self.spec)
+
+    def gradient(self, free):
+        return score(self.arrs, self.template.with_free(free), self.spec)
+
+    def hessian(self, free):
+        return hessian(self.arrs, self.template.with_free(free), self.spec)
+
+    def newton_polish(self, free, ll):
+        return _newton_polish(self, free, ll)
+
+    def covariance(self, free):
+        return sandwich_covariance(self.arrs, self.template.with_free(free), self.spec)
+
 
 def _default_start(spec: ModelSpec) -> Theta:
     """:func:`initial_theta` with eta01 on the decreasing side of p0, and
@@ -170,34 +177,33 @@ def _starts(x0: np.ndarray, names):
             yield start
 
 
-def _prepare(data, spec: ModelSpec, init: Theta | None, enforce_weight_sum: bool):
-    """Arrays and start template of either fit: ``init`` when given, else
-    :func:`_default_start`.  An ``init`` built for another spec is a
-    ValueError, raised before any kernel pass."""
-    if init is not None:
-        check_theta_spec(init, spec)
-        if not np.array_equal(init.fixed_mask, spec.fixed_mask()):
-            raise ValueError(
-                "init was built for another spec: its free parameters do not match "
-                f"{spec.free_names()}"
-            )
+def _prepare(data, spec: ModelSpec):
+    """Arrays and :func:`_default_start` of either fit.  Weights must sum
+    to the subject count: the rescale sets the sandwich and BIC scale."""
     arrs = as_arrays(data)
-    if enforce_weight_sum:
-        _check_weights(arrs, arrs.n)
-    return arrs, init if init is not None else _default_start(spec)
+    total = math.fsum(arrs.w)
+    if abs(total - arrs.n) > WEIGHT_SUM_TOL:
+        raise ValueError(
+            f"weights sum to {total:.6f} but must equal the subject count {arrs.n}; "
+            "rescale them (w *= n / w.sum()) before fitting"
+        )
+    return arrs, _default_start(spec)
 
 
-def _maximize(obj, x0, starts, loglik, free_score, polish):
-    """The attempt loop both fits share.
+def _maximize(obj, starts) -> FitResult:
+    """The attempt loop both fits share, ending in their :class:`FitResult`.
 
-    For each start in turn: ``obj.run`` it, ``polish`` the end point
-    when its score is above SCORE_TOL, and apply the plateau guard (a
-    stationary point with a direction the data cannot reject is the
-    plateau or a shallow local maximum beside it); stop at the first
-    settled attempt.  Returns the :func:`select_candidate` pick as
-    (free values, log-likelihood, score sup-norm, settled), or the
-    untouched ``x0`` flagged when every attempt degenerated, and the
-    total optimizer iterations.
+    ``obj`` (:class:`_NegObjective` or the profile objective) gives
+    ``run(start)``, one trust-exact run, and the (positive) objective's
+    ``loglik``, ``gradient``, ``hessian``, ``newton_polish`` and
+    ``covariance`` over the free parameters.  For each start in turn: run
+    it, polish the end point when its score is above SCORE_TOL, and apply
+    the plateau guard (a stationary point with a direction the data
+    cannot reject is the plateau or a shallow local maximum beside it);
+    stop at the first settled attempt.  The :func:`select_candidate` pick,
+    or the start template flagged when every attempt degenerated, gets
+    its BIC and covariance; one that cannot be formed is NaN and flags
+    the fit.
     """
     candidates = []
     total_iter = 0
@@ -206,84 +212,68 @@ def _maximize(obj, x0, starts, loglik, free_score, polish):
             res = obj.run(start)
             total_iter += res.nit
             x = res.x
-            ll = loglik(x)
+            ll = obj.loglik(x)
             if not np.isfinite(ll):
                 continue
-            sup = _sup_norm(free_score(x))
+            sup = _sup_norm(obj.gradient(x))
             if sup >= SCORE_TOL:
-                x, ll = polish(x, ll)
-                sup = _sup_norm(free_score(x))
+                x, ll = obj.newton_polish(x, ll)
+                sup = _sup_norm(obj.gradient(x))
         except FloatingPointError:
             continue
-        settled = sup < SCORE_TOL and not _flat_directions(loglik, x, ll)
+        settled = sup < SCORE_TOL and not _flat_directions(obj.loglik, x, ll)
         candidates.append((x, ll, sup, settled))
         if settled:
             break
-    if not candidates:
-        return (x0, -math.inf, math.inf, False), total_iter
-    return select_candidate(candidates), total_iter
-
-
-def fit(data, spec: ModelSpec, init: Theta | None = None, *,
-        enforce_weight_sum: bool = True) -> FitResult:
-    """Maximize the weighted log pseudo-likelihood over free parameters.
-
-    ``init`` overrides the default starting point (zeros, eta01 = -0.5,
-    eta11 = -5, and eta00 = 7 when free) and is always the first start;
-    it must have been built for ``spec``.
-    Weights must already be rescaled to sum to the subject count unless
-    ``enforce_weight_sum`` is disabled (the rescale only affects the
-    sandwich/BIC scale, not the argmax).
-    """
-    if spec.extended:
-        from .densityratio import fit_extended
-        return fit_extended(data, spec, init, enforce_weight_sum=enforce_weight_sum)
-    arrs, template = _prepare(data, spec, init, enforce_weight_sum)
-    n = arrs.n
-    x0 = template.free_values()
-
-    def loglik(v):
-        return log_pseudo_likelihood(arrs, template.with_free(v), spec)
-
-    def free_score(v):
-        return score(arrs, template.with_free(v), spec)
-
-    def polish(x, ll):
-        return _newton_polish(loglik, free_score,
-                              lambda v: hessian(arrs, template.with_free(v), spec), x, ll)
-
-    (x_hat, ll, sup, converged), total_iter = _maximize(
-        _NegObjective(arrs, template, spec), x0, _starts(x0, spec.free_names()),
-        loglik, free_score, polish)
-    theta_hat = template.with_free(x_hat)
-
-    k = x_hat.size
-    bic = -2.0 * ll + k * math.log(n)
+    if candidates:
+        x_hat, ll, sup, converged = select_candidate(candidates)
+    else:
+        x_hat, ll, sup, converged = obj.template.free_values(), -math.inf, math.inf, False
+    k, n = x_hat.size, obj.arrs.n
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            cov = sandwich_covariance(arrs, theta_hat, spec)
+            cov = obj.covariance(x_hat)
     except (np.linalg.LinAlgError, ValueError, FloatingPointError):
         cov = np.full((k, k), np.nan)
         converged = False
     return FitResult(
-        theta_hat=theta_hat, covariance=cov, log_pl=ll, bic=bic,
-        n_subjects=n, converged=converged, iterations=total_iter,
-        spec=spec, free_names=spec.free_names(), score_sup_norm=sup,
+        theta_hat=obj.template.with_free(x_hat), covariance=cov, log_pl=ll,
+        bic=-2.0 * ll + k * math.log(n), n_subjects=n, converged=converged,
+        iterations=total_iter, spec=obj.spec, free_names=obj.spec.free_names(),
+        score_sup_norm=sup,
     )
+
+
+def fit(data, spec: ModelSpec) -> FitResult:
+    """Maximize the weighted log pseudo-likelihood over the free parameters.
+
+    :func:`_maximize` starts at :func:`_default_start` (zeros, eta01 =
+    -0.5, eta11 = -5, and eta00 = 7 when free), then at eta01 = -1 and -2
+    while no attempt has settled.  An extended spec goes to
+    :func:`densityratio.fit_extended`.  Weights must already be rescaled
+    to sum to the subject count (the rescale only affects the
+    sandwich/BIC scale, not the argmax).
+    """
+    if spec.extended:
+        from .densityratio import fit_extended
+        return fit_extended(data, spec)
+    arrs, template = _prepare(data, spec)
+    return _maximize(_NegObjective(arrs, template, spec),
+                     _starts(template.free_values(), spec.free_names()))
 
 
 def _sup_norm(g: np.ndarray) -> float:
     return float(np.max(np.abs(g))) if g.size else 0.0
 
 
-def _newton_polish(loglik_fn, score_fn, jac_fn, free: np.ndarray, ll: float):
+def _newton_polish(obj, free: np.ndarray, ll: float):
     """Newton steps from a stalled optimizer point until the score
     sup-norm is below SCORE_TOL, at most POLISH_STEPS of them.
 
     The trust region compares near-equal objective values and stalls
-    near a 1e-5 score; a Newton step needs only the score and its
-    Jacobian ``jac_fn``, so it finishes the last decades.  Each step is
+    near a 1e-5 score; a Newton step needs only ``obj.gradient`` and its
+    Jacobian ``obj.hessian``, so it finishes the last decades.  Each step is
     halved up to 8 times until the log-likelihood does not fall by more
     than value noise (1e-8).  Returns the final point and its
     log-likelihood; a failed solve or line search stops early.
@@ -291,10 +281,10 @@ def _newton_polish(loglik_fn, score_fn, jac_fn, free: np.ndarray, ll: float):
     x = free.copy()
     for _ in range(POLISH_STEPS):
         try:
-            g = score_fn(x)
+            g = obj.gradient(x)
             if np.max(np.abs(g)) < SCORE_TOL:
                 break
-            step_vec = np.linalg.solve(jac_fn(x), -g)
+            step_vec = np.linalg.solve(obj.hessian(x), -g)
         except (np.linalg.LinAlgError, FloatingPointError):
             break
         scale = 1.0
@@ -302,7 +292,7 @@ def _newton_polish(loglik_fn, score_fn, jac_fn, free: np.ndarray, ll: float):
         for _ in range(8):
             cand = x + scale * step_vec
             try:
-                ll_cand = loglik_fn(cand)
+                ll_cand = obj.loglik(cand)
             except FloatingPointError:
                 ll_cand = -math.inf
             # tolerate value-noise-level regressions: the score is the

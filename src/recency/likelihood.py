@@ -95,10 +95,13 @@ def _case_pass(arrs: SubjectArrays, theta: Theta, spec: ModelSpec) -> _CasePass:
     terms[m2] = log_1m_pi[m2] + log_p0[m2]
     log_r3 = log_pi[m3] + tilt_exp[m3] + log_p1[m3]
     terms[m3] = np.logaddexp(log_1m_pi[m3], log_r3)
-    v[m3] = np.exp(log_r3 - terms[m3])
     log_r4 = log_pi[m4] + tilt_exp[m4]
     terms[m4] = np.logaddexp(log_1m_pi[m4] + log_1m_p0[m4], log_r4)
-    v[m4] = np.exp(log_r4 - terms[m4])
+    # an impossible mixture cell has -inf in both branches: v is NaN there,
+    # and the term's -inf is what the callers report
+    with np.errstate(invalid="ignore"):
+        v[m3] = np.exp(log_r3 - terms[m3])
+        v[m4] = np.exp(log_r4 - terms[m4])
     return _CasePass(pieces, masks, terms, v)
 
 

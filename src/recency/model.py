@@ -269,9 +269,11 @@ class Theta:
 
 
 def initial_theta(spec: ModelSpec) -> Theta:
-    """Starting point for optimization: zeros, except eta11 = -5.
+    """Neutral parameter vector of ``spec``: zeros, except eta11 = -5.
 
     Fixed intercepts of the test-result model take their pinned values.
+    The fits start from ``estimation._default_start``, which moves eta01
+    (and a free eta00) off this point.
     """
     beta = np.zeros(spec.n_beta)
     eta = np.array([

@@ -30,7 +30,7 @@ import csv
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -128,9 +128,8 @@ class GeneratedData:
     """Simulated train/test split plus the latent truth for evaluation.
 
     The draws are held as :class:`SubjectArrays` (``train_arrays``,
-    ``test_arrays`` and, for S2, ``contingency_arrays``).  ``train``,
-    ``test``, ``contingency``, ``test_a`` and ``test_b`` build Subject
-    lists from them each time they are read.
+    ``test_arrays`` and, for S2, ``contingency_arrays``).  ``train`` and
+    ``test`` build Subject lists from them each time they are read.
     """
 
     train_arrays: SubjectArrays
@@ -149,26 +148,6 @@ class GeneratedData:
     @property
     def test(self) -> list[Subject]:
         return _subjects(self.test_arrays)
-
-    @property
-    def contingency(self) -> list[Subject] | None:
-        return None if self.contingency_arrays is None else _subjects(self.contingency_arrays)
-
-    @property
-    def test_labeled_mask(self) -> np.ndarray:
-        return _labeled(self.test_arrays)
-
-    @property
-    def test_a(self) -> list[Subject]:
-        return _subjects(self.test_arrays.subset(self.test_labeled_mask))
-
-    @property
-    def test_b(self) -> list[Subject]:
-        return _subjects(self.test_arrays.subset(~self.test_labeled_mask))
-
-    @property
-    def y_test_b(self) -> np.ndarray:
-        return self.y_test[~self.test_labeled_mask]
 
 
 def _labeled(arrs: SubjectArrays) -> np.ndarray:
@@ -482,32 +461,10 @@ def run_replicates(config: ScenarioConfig, n_reps: int, spec: ModelSpec,
 
 def summary_to_dict(summary: ReplicateSummary) -> dict:
     """JSON-ready view of a ReplicateSummary (replicate rows omitted)."""
-
-    def stats_block(d):
-        return {
-            name: {
-                "truth": ps.truth, "mean_estimate": ps.mean_estimate,
-                "mean_se": ps.mean_se, "sd": ps.sd,
-                "coverage95": ps.coverage95, "n": ps.n,
-            }
-            for name, ps in d.items()
-        }
-
-    return {
-        "scenario": summary.scenario,
-        "n_reps": summary.n_reps,
-        "n_converged": summary.n_converged,
-        "params": stats_block(summary.params),
-        "lr_params": stats_block(summary.lr_params),
-        "auc_type1": summary.auc_type1,
-        "auc_type2": summary.auc_type2,
-        "auc_logistic": summary.auc_logistic,
-        "e_y_mean": summary.e_y_mean,
-        "e_y_sd": summary.e_y_sd,
-        "lr_e_y_mean": summary.lr_e_y_mean,
-        "lr_e_y_sd": summary.lr_e_y_sd,
-        "labeled_train_mean": summary.labeled_train_mean,
-    }
+    out = {f.name: getattr(summary, f.name) for f in fields(summary) if f.name != "replicates"}
+    for key in ("params", "lr_params"):
+        out[key] = {name: asdict(ps) for name, ps in out[key].items()}
+    return out
 
 
 def write_replicates_csv(path, summary: ReplicateSummary) -> None:

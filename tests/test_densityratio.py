@@ -323,6 +323,12 @@ class TestFitExtended:
         assert via_fit.free_names == direct.free_names
         assert via_fit.mu == direct.mu
 
+    def test_mu_is_the_multiplier_at_the_optimum(self):
+        arrs = generate(default_config("6", n_total=2000, seed=71)).train_arrays
+        ext = fit_extended(arrs, SPEC_EXT)
+        assert ext.mu is not None
+        assert ext.mu == solve_mu(ext.theta_hat.psi, arrs).mu
+
     def test_nests_basic_fit(self):
         gen = generate(default_config("1", n_total=1200, seed=50))
         from recency.estimation import fit

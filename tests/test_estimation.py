@@ -46,22 +46,29 @@ class TestFit:
             fit(bad, SPEC)
 
     def test_duplicated_halved_weights_same_argmax(self):
+        # duplicating every subject keeps the weights summing to the subject
+        # count and doubles the objective, so the argmax stays put
         subs = sim_train(1, n_total=800)
         base = fit(subs, SPEC)
-        doubled = subs + subs
-        halved = [Subject(covariates=s.covariates, s=s.s, z=s.z, w=0.5) for s in doubled]
-        dup = fit(halved, SPEC, enforce_weight_sum=False)
+        dup = fit(subs + subs, SPEC)
         np.testing.assert_allclose(
             dup.theta_hat.free_values(), base.theta_hat.free_values(), atol=1e-8)
+        assert dup.log_pl == pytest.approx(2.0 * base.log_pl, rel=1e-12)
 
     def test_weight_rescaling_invariance(self):
+        # the kernel is linear in the weights, so a rescale scales the
+        # objective and its score without moving the argmax
         subs = sim_train(2, n_total=800)
         base = fit(subs, SPEC)
         scaled = [Subject(covariates=s.covariates, s=s.s, z=s.z, w=3.0 * s.w) for s in subs]
-        res = fit(scaled, SPEC, enforce_weight_sum=False)
-        assert np.max(np.abs(res.theta_hat.free_values()
-                             - base.theta_hat.free_values())) < 1e-8
-        assert res.log_pl == pytest.approx(3.0 * base.log_pl, rel=1e-9)
+        theta = base.theta_hat
+        assert log_pseudo_likelihood(scaled, theta, SPEC) == pytest.approx(
+            3.0 * base.log_pl, rel=1e-12)
+        np.testing.assert_allclose(score(scaled, theta, SPEC), 3.0 * score(subs, theta, SPEC),
+                                   rtol=1e-12, atol=1e-12)
+        moved = theta.with_free(theta.free_values() + 0.05)
+        assert log_pseudo_likelihood(scaled, moved, SPEC) == pytest.approx(
+            3.0 * log_pseudo_likelihood(subs, moved, SPEC), rel=1e-12)
 
     def test_fully_labeled_matches_irls(self):
         rng = np.random.default_rng(30)
@@ -93,14 +100,6 @@ class TestFit:
         res = fit(subs, SPEC)
         k = len(res.free_names)
         assert res.bic == pytest.approx(-2 * res.log_pl + k * math.log(res.n_subjects), rel=1e-12)
-
-    def test_custom_init_reaches_same_optimum(self):
-        subs = sim_train(6, n_total=600)
-        base = fit(subs, SPEC)
-        warm = initial_theta(SPEC).with_free(np.array([0.5, -0.3, -0.5, -6.0]))
-        res = fit(subs, SPEC, init=warm)
-        np.testing.assert_allclose(
-            res.theta_hat.free_values(), base.theta_hat.free_values(), atol=1e-6)
 
 
 class TestBfgsObjective:
@@ -218,7 +217,7 @@ class TestStalledStart:
 
 
 class TestStarts:
-    """The default start, the explicit init, and the plateau guard."""
+    """The default start and the plateau guard."""
 
     @staticmethod
     def recorded_starts(monkeypatch):
@@ -240,14 +239,6 @@ class TestStarts:
         np.testing.assert_array_equal(starts[0], [0.0, 0.0, -0.5, -5.0])
         np.testing.assert_array_equal(starts[1], [0.0, 0.0, 7.0, -0.5, -5.0])
 
-    def test_explicit_init_is_first_start(self, monkeypatch):
-        starts = self.recorded_starts(monkeypatch)
-        subs = sim_train(6, n_total=600)
-        warm = initial_theta(SPEC).with_free(np.array([0.5, -0.3, 0.4, -6.0]))
-        res = fit(subs, SPEC, init=warm)
-        np.testing.assert_array_equal(starts[0], warm.free_values())
-        assert res.converged
-
     def test_plateau_guard_restarts_from_shallow_local_maximum(self, monkeypatch):
         # replicate 24 of the criterion-3 fixture: from eta01 = -0.5 the
         # trust region stops at a shallow local maximum (eta01 near +0.7,
@@ -262,26 +253,6 @@ class TestStarts:
         assert res.converged
         assert res.log_pl == pytest.approx(-588.4907, abs=1e-4)
         assert res.estimates()["eta01"] == pytest.approx(-0.35, abs=0.01)
-
-
-class TestInitSpecMismatch:
-    """An ``init`` built for another spec is a named error in both fits,
-    raised before any kernel pass."""
-
-    @pytest.mark.parametrize("spec, init_spec", [
-        (ModelSpec(("odn",), fix_eta00=None, fix_eta10=-7.0),
-         ModelSpec(("odn",), fix_eta00=7.0, fix_eta10=None)),
-        (SPEC, ModelSpec(("odn",), extended=True)),
-        (ModelSpec(("odn",), extended=True), SPEC),
-        (SPEC, ModelSpec(("odn", "age"))),
-    ], ids=["fixed_eta", "psi_present", "psi_missing", "beta_size"])
-    def test_mismatched_init_is_value_error(self, monkeypatch, spec, init_spec):
-        def no_kernel(*args):
-            raise AssertionError("kernel pass before the init check")
-
-        monkeypatch.setattr(estimation, "as_arrays", no_kernel)
-        with pytest.raises(ValueError, match="init was built for another spec|beta has|requires"):
-            fit(sim_train(6, n_total=400), spec, init=initial_theta(init_spec))
 
 
 class TestSandwich:

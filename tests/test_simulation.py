@@ -9,7 +9,7 @@ import pytest
 
 from recency import simulation
 from recency.estimation import fit
-from recency.model import ModelSpec, as_arrays, logistic
+from recency.model import ModelSpec, logistic
 from recency.prediction import _type2_vector
 from recency.simulation import (
     ScenarioConfig,
@@ -94,11 +94,12 @@ class TestGenerate:
 
     def test_test_partition_by_label(self):
         gen = generate(default_config("1", n_total=600, seed=7))
-        assert len(gen.test_a) + len(gen.test_b) == len(gen.test)
-        assert all(sub.label.value != "unknown" for sub in gen.test_a)
-        assert all(sub.label.value == "unknown" for sub in gen.test_b)
+        recent, longterm, _, _ = gen.test_arrays.case_masks()
+        labeled = recent | longterm
+        assert [sub.label.value != "unknown" for sub in gen.test] == labeled.tolist()
+        assert 0 < labeled.sum() < gen.test_arrays.n
         # error-free reports: the latent-status set is the reported-unknown set
-        np.testing.assert_array_equal(gen.test_latent, ~gen.test_labeled_mask)
+        np.testing.assert_array_equal(gen.test_latent, ~labeled)
 
     def test_deterministic_cells_respected(self):
         gen = generate(default_config("1", n_total=4000, seed=8))
@@ -193,7 +194,7 @@ class TestGenerate:
     def test_s2_three_way_split_and_target_mean(self):
         cfg = default_config("2", seed=14)
         gen = generate(cfg)
-        assert len(gen.train) == len(gen.test) == len(gen.contingency) == 1000
+        assert gen.train_arrays.n == gen.test_arrays.n == gen.contingency_arrays.n == 1000
         y_all = np.concatenate([gen.y_train, gen.y_test, gen.y_contingency])
         assert abs(y_all.mean() - 0.5) < 0.03
         assert gen.train[0].covariates.size == 2
@@ -243,9 +244,11 @@ class TestRunReplicates:
         seed_seq = np.random.SeedSequence(cfg.seed).spawn(1)[0]
         row = _one_replicate((cfg, SPEC, 0, seed_seq))
         gen = generate(cfg, np.random.default_rng(seed_seq))
-        theta = fit(gen.train, SPEC).theta_hat
-        t2 = _type2_vector(as_arrays(gen.test_b), theta, SPEC)
-        assert row["auc2"] == auc(t2, gen.y_test_b)
+        theta = fit(gen.train_arrays, SPEC).theta_hat
+        recent, longterm, _, _ = gen.test_arrays.case_masks()
+        unknown = ~(recent | longterm)
+        t2 = _type2_vector(gen.test_arrays.subset(unknown), theta, SPEC)
+        assert row["auc2"] == auc(t2, gen.y_test[unknown])
 
     def test_s5_auc2_scores_latent_subjects_that_misreport(self, monkeypatch):
         cfg = default_config("5", n_total=2000, seed=18)
@@ -254,8 +257,9 @@ class TestRunReplicates:
         clean_test = generate(default_config("1", n_total=2000, seed=18),
                           np.random.default_rng(seed_seq)).test
         # latent-status subjects whose flipped z lands in a determined cell
+        recent, longterm, _, _ = gen.test_arrays.case_masks()
         misreported = [sub for sub, clean, latent, labeled in zip(
-            gen.test, clean_test, gen.test_latent, gen.test_labeled_mask)
+            gen.test, clean_test, gen.test_latent, recent | longterm)
             if latent and labeled and sub.z != clean.z]
         assert misreported
         scored = []
