@@ -261,6 +261,22 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _read_fit(path) -> dict:
+    """A stored fit.json; a DataError names the file and a missing or
+    unknown key."""
+    fit_doc = json.loads(Path(path).read_text())
+    for key, kind in (("spec", dict), ("beta", list), ("eta", dict)):
+        if not isinstance(fit_doc, dict) or not isinstance(fit_doc.get(key), kind):
+            raise DataError(f"fit file {path} has no {key!r} "
+                            f"{'object' if kind is dict else 'array'}")
+    spec_doc = fit_doc["spec"]
+    bad = sorted(set(spec_doc) ^ {f.name for f in dataclasses.fields(ModelSpec)})
+    if bad:
+        state = "unknown" if bad[0] in spec_doc else "missing"
+        raise DataError(f"fit file {path}: spec key {bad[0]!r} is {state}")
+    return fit_doc
+
+
 def cmd_predict(args) -> int:
     started = time.time()
     if (args.p_hiv is None) != (args.p_art is None):
@@ -268,16 +284,8 @@ def cmd_predict(args) -> int:
     for flag, value in (("--p-hiv", args.p_hiv), ("--p-art", args.p_art)):
         if value is not None and not 0.0 <= value <= 1.0:
             raise UsageError(f"{flag} must be in [0, 1], got {value}")
-    fit_doc = json.loads(Path(args.fit).read_text())
-    spec_doc = fit_doc["spec"]
-    spec = ModelSpec(
-        covariate_names=tuple(spec_doc["covariate_names"]),
-        fix_eta00=spec_doc["fix_eta00"],
-        fix_eta10=spec_doc["fix_eta10"],
-        p0_identically_one=spec_doc["p0_identically_one"],
-        extended=spec_doc["extended"],
-        z_model_covariate=spec_doc.get("z_model_covariate"),
-    )
+    fit_doc = _read_fit(args.fit)
+    spec = ModelSpec(**fit_doc["spec"])
     eta_doc = fit_doc["eta"]
     theta = Theta(
         beta=np.array(fit_doc["beta"]),

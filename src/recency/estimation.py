@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -494,14 +494,7 @@ def fit_report(result: FitResult) -> dict:
         "converged": bool(result.converged),
         "iterations": result.iterations,
         "recency_rate": result.recency_rate,
-        "spec": {
-            "covariate_names": list(spec.covariate_names),
-            "fix_eta00": spec.fix_eta00,
-            "fix_eta10": spec.fix_eta10,
-            "p0_identically_one": spec.p0_identically_one,
-            "extended": spec.extended,
-            "z_model_covariate": spec.z_model_covariate,
-        },
+        "spec": asdict(spec),
     }
     if theta.eta_x is not None:
         report["eta_x"] = float(theta.eta_x)

@@ -35,7 +35,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.stats import rankdata
 
 from .estimation import fit
 from .glm import fit_weighted_logistic
@@ -264,14 +263,18 @@ def generate(config: ScenarioConfig, rng: np.random.Generator | None = None) -> 
 
 
 def auc(scores, labels) -> float:
-    """Mann-Whitney AUC with midrank tie handling."""
+    """Mann-Whitney AUC with midrank tie handling; NaN if any score is NaN."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     n1 = int((labels == 1).sum())
     n0 = int((labels == 0).sum())
     if n1 == 0 or n0 == 0:
         raise ValueError("AUC needs both classes present")
-    ranks = rankdata(scores)
+    if np.isnan(scores).any():
+        return math.nan
+    # midranks: a tied group of c scores ending at sorted position k ranks k - (c - 1) / 2
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     return float((ranks[labels == 1].sum() - n1 * (n1 + 1) / 2.0) / (n1 * n0))
 
 

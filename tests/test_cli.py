@@ -244,6 +244,27 @@ class TestPredictCommand:
             elif row["label"] == "longterm":
                 assert float(row["type2"]) == 0.0
 
+    @pytest.mark.parametrize("edit, key", [
+        (lambda doc: doc.pop("spec"), "spec"),
+        (lambda doc: doc.pop("beta"), "beta"),
+        (lambda doc: doc.pop("eta"), "eta"),
+        (lambda doc: doc.update(eta=[7.0, -0.6]), "eta"),
+        (lambda doc: doc["spec"].pop("fix_eta00"), "fix_eta00"),
+        (lambda doc: doc["spec"].update(fix_eta20=1.0), "fix_eta20"),
+    ])
+    def test_malformed_fit_file_exit_1_names_key(self, data_csv, fit_dir, tmp_path, capsys,
+                                                 edit, key):
+        doc = json.loads((fit_dir / "fit.json").read_text())
+        edit(doc)
+        bad = tmp_path / "bad_fit.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "pred_bad"
+        assert main(["predict", "--fit", str(bad), "--data", str(data_csv),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and repr(key) in err
+        assert not out.exists()
+
     def test_ids_of_kept_rows(self, data_csv, fit_dir, tmp_path):
         def ids(path):
             with open(path, newline="") as fh:

@@ -50,9 +50,9 @@ def brute_force_term(sub, theta, spec):
 
 def case_term(sub, theta, spec):
     """(case I-IV, unweighted term) of one subject from the kernel pass."""
-    cp = _case_pass(as_arrays([sub]), theta, spec)
-    case = ("I", "II", "III", "IV")[[bool(mask[0]) for mask in cp.masks].index(True)]
-    return case, float(cp.terms[0])
+    arrs = as_arrays([sub])
+    case = ("I", "II", "III", "IV")[[bool(mask[0]) for mask in arrs.case_masks()].index(True)]
+    return case, float(_case_pass(arrs, theta, spec).terms[0])
 
 
 class TestCaseContribution:
@@ -91,6 +91,28 @@ class TestCaseContribution:
                 assert label != "unknown"
             else:
                 assert label == "unknown"
+
+
+class TestWindowBoundary:
+    """s = 1 is inside the recency window; the next double up is not."""
+
+    SPEC_EXT = ModelSpec(covariate_names=("odn",), extended=True)
+    THETA = initial_theta(SPEC_EXT).with_packed(
+        np.array([0.4, -0.8, 7.0, -0.62, -7.0, -4.0, -0.3, 0.2]))
+
+    @pytest.mark.parametrize("z", [0, 1])
+    @pytest.mark.parametrize("s", [1.0, float(np.nextafter(1.0, 2.0))])
+    def test_term_and_recent_share(self, s, z):
+        sub = Subject(covariates=np.array([0.3]), s=s, z=z)
+        cp = _case_pass(as_arrays([sub]), self.THETA, self.SPEC_EXT)
+        assert cp.terms[0] == pytest.approx(
+            brute_force_term(sub, self.THETA, self.SPEC_EXT), rel=1e-12)
+        if (s, z) == (1.0, 0):
+            assert cp.v[0] == 1.0     # cell I: recent
+        elif s > 1.0 and z == 1:
+            assert cp.v[0] == 0.0     # cell II: long-term
+        else:
+            assert 0.0 < cp.v[0] < 1.0
 
 
 class TestLogPseudoLikelihood:
@@ -188,7 +210,31 @@ def fd_gradient(subs, theta, spec):
         lambda v: log_pseudo_likelihood(subs, theta.with_free(v), spec), theta.free_values())
 
 
+HESSIAN_SPECS = {
+    "fixed_etas": ModelSpec(covariate_names=("odn", "age")),
+    "full_eta": ModelSpec(covariate_names=("odn", "age"), fix_eta00=None, fix_eta10=None),
+    "p0_one": ModelSpec(covariate_names=("odn", "age"), p0_identically_one=True,
+                        fix_eta00=None),
+    "z_model_covariate": ModelSpec(covariate_names=("odn", "age"), fix_eta10=None,
+                                   z_model_covariate="age"),
+    "extended": ModelSpec(covariate_names=("odn", "age"), fix_eta00=None, extended=True),
+}
+
+
 class TestScore:
+    @pytest.mark.parametrize("variant", sorted(HESSIAN_SPECS))
+    def test_matches_finite_differences_every_spec(self, variant):
+        spec = HESSIAN_SPECS[variant]
+        rng = np.random.default_rng(sorted(HESSIAN_SPECS).index(variant) + 20)
+        subs = random_subjects(rng, 60, n_cov=2)
+        template = initial_theta(spec)
+        for _ in range(5):
+            theta = template.with_free(
+                template.free_values() + rng.normal(scale=0.7, size=len(spec.free_names())))
+            an = score(subs, theta, spec)
+            fd = fd_gradient(subs, theta, spec)
+            assert np.max(np.abs(an - fd) / (1.0 + np.abs(an))) < 1e-6
+
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(12)
         subs = random_subjects(rng, 50)
@@ -234,17 +280,6 @@ class TestScore:
         base = score(subs, TABLE_THETA, SPEC)
         scaled = [Subject(covariates=s.covariates, s=s.s, z=s.z, w=2.0 * s.w) for s in subs]
         np.testing.assert_allclose(score(scaled, TABLE_THETA, SPEC), 2.0 * base, rtol=1e-12)
-
-
-HESSIAN_SPECS = {
-    "fixed_etas": ModelSpec(covariate_names=("odn", "age")),
-    "full_eta": ModelSpec(covariate_names=("odn", "age"), fix_eta00=None, fix_eta10=None),
-    "p0_one": ModelSpec(covariate_names=("odn", "age"), p0_identically_one=True,
-                        fix_eta00=None),
-    "z_model_covariate": ModelSpec(covariate_names=("odn", "age"), fix_eta10=None,
-                                   z_model_covariate="age"),
-    "extended": ModelSpec(covariate_names=("odn", "age"), fix_eta00=None, extended=True),
-}
 
 
 class TestHessian:

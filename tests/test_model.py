@@ -73,39 +73,40 @@ class TestPiRecent:
         assert a == pytest.approx(b, abs=1e-15)
 
 
-def p0_p1(s, eta, p0_one=False):
-    """Test-result probabilities (p0, p1) at gaps s, read from the kernel."""
+def p_positive(s, eta, p0_one=False):
+    """P(z = 1) at gaps s from the kernel's one test-result predictor: p1
+    where s <= 1, p0 where s > 1."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
     spec = ModelSpec(covariate_names=(), fix_eta00=None, fix_eta10=None,
                      p0_identically_one=p0_one)
     arrs = SubjectArrays(x=np.zeros((s.size, 0)), s=s, z=np.zeros(s.size, dtype=int),
                          w=np.ones(s.size))
-    pieces = _linear_pieces(arrs, Theta(beta=np.zeros(1), eta=eta), spec)
-    return np.exp(pieces[2]), np.exp(pieces[4])
+    return np.exp(_linear_pieces(arrs, Theta(beta=np.zeros(1), eta=eta), spec)[2])
 
 
 class TestP0P1:
     ETA = (7.0, -0.62, -7.0, -5.71)
 
     def test_boundary_s_equals_one(self):
-        p0, p1 = p0_p1(1.0, self.ETA)
-        assert p0 == pytest.approx(logistic(7.0), abs=1e-15)
+        # s = 1 is inside the window (p1); the next double up is outside (p0)
+        p1, p0 = p_positive([1.0, np.nextafter(1.0, 2.0)], self.ETA)
         assert p1 == pytest.approx(logistic(-7.0), abs=1e-15)
+        assert p0 == pytest.approx(logistic(7.0), abs=1e-15)
 
     def test_p0_one_branch(self):
-        p0, _ = p0_p1(2.0, self.ETA, p0_one=True)
+        p0 = p_positive(2.0, self.ETA, p0_one=True)
         assert p0 == 1.0
 
     def test_half_year(self):
-        _, p1 = p0_p1(0.5, self.ETA)
+        p1 = p_positive(0.5, self.ETA)
         assert p1 == pytest.approx(logistic(-7.0 + (-5.71) * (-0.5)), abs=1e-15)
         assert p1 == pytest.approx(logistic(-4.145), abs=1e-15)
 
     def test_monotone_decreasing_when_slopes_negative(self):
         s = np.linspace(0.05, 15, 400)
-        p0, p1 = p0_p1(s, self.ETA)
-        assert np.all(np.diff(p0) <= 0)
-        assert np.all(np.diff(p1) <= 0)
+        p = p_positive(s, self.ETA)
+        assert np.all(np.diff(p[s <= 1.0]) <= 0)   # p1
+        assert np.all(np.diff(p[s > 1.0]) <= 0)    # p0
 
 
 class TestDeriveLabel:

@@ -3,6 +3,10 @@
 import csv
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +55,18 @@ class TestAuc:
     def test_single_class_errors(self):
         with pytest.raises(ValueError):
             auc([1.0, 2.0], [1, 1])
+
+    def test_nan_score_gives_nan(self):
+        assert math.isnan(auc([0.1, math.nan, 0.3, 0.5], [0, 1, 0, 1]))
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # the child imports the same source tree as this test process
+        src = str(Path(simulation.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        code = "import sys, recency; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": path})
+        assert out.stdout.strip() == "False"
 
 
 class TestScenarioConfig:
