@@ -27,6 +27,7 @@ from .estimation import (
     compare_eta_variants,
     fit,
     fit_report,
+    load_fit,
     sandwich_covariance,
 )
 from .densityratio import (
@@ -63,7 +64,7 @@ __all__ = [
     "derive_label", "initial_theta", "logistic", "pi_recent",
     "log_pseudo_likelihood", "score", "score_contributions",
     "FitResult", "StepwiseResult", "VariantFit", "backward_stepwise",
-    "best_variant", "compare_eta_variants", "fit", "fit_report",
+    "best_variant", "compare_eta_variants", "fit", "fit_report", "load_fit",
     "sandwich_covariance",
     "TiltSolution", "fit_extended", "profile_log_likelihood", "solve_mu", "tilt",
     "export_predictions", "incidence", "recency_rate",

@@ -26,8 +26,9 @@ from .estimation import (
     compare_eta_variants,
     fit,
     fit_report,
+    load_fit,
 )
-from .model import ModelSpec, Theta
+from .model import ModelSpec
 from .prediction import export_predictions, incidence, recency_rate
 from .simulation import (
     default_config,
@@ -118,6 +119,8 @@ def _add_data_flags(p):
 
 
 def _add_model_flags(p):
+    """The flags that build the ModelSpec of ``fit`` and ``select``."""
+    p.add_argument("--covariates", required=True, help=COVARIATES_HELP)
     p.add_argument("--fix-eta00", default=None, metavar="V|free",
                    help="pin eta00 (default 7) or estimate it ('free')")
     p.add_argument("--fix-eta10", default=None, metavar="V|free",
@@ -184,12 +187,6 @@ def cmd_fit(args) -> int:
 
 def cmd_select(args) -> int:
     started = time.time()
-    if not args.covariates and not args.candidates:
-        raise UsageError("select needs --candidates (or --covariates)")
-    if not args.covariates:
-        args.covariates = args.candidates
-    elif args.candidates and args.candidates != args.covariates:
-        raise UsageError("--candidates and --covariates disagree; pass one of them")
     arrays, report, covariates = _load_arrays(args)
     spec = _build_spec(args, covariates)
     out = Path(args.out)
@@ -261,22 +258,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _read_fit(path) -> dict:
-    """A stored fit.json; a DataError names the file and a missing or
-    unknown key."""
-    fit_doc = json.loads(Path(path).read_text())
-    for key, kind in (("spec", dict), ("beta", list), ("eta", dict)):
-        if not isinstance(fit_doc, dict) or not isinstance(fit_doc.get(key), kind):
-            raise DataError(f"fit file {path} has no {key!r} "
-                            f"{'object' if kind is dict else 'array'}")
-    spec_doc = fit_doc["spec"]
-    bad = sorted(set(spec_doc) ^ {f.name for f in dataclasses.fields(ModelSpec)})
-    if bad:
-        state = "unknown" if bad[0] in spec_doc else "missing"
-        raise DataError(f"fit file {path}: spec key {bad[0]!r} is {state}")
-    return fit_doc
-
-
 def cmd_predict(args) -> int:
     started = time.time()
     if (args.p_hiv is None) != (args.p_art is None):
@@ -284,17 +265,11 @@ def cmd_predict(args) -> int:
     for flag, value in (("--p-hiv", args.p_hiv), ("--p-art", args.p_art)):
         if value is not None and not 0.0 <= value <= 1.0:
             raise UsageError(f"{flag} must be in [0, 1], got {value}")
-    fit_doc = _read_fit(args.fit)
-    spec = ModelSpec(**fit_doc["spec"])
-    eta_doc = fit_doc["eta"]
-    theta = Theta(
-        beta=np.array(fit_doc["beta"]),
-        eta=np.array([eta_doc.get("eta00", 0.0), eta_doc.get("eta01", 0.0),
-                      eta_doc.get("eta10", 0.0), eta_doc.get("eta11", 0.0)]),
-        psi=None if fit_doc.get("psi") is None else np.array(fit_doc["psi"]),
-        eta_x=fit_doc.get("eta_x"),
-        fixed_mask=spec.fixed_mask(),
-    )
+    try:
+        fit_doc = json.loads(Path(args.fit).read_text())
+        spec, theta = load_fit(fit_doc)
+    except ValueError as exc:   # JSONDecodeError included
+        raise DataError(f"fit file {args.fit}: {exc}") from None
 
     columns = _column_map(args)
     records = load(args.data, columns, phia_vl=args.phia_vl)
@@ -338,16 +313,12 @@ def build_parser() -> _Parser:
 
     p_fit = sub.add_parser("fit", help="fit the recency model to a CSV")
     _add_data_flags(p_fit)
-    p_fit.add_argument("--covariates", required=True, help=COVARIATES_HELP)
     _add_model_flags(p_fit)
     p_fit.set_defaults(func=cmd_fit)
 
     p_sel = sub.add_parser("select", help="eta-variant table and stepwise covariate selection")
     _add_data_flags(p_sel)
-    p_sel.add_argument("--covariates", default=None, help=COVARIATES_HELP)
     _add_model_flags(p_sel)
-    p_sel.add_argument("--candidates", default=None,
-                       help="candidate covariates for stepwise deletion (defaults to --covariates)")
     p_sel.set_defaults(func=cmd_select)
 
     p_sim = sub.add_parser("simulate", help="run a Monte-Carlo scenario")

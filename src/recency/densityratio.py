@@ -190,7 +190,7 @@ class _ProfileObjective:
         return -math.fsum(contrib)
 
     def value(self, free):
-        theta = self.template.with_free(free)
+        theta = self.template.with_free(free, self.spec)
         try:
             contrib, sol = _profile_pieces(self.arrs, theta, self.spec)
         except (OverflowError, FloatingPointError):
@@ -230,7 +230,7 @@ class _ProfileObjective:
         last distinct point; raises FloatingPointError where psi is
         infeasible or its tilt overflows."""
         if self._x is None or not np.array_equal(free, self._x):
-            theta = self.template.with_free(free)
+            theta = self.template.with_free(free, self.spec)
             try:
                 sol = solve_mu(theta.psi, self.arrs)
             except OverflowError:
@@ -341,7 +341,7 @@ def fit_extended(data, spec: ModelSpec) -> FitResult:
         raise ValueError("fit_extended requires spec.extended")
     arrs, template = _prepare(data, spec)
     obj = _ProfileObjective(arrs, template, spec)
-    x0 = template.free_values()
+    x0 = template.free_values(spec)
 
     # psi = 0 sits on the boundary of the feasible cone (the tilt must
     # cross 1 inside the observed s-range), so start a small step inside
@@ -358,6 +358,6 @@ def fit_extended(data, spec: ModelSpec) -> FitResult:
 
     res = _maximize(obj, starts)
     # the covariance left the cached pass at the optimum
-    return replace(res, mu=obj.multiplier(res.theta_hat.free_values()),
+    return replace(res, mu=obj.multiplier(res.theta_hat.free_values(spec)),
                    constraint_residuals=tuple(obj.max_residuals),
                    infeasible_rejections=obj.rejections)

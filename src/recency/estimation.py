@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .likelihood import _case_hessian, _case_pass, _case_scores, _column_fsum
 from .likelihood import hessian, log_pseudo_likelihood, score
-from .model import ModelSpec, Theta, as_arrays, check_theta_spec, initial_theta
+from .model import ETA_NAMES, ModelSpec, Theta, as_arrays, check_theta_spec, initial_theta
 
 __all__ = [
     "FitResult",
@@ -41,6 +41,7 @@ __all__ = [
     "VariantFit",
     "StepwiseResult",
     "fit_report",
+    "load_fit",
 ]
 
 SCORE_TOL = 1e-6
@@ -77,7 +78,6 @@ class FitResult:
     converged: bool
     iterations: int
     spec: ModelSpec
-    free_names: tuple[str, ...]
     score_sup_norm: float
     recency_rate: float | None = None
     # density-ratio extras (populated by fit_extended only)
@@ -90,11 +90,15 @@ class FitResult:
         return np.sqrt(np.diag(self.covariance))
 
     @property
+    def free_names(self) -> tuple[str, ...]:
+        return self.spec.free_names()
+
+    @property
     def n_free(self) -> int:
         return len(self.free_names)
 
     def estimates(self) -> dict[str, float]:
-        free = self.theta_hat.free_values()
+        free = self.theta_hat.free_values(self.spec)
         return {name: float(v) for name, v in zip(self.free_names, free)}
 
 
@@ -108,9 +112,12 @@ class _NegObjective:
         self.arrs, self.template, self.spec = arrs, template, spec
         self._x = self._cp = None
 
+    def _theta(self, free):
+        return self.template.with_free(free, self.spec)
+
     def _pass(self, free):
         if self._x is None or not np.array_equal(free, self._x):
-            self._cp = _case_pass(self.arrs, self.template.with_free(free), self.spec)
+            self._cp = _case_pass(self.arrs, self._theta(free), self.spec)
             self._x = np.array(free, dtype=float)
         return self._cp
 
@@ -138,19 +145,19 @@ class _NegObjective:
             self._x = self._cp = None
 
     def loglik(self, free):
-        return log_pseudo_likelihood(self.arrs, self.template.with_free(free), self.spec)
+        return log_pseudo_likelihood(self.arrs, self._theta(free), self.spec)
 
     def gradient(self, free):
-        return score(self.arrs, self.template.with_free(free), self.spec)
+        return score(self.arrs, self._theta(free), self.spec)
 
     def hessian(self, free):
-        return hessian(self.arrs, self.template.with_free(free), self.spec)
+        return hessian(self.arrs, self._theta(free), self.spec)
 
     def newton_polish(self, free, ll):
         return _newton_polish(self, free, ll)
 
     def covariance(self, free):
-        return sandwich_covariance(self.arrs, self.template.with_free(free), self.spec)
+        return sandwich_covariance(self.arrs, self._theta(free), self.spec)
 
 
 def _default_start(spec: ModelSpec) -> Theta:
@@ -228,7 +235,7 @@ def _maximize(obj, starts) -> FitResult:
     if candidates:
         x_hat, ll, sup, converged = select_candidate(candidates)
     else:
-        x_hat, ll, sup, converged = obj.template.free_values(), -math.inf, math.inf, False
+        x_hat, ll, sup, converged = obj.template.free_values(obj.spec), -math.inf, math.inf, False
     k, n = x_hat.size, obj.arrs.n
     try:
         with warnings.catch_warnings():
@@ -238,10 +245,9 @@ def _maximize(obj, starts) -> FitResult:
         cov = np.full((k, k), np.nan)
         converged = False
     return FitResult(
-        theta_hat=obj.template.with_free(x_hat), covariance=cov, log_pl=ll,
+        theta_hat=obj.template.with_free(x_hat, obj.spec), covariance=cov, log_pl=ll,
         bic=-2.0 * ll + k * math.log(n), n_subjects=n, converged=converged,
-        iterations=total_iter, spec=obj.spec, free_names=obj.spec.free_names(),
-        score_sup_norm=sup,
+        iterations=total_iter, spec=obj.spec, score_sup_norm=sup,
     )
 
 
@@ -260,7 +266,7 @@ def fit(data, spec: ModelSpec) -> FitResult:
         return fit_extended(data, spec)
     arrs, template = _prepare(data, spec)
     return _maximize(_NegObjective(arrs, template, spec),
-                     _starts(template.free_values(), spec.free_names()))
+                     _starts(template.free_values(spec), spec.free_names()))
 
 
 def _sup_norm(g: np.ndarray) -> float:
@@ -472,11 +478,8 @@ def fit_report(result: FitResult) -> dict:
     """JSON-serializable report with the fixed external field names."""
     spec = result.spec
     theta = result.theta_hat
-    eta = {}
-    for j, name in enumerate(("eta00", "eta01", "eta10", "eta11")):
-        if spec.p0_identically_one and name in ("eta00", "eta01"):
-            continue
-        eta[name] = float(theta.eta[j])
+    eta = {name: float(v) for name, v in zip(ETA_NAMES, theta.eta)
+           if name in _reported_etas(spec)}
     ses = {name: float(v) for name, v in zip(result.free_names, result.se)}
     report = {
         "beta": [float(b) for b in theta.beta],
@@ -506,3 +509,51 @@ def fit_report(result: FitResult) -> dict:
         )
         report["infeasible_rejections"] = result.infeasible_rejections
     return report
+
+
+def _reported_etas(spec: ModelSpec) -> tuple[str, ...]:
+    """The eta names a fit report carries: p0_identically_one removes
+    eta00 and eta01 from the model."""
+    return ETA_NAMES[2:] if spec.p0_identically_one else ETA_NAMES
+
+
+def _same_keys(what: str, got, wanted) -> None:
+    bad = sorted(set(got) ^ set(wanted))
+    if bad:
+        state = "unknown" if bad[0] in got else "missing"
+        raise ValueError(f"{what} {bad[0]!r} is {state}")
+
+
+def load_fit(doc) -> tuple[ModelSpec, Theta]:
+    """The spec and estimates of a parsed :func:`fit_report` document.
+
+    Its inverse: beta, eta, eta_x and psi are read by the spec's parameter
+    names, and the eta entries the spec removes keep their
+    :func:`initial_theta` values.  A missing, unknown, wrongly sized or
+    non-numeric entry, or a fixed one away from the spec's value, raises
+    ValueError naming its key.
+    """
+    for key, kind in (("spec", dict), ("beta", list), ("eta", dict)):
+        if not isinstance(doc, dict) or not isinstance(doc.get(key), kind):
+            raise ValueError(f"no {key!r} {'object' if kind is dict else 'array'}")
+    _same_keys("spec key", doc["spec"], [f.name for f in fields(ModelSpec)])
+    spec = ModelSpec(**doc["spec"])
+    _same_keys("eta name", doc["eta"], _reported_etas(spec))
+    sizes = {"beta": spec.n_beta, "eta_x": int(spec.z_model_covariate is not None),
+             "psi": 2 * spec.extended}
+    for key, size in sizes.items():
+        got = 0 if doc.get(key) is None else np.size(doc[key])
+        if got != size:
+            raise ValueError(f"{key!r} holds {got} values but the spec has {size}")
+    template = initial_theta(spec)
+    eta = {**dict(zip(ETA_NAMES, template.eta)), **doc["eta"]}
+    values = [*doc["beta"], *(eta[name] for name in ETA_NAMES)]
+    values += [doc["eta_x"]] if sizes["eta_x"] else []
+    values += doc["psi"] if sizes["psi"] else []
+    for name, value, fixed, pinned in zip(spec.param_names, values, spec.fixed_mask(),
+                                          template.pack()):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{name!r} is {value!r}, not a number")
+        if fixed and value != pinned:
+            raise ValueError(f"{name!r} is {value} but the spec fixes it at {pinned}")
+    return spec, template.with_packed(values)

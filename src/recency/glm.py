@@ -14,6 +14,9 @@ import numpy as np
 
 __all__ = ["LogisticFit", "fit_weighted_logistic"]
 
+TOL = 1e-10       # converged when the score sup-norm is below TOL * max(1, n)
+MAX_ITER = 100
+
 
 @dataclass(frozen=True)
 class LogisticFit:
@@ -38,7 +41,7 @@ def _loglik(X, y, w, beta):
     return float(np.sum(w * (y * lin - np.logaddexp(0.0, lin))))
 
 
-def fit_weighted_logistic(x, y, w=None, *, tol=1e-10, max_iter=100) -> LogisticFit:
+def fit_weighted_logistic(x, y, w=None) -> LogisticFit:
     """Maximize sum(w_i * [y_i log p_i + (1-y_i) log(1-p_i)]) by IRLS.
 
     ``x`` is (n, c) without an intercept column; one is prepended.
@@ -57,11 +60,11 @@ def fit_weighted_logistic(x, y, w=None, *, tol=1e-10, max_iter=100) -> LogisticF
     ll = _loglik(X, y, w, beta)
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         lin = X @ beta
         p = 1.0 / (1.0 + np.exp(-np.clip(lin, -700, 700)))
         grad = X.T @ (w * (y - p))
-        if np.max(np.abs(grad)) < tol * max(1.0, n):
+        if np.max(np.abs(grad)) < TOL * max(1.0, n):
             converged = True
             break
         fisher = X.T @ (X * (w * p * (1.0 - p))[:, None])

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -157,13 +157,9 @@ class ModelSpec:
             names += ["psi0", "psi1"]
         return tuple(names)
 
-    @property
-    def n_params(self) -> int:
-        return len(self.param_names)
-
     def fixed_mask(self) -> np.ndarray:
         """Boolean mask over the packed parameter vector; True = held fixed."""
-        mask = np.zeros(self.n_params, dtype=bool)
+        mask = np.zeros(len(self.param_names), dtype=bool)
         off = self.n_beta
         if self.p0_identically_one or self.fix_eta00 is not None:
             mask[off + 0] = True
@@ -188,16 +184,14 @@ class ModelSpec:
 class Theta:
     """Parameter bundle: beta (intercept in slot 0), eta, optional psi.
 
-    ``fixed_mask`` marks packed-vector entries held constant during
-    estimation; it must cover the full packed length
-    ``len(beta) + 4 [+ eta_x] [+ psi]`` and leave at least one entry free.
+    The packed vector is ``beta, eta [, eta_x] [, psi]``; which of its
+    entries are free is the :class:`ModelSpec`'s to say.
     """
 
     beta: np.ndarray
     eta: np.ndarray
     psi: np.ndarray | None = None
     eta_x: float | None = None
-    fixed_mask: np.ndarray = field(default=None)
 
     def __post_init__(self):
         beta = np.asarray(self.beta, dtype=float)
@@ -213,27 +207,6 @@ class Theta:
             if psi.shape != (2,):
                 raise ValueError(f"psi must have 2 entries, got shape {psi.shape}")
             object.__setattr__(self, "psi", psi)
-        mask = self.fixed_mask
-        if mask is None:
-            mask = np.zeros(self.n_params, dtype=bool)
-        else:
-            mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (self.n_params,):
-            raise ValueError(
-                f"fixed_mask length {mask.size} does not match parameter count {self.n_params}"
-            )
-        if mask.all():
-            raise ValueError("at least one parameter must be free")
-        object.__setattr__(self, "fixed_mask", mask)
-
-    @property
-    def n_params(self) -> int:
-        n = self.beta.size + 4
-        if self.eta_x is not None:
-            n += 1
-        if self.psi is not None:
-            n += 2
-        return n
 
     def pack(self) -> np.ndarray:
         parts = [self.beta, self.eta]
@@ -246,8 +219,9 @@ class Theta:
     def with_packed(self, packed: np.ndarray) -> "Theta":
         """Rebuild a Theta of the same shape from a packed vector."""
         packed = np.asarray(packed, dtype=float)
-        if packed.shape != (self.n_params,):
-            raise ValueError(f"expected packed length {self.n_params}, got {packed.size}")
+        n = self.beta.size + 4 + (self.eta_x is not None) + 2 * (self.psi is not None)
+        if packed.shape != (n,):
+            raise ValueError(f"expected packed length {n}, got {packed.size}")
         nb = self.beta.size
         beta = packed[:nb]
         eta = packed[nb:nb + 4]
@@ -257,14 +231,16 @@ class Theta:
             eta_x = float(packed[off])
             off += 1
         psi = packed[off:off + 2] if self.psi is not None else None
-        return Theta(beta=beta, eta=eta, psi=psi, eta_x=eta_x, fixed_mask=self.fixed_mask)
+        return Theta(beta=beta, eta=eta, psi=psi, eta_x=eta_x)
 
-    def free_values(self) -> np.ndarray:
-        return self.pack()[~self.fixed_mask]
+    def free_values(self, spec: ModelSpec) -> np.ndarray:
+        """The entries ``spec`` leaves free, in packed order."""
+        return self.pack()[~spec.fixed_mask()]
 
-    def with_free(self, free: np.ndarray) -> "Theta":
+    def with_free(self, free: np.ndarray, spec: ModelSpec) -> "Theta":
+        """This Theta with the entries ``spec`` leaves free set to ``free``."""
         packed = self.pack()
-        packed[~self.fixed_mask] = np.asarray(free, dtype=float)
+        packed[~spec.fixed_mask()] = np.asarray(free, dtype=float)
         return self.with_packed(packed)
 
 
@@ -276,18 +252,12 @@ def initial_theta(spec: ModelSpec) -> Theta:
     (and a free eta00) off this point.
     """
     beta = np.zeros(spec.n_beta)
-    eta = np.array([
-        spec.fix_eta00 if spec.fix_eta00 is not None else 0.0,
-        0.0,
-        spec.fix_eta10 if spec.fix_eta10 is not None else 0.0,
-        -5.0,
-    ])
-    if spec.p0_identically_one:
-        eta[0] = 0.0
-        eta[1] = 0.0
+    pinned00 = spec.fix_eta00 is not None and not spec.p0_identically_one
+    eta = np.array([spec.fix_eta00 if pinned00 else 0.0, 0.0,
+                    spec.fix_eta10 if spec.fix_eta10 is not None else 0.0, -5.0])
     psi = np.zeros(2) if spec.extended else None
     eta_x = 0.0 if spec.z_model_covariate is not None else None
-    return Theta(beta=beta, eta=eta, psi=psi, eta_x=eta_x, fixed_mask=spec.fixed_mask())
+    return Theta(beta=beta, eta=eta, psi=psi, eta_x=eta_x)
 
 
 def check_theta_spec(theta: Theta, spec: ModelSpec) -> None:
@@ -296,10 +266,10 @@ def check_theta_spec(theta: Theta, spec: ModelSpec) -> None:
             f"beta has {theta.beta.size} entries but spec expects {spec.n_beta} "
             f"(intercept + {spec.n_covariates} covariates)"
         )
-    if spec.extended and theta.psi is None:
-        raise ValueError("extended spec requires theta.psi")
-    if spec.z_model_covariate is not None and theta.eta_x is None:
-        raise ValueError("spec.z_model_covariate requires theta.eta_x")
+    if (theta.psi is not None) != spec.extended:
+        raise ValueError("theta.psi is given exactly when the spec is extended")
+    if (theta.eta_x is not None) != (spec.z_model_covariate is not None):
+        raise ValueError("theta.eta_x is given exactly when the spec has a z_model_covariate")
 
 
 def pi_recent(covariates, beta) -> float:

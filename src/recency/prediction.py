@@ -43,6 +43,7 @@ def type1_risk(subject: Subject, theta_hat: Theta) -> float:
 
 
 def _type2_vector(arrs, theta: Theta, spec: ModelSpec) -> np.ndarray:
+    check_theta_spec(theta, spec)
     return _case_pass(arrs, theta, spec).v
 
 
@@ -54,7 +55,6 @@ def type2_risk(subject: Subject, theta_hat: Theta, spec: ModelSpec) -> float:
     to 1 in the (s > 1, z = 0) cell.  Under an extended spec the fitted
     tilt enters the recent-infection branch of both forms.
     """
-    check_theta_spec(theta_hat, spec)
     arrs = as_arrays([subject])
     return float(_type2_vector(arrs, theta_hat, spec)[0])
 

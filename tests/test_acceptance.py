@@ -219,7 +219,7 @@ class TestCriterion7:
                 rng.normal([-0.6, -4.5], [0.3, 1.0]),
                 rng.normal(0.0, 0.2, size=2) if extended else [],
             ])
-            theta = initial_theta(spec).with_free(free)
+            theta = initial_theta(spec).with_free(free, spec)
             an = score(subs, theta, spec)
             fd = np.empty_like(an)
             for j in range(free.size):
@@ -227,8 +227,8 @@ class TestCriterion7:
                 up, dn = free.copy(), free.copy()
                 up[j] += h
                 dn[j] -= h
-                fd[j] = (log_pseudo_likelihood(subs, theta.with_free(up), spec)
-                         - log_pseudo_likelihood(subs, theta.with_free(dn), spec)) / (2 * h)
+                fd[j] = (log_pseudo_likelihood(subs, theta.with_free(up, spec), spec)
+                         - log_pseudo_likelihood(subs, theta.with_free(dn, spec), spec)) / (2 * h)
             worst = max(worst, float(np.max(np.abs(an - fd) / (1.0 + np.abs(an)))))
         ok = report(7, worst < 1e-6,
                     f"max relative score error over 50 points = {worst:.2e} (tol 1e-6)")
@@ -284,7 +284,7 @@ class TestCriterion9:
                             s=float(rng2.gamma(0.8, 2.5)) + 1e-9,
                             z=int(rng2.integers(2)), w=1.0) for _ in range(60)]
             theta = initial_theta(SPEC_EXT).with_free(
-                np.array([0.5, -0.4, -0.5, -4.5, 0.0, 0.0]))
+                np.array([0.5, -0.4, -0.5, -4.5, 0.0, 0.0]), SPEC_EXT)
             prof = profile_log_likelihood(subs, theta, SPEC_EXT)
             basic = log_pseudo_likelihood(subs, theta, SPEC_EXT)
             prof_gap = max(prof_gap, abs(prof - basic))

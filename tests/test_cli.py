@@ -16,14 +16,14 @@ from recency.simulation import default_config, generate
 def data_csv(tmp_path_factory):
     """A comfortably identified dataset in the documented CSV schema."""
     path = tmp_path_factory.mktemp("data") / "survey.csv"
-    gen = generate(default_config("1", n_total=2400, seed=42))
+    arrs = generate(default_config("1", n_total=2400, seed=42)).train_arrays
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "weight", "s", "z", "odn", "age"])
         rng = np.random.default_rng(1)
-        for i, sub in enumerate(gen.train):
-            writer.writerow([f"p{i}", 1.0, repr(sub.s), sub.z,
-                             repr(float(sub.covariates[0])),
+        for i in range(arrs.n):
+            writer.writerow([f"p{i}", 1.0, repr(float(arrs.s[i])), int(arrs.z[i]),
+                             repr(float(arrs.x[i, 0])),
                              repr(float(rng.uniform(18, 65)))])
     return path
 
@@ -68,13 +68,13 @@ class TestFitCommand:
     def test_nonconvergence_exit_2(self, tmp_path):
         # duplicated covariate column leaves the model unidentified
         path = tmp_path / "dup.csv"
-        gen = generate(default_config("1", n_total=800, seed=7))
+        arrs = generate(default_config("1", n_total=800, seed=7)).train_arrays
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["id", "weight", "s", "z", "odn", "cd4"])
-            for i, sub in enumerate(gen.train):
-                v = repr(float(sub.covariates[0]))
-                writer.writerow([f"p{i}", 1.0, repr(sub.s), sub.z, v, v])
+            for i in range(arrs.n):
+                v = repr(float(arrs.x[i, 0]))
+                writer.writerow([f"p{i}", 1.0, repr(float(arrs.s[i])), int(arrs.z[i]), v, v])
         code = main(["fit", "--data", str(path), "--covariates", "odn,cd4",
                      "--out", str(tmp_path / "out2")])
         assert code == 2
@@ -156,7 +156,7 @@ class TestSelectCommand:
         loads = []
         monkeypatch.setattr(cli, "load", lambda *a, **k: loads.append(a))
         out = tmp_path / "sel_dup"
-        code = main(["select", "--data", str(data_csv), "--candidates", "age,odn,age",
+        code = main(["select", "--data", str(data_csv), "--covariates", "age,odn,age",
                      "--out", str(out)])
         assert code == 1
         assert "listed more than once: age" in capsys.readouterr().err
@@ -251,18 +251,33 @@ class TestPredictCommand:
         (lambda doc: doc.update(eta=[7.0, -0.6]), "eta"),
         (lambda doc: doc["spec"].pop("fix_eta00"), "fix_eta00"),
         (lambda doc: doc["spec"].update(fix_eta20=1.0), "fix_eta20"),
+        pytest.param(lambda doc: doc["eta"].pop("eta01"), "eta01", id="eta-name-missing"),
+        pytest.param(lambda doc: doc["eta"].update(eta20=1.0), "eta20", id="eta-name-unknown"),
+        pytest.param(lambda doc: doc["eta"].update(eta00=6.5), "eta00", id="fixed-eta-moved"),
+        pytest.param(lambda doc: doc["beta"].pop(), "beta", id="beta-short"),
+        pytest.param(lambda doc: doc["beta"].append(0.5), "beta", id="beta-long"),
+        pytest.param(lambda doc: doc.update(beta=[None, *doc["beta"][1:]]), "beta0",
+                     id="beta-not-a-number"),
+        pytest.param(lambda doc: doc.update(psi=[0.1, -0.1]), "psi", id="psi-not-extended"),
+        pytest.param(lambda doc: doc["spec"].update(extended=True), "psi",
+                     id="extended-no-psi"),
+        pytest.param(lambda doc: doc.update(eta_x=0.3), "eta_x", id="eta_x-no-z-model"),
+        pytest.param(lambda doc: doc["spec"].update(z_model_covariate="odn"), "eta_x",
+                     id="z-model-no-eta_x"),
+        # a truncated file: the edit returns the text to write
+        pytest.param(lambda doc: json.dumps(doc)[:-1], None, id="not-json"),
     ])
     def test_malformed_fit_file_exit_1_names_key(self, data_csv, fit_dir, tmp_path, capsys,
                                                  edit, key):
         doc = json.loads((fit_dir / "fit.json").read_text())
-        edit(doc)
+        text = edit(doc)
         bad = tmp_path / "bad_fit.json"
-        bad.write_text(json.dumps(doc))
+        bad.write_text(text if isinstance(text, str) else json.dumps(doc))
         out = tmp_path / "pred_bad"
         assert main(["predict", "--fit", str(bad), "--data", str(data_csv),
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert str(bad) in err and repr(key) in err
+        assert str(bad) in err and ("line 1 column" if key is None else repr(key)) in err
         assert not out.exists()
 
     def test_ids_of_kept_rows(self, data_csv, fit_dir, tmp_path):

@@ -133,7 +133,7 @@ class TestProfile:
         rng = np.random.default_rng(45)
         subs = random_subjects(rng, 60)
         theta = initial_theta(SPEC_EXT).with_free(
-            np.array([0.4, -0.5, -0.4, -4.5, 0.0, 0.0]))
+            np.array([0.4, -0.5, -0.4, -4.5, 0.0, 0.0]), SPEC_EXT)
         prof = profile_log_likelihood(subs, theta, SPEC_EXT)
         basic = log_pseudo_likelihood(subs, theta, SPEC_EXT)
         assert prof == pytest.approx(basic, abs=1e-10)
@@ -144,7 +144,7 @@ class TestProfile:
         rng = np.random.default_rng(46)
         subs = random_subjects(rng, 10)
         theta = initial_theta(SPEC_EXT).with_free(
-            np.array([0.3, -0.4, -0.5, -4.0, 0.25, -0.2]))
+            np.array([0.3, -0.4, -0.5, -4.0, 0.25, -0.2]), SPEC_EXT)
         sol = solve_mu(tuple(theta.psi), subs)
         assert sol.feasible
         prof = profile_log_likelihood(subs, theta, SPEC_EXT)
@@ -160,7 +160,7 @@ class TestProfile:
         rng = np.random.default_rng(47)
         subs = random_subjects(rng, 20)
         theta = initial_theta(SPEC_EXT).with_free(
-            np.array([0.3, -0.4, -0.5, -4.0, 0.3, 0.2]))
+            np.array([0.3, -0.4, -0.5, -4.0, 0.3, 0.2]), SPEC_EXT)
         assert profile_log_likelihood(subs, theta, SPEC_EXT) == -math.inf
 
     def test_requires_extended_spec(self):
@@ -201,7 +201,8 @@ class TestProfileScore:
         for free in self.points:
             an = self.obj.gradient(free)
             fd = central_differences(
-                lambda v: profile_log_likelihood(self.subs, self.template.with_free(v), SPEC_EXT),
+                lambda v: profile_log_likelihood(
+                    self.subs, self.template.with_free(v, SPEC_EXT), SPEC_EXT),
                 free)
             assert np.max(np.abs(an - fd) / (1.0 + np.abs(an))) < 1e-6
 
@@ -209,7 +210,8 @@ class TestProfileScore:
         for free in self.points:
             m = self.obj.contribution_jacobian(free)
             fd = central_differences(
-                lambda v: _profile_pieces(self.arrs, self.template.with_free(v), SPEC_EXT)[0],
+                lambda v: _profile_pieces(
+                    self.arrs, self.template.with_free(v, SPEC_EXT), SPEC_EXT)[0],
                 free)
             assert np.max(np.abs(m - fd) / (1.0 + np.abs(m))) < 1e-6
 
@@ -293,7 +295,7 @@ class TestOnePassObjective:
         monkeypatch.setattr(densityratio, "solve_mu", counted_solve)
         counted("value_and_gradient")
         counted("hess")
-        fit_extended(generate(default_config("6", n_total=1000, seed=5)).train, SPEC_EXT)
+        fit_extended(generate(default_config("6", n_total=1000, seed=5)).train_arrays, SPEC_EXT)
         assert len(per_point) > 5 and set(per_point.values()) == {1}
         assert asked["hess"] == asked["value_and_gradient"]
 
@@ -317,8 +319,8 @@ class TestFitExtended:
     def test_fit_delegates_for_extended_specs(self):
         from recency.estimation import fit as fit_entry
         gen = generate(default_config("1", n_total=800, seed=51))
-        via_fit = fit_entry(gen.train, SPEC_EXT)
-        direct = fit_extended(gen.train, SPEC_EXT)
+        via_fit = fit_entry(gen.train_arrays, SPEC_EXT)
+        direct = fit_extended(gen.train_arrays, SPEC_EXT)
         assert via_fit.log_pl == direct.log_pl
         assert via_fit.free_names == direct.free_names
         assert via_fit.mu == direct.mu
@@ -332,8 +334,8 @@ class TestFitExtended:
     def test_nests_basic_fit(self):
         gen = generate(default_config("1", n_total=1200, seed=50))
         from recency.estimation import fit
-        basic = fit(gen.train, ModelSpec(covariate_names=("odn",)))
-        ext = fit_extended(gen.train, SPEC_EXT)
+        basic = fit(gen.train_arrays, ModelSpec(covariate_names=("odn",)))
+        ext = fit_extended(gen.train_arrays, SPEC_EXT)
         assert ext.log_pl >= basic.log_pl - 1e-8
 
     def test_null_tilt_recovery(self):
@@ -341,7 +343,7 @@ class TestFitExtended:
         hits = 0
         for seed in (60, 61, 62):
             gen = generate(default_config("1", n_total=3000, seed=seed))
-            ext = fit_extended(gen.train, SPEC_EXT)
+            ext = fit_extended(gen.train_arrays, SPEC_EXT)
             est = ext.estimates()
             ses = dict(zip(ext.free_names, ext.se))
             if (abs(est["psi0"]) <= 2.5 * ses["psi0"]
@@ -355,7 +357,7 @@ class TestFitExtended:
         for seed in (70, 71, 72):
             cfg = default_config("6", n_total=4000, seed=seed)
             gen = generate(cfg)
-            ext = fit_extended(gen.train, SPEC_EXT)
+            ext = fit_extended(gen.train_arrays, SPEC_EXT)
             if ext.converged:
                 break
         assert ext.converged
@@ -367,7 +369,7 @@ class TestFitExtended:
 
     def test_constraint_residuals_tracked(self):
         gen = generate(default_config("6", n_total=2000, seed=71))
-        ext = fit_extended(gen.train, SPEC_EXT)
+        ext = fit_extended(gen.train_arrays, SPEC_EXT)
         r_sum, r_tilt = ext.constraint_residuals
         assert r_sum <= 1e-10 and r_tilt <= 1e-8
 
@@ -375,10 +377,10 @@ class TestFitExtended:
         # a finite-difference profile gradient read 1e-8 at this replicate's
         # reported optimum, where the exact gradient is 3.5e-5 on psi1
         gen = generate(default_config("6", n_total=4000, seed=3))
-        ext = fit_extended(gen.train, SPEC_EXT)
+        ext = fit_extended(gen.train_arrays, SPEC_EXT)
         assert ext.converged
-        x_hat = ext.theta_hat.free_values()
-        obj = _ProfileObjective(as_arrays(gen.train), ext.theta_hat, SPEC_EXT)
+        x_hat = ext.theta_hat.free_values(SPEC_EXT)
+        obj = _ProfileObjective(gen.train_arrays, ext.theta_hat, SPEC_EXT)
         assert np.max(np.abs(obj.gradient(x_hat))) < SCORE_TOL
         # a central-difference information gives the same SEs
         jac = central_differences(obj.gradient, x_hat)
@@ -393,7 +395,7 @@ class TestFitExtended:
         gen = generate(cfg, np.random.default_rng(np.random.SeedSequence(99).spawn(40)[10]))
         ext = fit_extended(gen.train_arrays, SPEC_EXT)
         assert ext.converged
-        x_hat = ext.theta_hat.free_values()
+        x_hat = ext.theta_hat.free_values(SPEC_EXT)
         obj = _ProfileObjective(gen.train_arrays, ext.theta_hat, SPEC_EXT)
         jac = central_differences(obj.gradient, x_hat, h_rel=1e-7)
         cov = _sandwich(obj.contribution_jacobian(x_hat), 0.5 * (jac + jac.T), ext.free_names)
@@ -426,7 +428,7 @@ class TestFitExtended:
     def test_newton_polish_finishes_a_stalled_point(self):
         arrs = generate(default_config("6", n_total=4000, seed=3)).train_arrays
         ext = fit_extended(arrs, SPEC_EXT)
-        x_hat = ext.theta_hat.free_values()
+        x_hat = ext.theta_hat.free_values(SPEC_EXT)
         obj = _ProfileObjective(arrs, ext.theta_hat, SPEC_EXT)
         start = x_hat + 1e-4 * np.arange(1, x_hat.size + 1) / x_hat.size
         assert np.max(np.abs(obj.gradient(start))) > 1.0

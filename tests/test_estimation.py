@@ -1,5 +1,6 @@
 """Fitting, sandwich covariance, BIC, variants, and stepwise selection."""
 
+import json
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from recency.estimation import (
     compare_eta_variants,
     fit,
     fit_report,
+    load_fit,
     sandwich_covariance,
 )
 from recency.glm import fit_weighted_logistic
@@ -52,7 +54,7 @@ class TestFit:
         base = fit(subs, SPEC)
         dup = fit(subs + subs, SPEC)
         np.testing.assert_allclose(
-            dup.theta_hat.free_values(), base.theta_hat.free_values(), atol=1e-8)
+            dup.theta_hat.free_values(SPEC), base.theta_hat.free_values(SPEC), atol=1e-8)
         assert dup.log_pl == pytest.approx(2.0 * base.log_pl, rel=1e-12)
 
     def test_weight_rescaling_invariance(self):
@@ -66,7 +68,7 @@ class TestFit:
             3.0 * base.log_pl, rel=1e-12)
         np.testing.assert_allclose(score(scaled, theta, SPEC), 3.0 * score(subs, theta, SPEC),
                                    rtol=1e-12, atol=1e-12)
-        moved = theta.with_free(theta.free_values() + 0.05)
+        moved = theta.with_free(theta.free_values(SPEC) + 0.05, SPEC)
         assert log_pseudo_likelihood(scaled, moved, SPEC) == pytest.approx(
             3.0 * log_pseudo_likelihood(subs, moved, SPEC), rel=1e-12)
 
@@ -115,8 +117,9 @@ class TestBfgsObjective:
             template = initial_theta(spec)
             objective = _NegObjective(arrs, template, spec)
             for _ in range(4):
-                free = template.free_values() + rng.normal(scale=0.5, size=len(spec.free_names()))
-                theta = template.with_free(free)
+                free = (template.free_values(spec)
+                        + rng.normal(scale=0.5, size=len(spec.free_names())))
+                theta = template.with_free(free, spec)
                 value, grad = objective(free)
                 assert value == -log_pseudo_likelihood(arrs, theta, spec)
                 np.testing.assert_array_equal(grad, -score(arrs, theta, spec))
@@ -130,7 +133,7 @@ class TestBfgsObjective:
         free = np.array([-math.inf, 0.0, -5.0])
         with np.errstate(invalid="ignore"):
             with pytest.raises(FloatingPointError):
-                score(arrs, template.with_free(free), spec)
+                score(arrs, template.with_free(free, spec), spec)
             value, grad = _NegObjective(arrs, template, spec)(free)
         assert value == math.inf
         assert grad.shape == (3,) and np.isnan(grad).all()
@@ -198,12 +201,12 @@ class TestStalledStart:
         assert stalled_start.score_sup_norm < estimation.SCORE_TOL
         # the unperturbed fit itself stops anywhere below the score
         # tolerance, one Newton step (here ~1e-7) short of the optimum
-        base_free = base.theta_hat.free_values()
+        base_free = base.theta_hat.free_values(SPEC)
         optimum = base_free - np.linalg.solve(hessian(subs, base.theta_hat, SPEC),
                                               score(subs, base.theta_hat, SPEC))
-        np.testing.assert_allclose(stalled_start.theta_hat.free_values(), optimum,
+        np.testing.assert_allclose(stalled_start.theta_hat.free_values(SPEC), optimum,
                                    rtol=0, atol=1e-8)
-        np.testing.assert_allclose(stalled_start.theta_hat.free_values(), base_free, rtol=0,
+        np.testing.assert_allclose(stalled_start.theta_hat.free_values(SPEC), base_free, rtol=0,
                                    atol=1e-8 + np.max(np.abs(optimum - base_free)))
         assert stalled_start.log_pl == pytest.approx(base.log_pl, rel=1e-12)
         np.testing.assert_allclose(stalled_start.se, base.se, rtol=1e-6)
@@ -391,3 +394,16 @@ class TestFitReport:
         doc = fit_report(fit(subs, spec))
         assert "eta00" not in doc["eta"] and "eta01" not in doc["eta"]
         assert "eta10" in doc["eta"] and "eta11" in doc["eta"]
+
+    @pytest.mark.parametrize("spec", [
+        SPEC,
+        ModelSpec(covariate_names=("odn",), fix_eta00=None, fix_eta10=None),
+        ModelSpec(covariate_names=("odn",), p0_identically_one=True, fix_eta00=None),
+        ModelSpec(covariate_names=("odn",), extended=True),
+        ModelSpec(covariate_names=("odn",), z_model_covariate="odn"),
+    ], ids=["default", "free_eta", "p0_one", "extended", "z_model"])
+    def test_load_fit_inverts_fit_report(self, spec):
+        res = fit(sim_train(24, n_total=1000), spec)
+        loaded_spec, theta = load_fit(json.loads(json.dumps(fit_report(res))))
+        assert loaded_spec == res.spec
+        assert theta.pack().tobytes() == res.theta_hat.pack().tobytes()

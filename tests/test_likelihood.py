@@ -207,7 +207,8 @@ class TestLogPseudoLikelihood:
 
 def fd_gradient(subs, theta, spec):
     return central_differences(
-        lambda v: log_pseudo_likelihood(subs, theta.with_free(v), spec), theta.free_values())
+        lambda v: log_pseudo_likelihood(subs, theta.with_free(v, spec), spec),
+        theta.free_values(spec))
 
 
 HESSIAN_SPECS = {
@@ -230,7 +231,8 @@ class TestScore:
         template = initial_theta(spec)
         for _ in range(5):
             theta = template.with_free(
-                template.free_values() + rng.normal(scale=0.7, size=len(spec.free_names())))
+                template.free_values(spec) + rng.normal(scale=0.7, size=len(spec.free_names())),
+                spec)
             an = score(subs, theta, spec)
             fd = fd_gradient(subs, theta, spec)
             assert np.max(np.abs(an - fd) / (1.0 + np.abs(an))) < 1e-6
@@ -241,7 +243,7 @@ class TestScore:
         for _ in range(5):
             free = np.array([rng.normal(0.5, 0.5), rng.normal(-0.5, 0.5),
                              rng.normal(-0.6, 0.3), rng.normal(-4.5, 1.0)])
-            theta = initial_theta(SPEC).with_free(free)
+            theta = initial_theta(SPEC).with_free(free, SPEC)
             an = score(subs, theta, SPEC)
             fd = fd_gradient(subs, theta, SPEC)
             assert np.max(np.abs(an - fd) / (1.0 + np.abs(an))) < 1e-6
@@ -251,7 +253,7 @@ class TestScore:
         subs = random_subjects(rng, 50)
         spec = ModelSpec(covariate_names=("odn",), extended=True)
         theta = initial_theta(spec).with_free(
-            np.array([0.7, -0.4, -0.5, -5.0, -0.2, 0.1]))
+            np.array([0.7, -0.4, -0.5, -5.0, -0.2, 0.1]), spec)
         an = score(subs, theta, spec)
         fd = fd_gradient(subs, theta, spec)
         assert np.max(np.abs(an - fd) / (1.0 + np.abs(an))) < 1e-6
@@ -261,7 +263,7 @@ class TestScore:
         subs = random_subjects(rng, 50)
         spec = ModelSpec(covariate_names=("odn",), z_model_covariate="odn")
         theta = initial_theta(spec).with_free(
-            np.array([0.7, -0.4, -0.5, -5.0, 0.4]))
+            np.array([0.7, -0.4, -0.5, -5.0, 0.4]), spec)
         an = score(subs, theta, spec)
         fd = fd_gradient(subs, theta, spec)
         assert np.max(np.abs(an - fd) / (1.0 + np.abs(an))) < 1e-6
@@ -290,9 +292,9 @@ class TestHessian:
         subs = random_subjects(rng, 60, n_cov=2)
         template = initial_theta(spec)
         for _ in range(5):
-            free = template.free_values() + rng.normal(scale=0.7, size=len(spec.free_names()))
-            an = hessian(subs, template.with_free(free), spec)
-            fd = central_differences(lambda v: score(subs, template.with_free(v), spec), free,
+            free = template.free_values(spec) + rng.normal(scale=0.7, size=len(spec.free_names()))
+            an = hessian(subs, template.with_free(free, spec), spec)
+            fd = central_differences(lambda v: score(subs, template.with_free(v, spec), spec), free,
                                      h_rel=1e-5)
             assert an.shape == (free.size, free.size)
             assert np.max(np.abs(an - fd) / (1.0 + np.abs(an))) < 1e-6
@@ -307,7 +309,7 @@ def weighted_sample(draw):
     spec = HESSIAN_SPECS[variant]
     template = initial_theta(spec)
     theta = template.with_free(
-        template.free_values() + rng.normal(scale=1.0, size=len(spec.free_names())))
+        template.free_values(spec) + rng.normal(scale=1.0, size=len(spec.free_names())), spec)
     return random_subjects(rng, n, n_cov=2), theta, spec, rng
 
 

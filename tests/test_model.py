@@ -1,11 +1,12 @@
 """Core probability primitives and domain types."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from recency.likelihood import _linear_pieces
+from recency.likelihood import _linear_pieces, log_pseudo_likelihood
 from recency.model import (
     ModelSpec,
     RecencyLabel,
@@ -165,14 +166,6 @@ class TestSubject:
 
 
 class TestThetaAndSpec:
-    def test_fixed_mask_length_checked(self):
-        with pytest.raises(ValueError):
-            Theta(beta=np.zeros(2), eta=np.zeros(4), fixed_mask=np.zeros(3, dtype=bool))
-
-    def test_at_least_one_free(self):
-        with pytest.raises(ValueError):
-            Theta(beta=np.zeros(1), eta=np.zeros(4), fixed_mask=np.ones(5, dtype=bool))
-
     def test_pack_roundtrip(self):
         theta = Theta(beta=np.array([0.1, 0.2]), eta=np.array([7.0, -0.6, -7.0, -5.7]),
                       psi=np.array([0.3, -0.4]), eta_x=0.9)
@@ -200,6 +193,15 @@ class TestThetaAndSpec:
         spec = ModelSpec(covariate_names=("odn",))
         theta = initial_theta(spec)
         np.testing.assert_array_equal(theta.pack(), [0.0, 0.0, 7.0, 0.0, -7.0, -5.0])
+
+    @pytest.mark.parametrize("extra", [{"psi": np.zeros(2)}, {"eta_x": 0.0}])
+    def test_entry_the_spec_lacks_is_rejected(self, extra):
+        # a tilt or eta_x the spec does not have would be ignored silently
+        spec = ModelSpec(covariate_names=("odn",))
+        theta = replace(initial_theta(spec), **extra)
+        subs = [Subject(covariates=np.zeros(1), s=0.5, z=1)]
+        with pytest.raises(ValueError, match=next(iter(extra))):
+            log_pseudo_likelihood(subs, theta, spec)
 
     def test_z_model_covariate_must_exist(self):
         with pytest.raises(ValueError):

@@ -89,9 +89,9 @@ class TestType2:
     def test_tilt_enters_unknown_cells(self):
         spec = ModelSpec(covariate_names=("odn",), extended=True)
         free = np.array([0.95, -0.53, -0.62, -5.71, 0.0, 0.0])
-        theta0 = initial_theta(spec).with_free(free)
+        theta0 = initial_theta(spec).with_free(free, spec)
         tilted = initial_theta(spec).with_free(
-            np.array([0.95, -0.53, -0.62, -5.71, -0.4, 0.2]))
+            np.array([0.95, -0.53, -0.62, -5.71, -0.4, 0.2]), spec)
         s = 3.0
         base = type2_risk(sub(s, 0), theta0, spec)
         up = type2_risk(sub(s, 0), tilted, spec)
@@ -115,6 +115,15 @@ class TestRecencyRate:
     def test_empty_errors(self):
         with pytest.raises(ValueError):
             recency_rate([], THETA, SPEC)
+
+    def test_theta_without_psi_rejected_under_extended_spec(self, tmp_path):
+        spec = ModelSpec(covariate_names=("odn",), extended=True)
+        subs = [sub(0.5, 1), sub(4.0, 0)]
+        with pytest.raises(ValueError, match="psi"):
+            recency_rate(subs, THETA, spec)
+        with pytest.raises(ValueError, match="psi"):
+            export_predictions(tmp_path / "pred.csv", subs, THETA, spec)
+        assert not (tmp_path / "pred.csv").exists()
 
 
 class TestIncidence:
