@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 MISSING = "NA"
+_MISSING_CELLS = frozenset(("", MISSING))
 CONTINUOUS_COVARIATES = ("age", "odn", "logvl", "cd4")
 KNOWN_COVARIATES = ("age", "gender", "odn", "logvl", "cd4")
 # parsed in this order after weight, so the first bad field is the one reported
@@ -118,10 +119,18 @@ def _parse(cells, kind, col, categorical=None) -> np.ndarray:
     """
     try:
         values = np.array(list(map(kind, cells)), dtype=float)
-        if np.isfinite(values).all():
-            return values
-    except ValueError:
-        pass
+        missing = 0
+    except ValueError:   # an NA or empty cell stops map: one pass that reads them as NaN
+        try:
+            values = np.array([math.nan if cell in _MISSING_CELLS else kind(cell)
+                               for cell in cells], dtype=float)
+            missing = cells.count("") + cells.count(MISSING)
+        except ValueError:
+            values = None
+    # every NaN a missing cell's, none parsed from text, and no infinity
+    if values is not None and np.isnan(values).sum() == missing and not np.isinf(values).any():
+        return values
+    # a bad, non-finite, categorical or padded missing cell: cell by cell
     out = []
     for i, cell in enumerate(cells):
         text = cell.strip()

@@ -44,7 +44,14 @@ import numpy as np
 from scipy.optimize import brentq, minimize
 
 from .estimation import FitResult, MAX_ITER, SCORE_TOL, _maximize, _newton_polish, _prepare, _sandwich
-from .likelihood import _case_hessian, _case_pass, _case_scores, _case_terms, _column_fsum
+from .likelihood import (
+    _case_hessian,
+    _case_pass,
+    _case_scores,
+    _case_terms,
+    _exact_colsum,
+    _exact_sum,
+)
 from .model import ModelSpec, Theta, as_arrays, check_theta_spec
 
 __all__ = [
@@ -83,8 +90,8 @@ class TiltSolution:
 def _solution(mu, w, n, d, feasible_extra=True):
     denom = 1.0 + mu * d
     jumps = w / (n * denom)
-    r_sum = math.fsum(jumps) - 1.0
-    r_tilt = math.fsum(jumps * d)
+    r_sum = _exact_sum(jumps) - 1.0
+    r_tilt = _exact_sum(jumps * d)
     feasible = (
         feasible_extra
         and np.all(denom > 0.0)
@@ -123,7 +130,7 @@ def solve_mu(psi, data) -> TiltSolution:
         return _solution(0.0, w, n, d, feasible_extra=False)
 
     def g(mu):
-        # pairwise numpy sum: called ~60x per root-find, fsum is too slow here
+        # pairwise numpy sum: called ~60x per root-find, an exact sum is too slow here
         return float(np.sum(w * d / (1.0 + mu * d)))
 
     lo = -1.0 / dmax
@@ -159,7 +166,7 @@ def profile_log_likelihood(data, theta: Theta, spec: ModelSpec) -> float:
     contrib, _ = _profile_pieces(arrs, theta, spec)
     if contrib is None or np.isneginf(contrib).any():
         return -math.inf
-    return math.fsum(contrib)
+    return _exact_sum(contrib)
 
 
 class _ProfileObjective:
@@ -187,7 +194,7 @@ class _ProfileObjective:
             return math.inf
         self.max_residuals[0] = max(self.max_residuals[0], abs(sol.residual_sum))
         self.max_residuals[1] = max(self.max_residuals[1], abs(sol.residual_tilt))
-        return -math.fsum(contrib)
+        return -_exact_sum(contrib)
 
     def value(self, free):
         theta = self.template.with_free(free, self.spec)
@@ -206,7 +213,7 @@ class _ProfileObjective:
             return self._negated_total(None, None), np.full(free.size, np.nan)
         contrib = _profile_contrib(self.arrs, theta.psi, sol, cp.terms)
         try:
-            grad = -_column_fsum(self._profile_scores(theta, sol, cp))
+            grad = -_exact_colsum(self._profile_scores(theta, sol, cp))
         except FloatingPointError:
             grad = np.full(free.size, np.nan)
         return self._negated_total(contrib, sol), grad
@@ -261,8 +268,8 @@ class _ProfileObjective:
         d = e - 1.0
         denom = 1.0 + sol.mu * d
         de = np.column_stack([e, e * arrs.s])
-        g_mu = -math.fsum(arrs.w * d * d / denom**2)
-        g_psi = _column_fsum((arrs.w / denom**2)[:, None] * de)
+        g_mu = -_exact_sum(arrs.w * d * d / denom**2)
+        g_psi = _exact_colsum((arrs.w / denom**2)[:, None] * de)
         return e, d, denom, de, g_mu, g_psi
 
     def _profile_scores(self, theta, sol, cp):
@@ -293,7 +300,7 @@ class _ProfileObjective:
         e, _, denom, _, g_mu, g_psi = self._multiplier_pieces(theta, sol)
         s = self.arrs.s
         q = self.arrs.w * sol.mu * (1.0 - sol.mu) * e / denom**2
-        c00, c01, c11 = _column_fsum(np.column_stack([q, q * s, q * s * s]))
+        c00, c01, c11 = _exact_colsum(np.column_stack([q, q * s, q * s * s]))
         hess = _case_hessian(self.arrs, self.spec, cp)
         hess[np.ix_(self.psi_cols, self.psi_cols)] += (
             np.outer(g_psi, g_psi) / g_mu - np.array([[c00, c01], [c01, c11]]))
@@ -308,7 +315,7 @@ class _ProfileObjective:
             m = self.contribution_jacobian(free)
         except FloatingPointError:
             return np.full(free.size, np.nan)
-        return _column_fsum(m)
+        return _exact_colsum(m)
 
     def loglik(self, free):
         return -self.value(free)

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 from scipy.optimize import minimize
 
-from .likelihood import _case_hessian, _case_pass, _case_scores, _column_fsum
+from .likelihood import _case_hessian, _case_pass, _case_scores, _exact_colsum, _exact_sum
 from .likelihood import hessian, log_pseudo_likelihood, score
 from .model import ETA_NAMES, ModelSpec, Theta, as_arrays, check_theta_spec, initial_theta
 
@@ -126,9 +126,9 @@ class _NegObjective:
         score is not."""
         cp = self._pass(free)
         terms = cp.terms
-        value = -math.fsum(self.arrs.w * terms) if np.isfinite(terms).all() else math.inf
+        value = -_exact_sum(self.arrs.w * terms) if np.isfinite(terms).all() else math.inf
         try:
-            return value, -_column_fsum(_case_scores(self.arrs, self.spec, cp))
+            return value, -_exact_colsum(_case_scores(self.arrs, self.spec, cp))
         except FloatingPointError:
             return value, np.full(free.size, np.nan)
 
@@ -188,7 +188,7 @@ def _prepare(data, spec: ModelSpec):
     """Arrays and :func:`_default_start` of either fit.  Weights must sum
     to the subject count: the rescale sets the sandwich and BIC scale."""
     arrs = as_arrays(data)
-    total = math.fsum(arrs.w)
+    total = _exact_sum(arrs.w)
     if abs(total - arrs.n) > WEIGHT_SUM_TOL:
         raise ValueError(
             f"weights sum to {total:.6f} but must equal the subject count {arrs.n}; "
@@ -524,20 +524,43 @@ def _same_keys(what: str, got, wanted) -> None:
         raise ValueError(f"{what} {bad[0]!r} is {state}")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# each ModelSpec field's JSON type in a fit report: a check and its name
+_SPEC_VALUES = {
+    "covariate_names": (lambda v: isinstance(v, list) and all(isinstance(c, str) for c in v),
+                        "a list of strings"),
+    "fix_eta00": (lambda v: v is None or _is_number(v), "a number or null"),
+    "fix_eta10": (lambda v: v is None or _is_number(v), "a number or null"),
+    "p0_identically_one": (lambda v: isinstance(v, bool), "true or false"),
+    "extended": (lambda v: isinstance(v, bool), "true or false"),
+    "z_model_covariate": (lambda v: v is None or isinstance(v, str), "a string or null"),
+}
+
+
 def load_fit(doc) -> tuple[ModelSpec, Theta]:
     """The spec and estimates of a parsed :func:`fit_report` document.
 
     Its inverse: beta, eta, eta_x and psi are read by the spec's parameter
     names, and the eta entries the spec removes keep their
-    :func:`initial_theta` values.  A missing, unknown, wrongly sized or
-    non-numeric entry, or a fixed one away from the spec's value, raises
-    ValueError naming its key.
+    :func:`initial_theta` values.  A missing, unknown, wrongly typed or
+    wrongly sized entry, a ``covariates`` list that is not the spec's, or
+    a fixed entry away from the spec's value raises ValueError naming its
+    key.
     """
     for key, kind in (("spec", dict), ("beta", list), ("eta", dict)):
         if not isinstance(doc, dict) or not isinstance(doc.get(key), kind):
             raise ValueError(f"no {key!r} {'object' if kind is dict else 'array'}")
     _same_keys("spec key", doc["spec"], [f.name for f in fields(ModelSpec)])
+    for key, (valid, kind) in _SPEC_VALUES.items():
+        if not valid(doc["spec"][key]):
+            raise ValueError(f"spec key {key!r} is {doc['spec'][key]!r}, not {kind}")
     spec = ModelSpec(**doc["spec"])
+    if doc.get("covariates") != list(spec.covariate_names):
+        raise ValueError(f"'covariates' is {doc.get('covariates')!r} but the spec's "
+                         f"covariate_names are {list(spec.covariate_names)!r}")
     _same_keys("eta name", doc["eta"], _reported_etas(spec))
     sizes = {"beta": spec.n_beta, "eta_x": int(spec.z_model_covariate is not None),
              "psi": 2 * spec.extended}
@@ -552,7 +575,7 @@ def load_fit(doc) -> tuple[ModelSpec, Theta]:
     values += doc["psi"] if sizes["psi"] else []
     for name, value, fixed, pinned in zip(spec.param_names, values, spec.fixed_mask(),
                                           template.pack()):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not _is_number(value):
             raise ValueError(f"{name!r} is {value!r}, not a number")
         if fixed and value != pinned:
             raise ValueError(f"{name!r} is {value} but the spec fixes it at {pinned}")

@@ -32,8 +32,10 @@ III and IV.  That is the Type-2 risk, which prediction reads from the
 same pass.  The same pass gives the Hessian (the negated observed
 information) that the Newton finish and the sandwich use.
 
-Reductions over subjects use compensated summation (math.fsum), which
-makes the total exactly invariant under subject permutation.
+Every reduction over subjects is correctly rounded: :func:`_exact_colsum`
+returns what math.fsum returns, from exact exponent-bucket totals that
+numpy forms a row block at a time.  So each total is exactly invariant
+under subject permutation.
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ def log_pseudo_likelihood(data, theta: Theta, spec: ModelSpec) -> float:
     if not np.isfinite(terms).all():
         bad = int(np.flatnonzero(~np.isfinite(terms))[0])
         raise FloatingPointError(f"non-finite likelihood term at subject index {bad}")
-    return math.fsum(arrs.w * terms)
+    return _exact_sum(arrs.w * terms)
 
 
 def score_contributions(data, theta: Theta, spec: ModelSpec) -> np.ndarray:
@@ -174,14 +176,93 @@ def _case_scores(arrs: SubjectArrays, spec: ModelSpec, cp: _CasePass) -> np.ndar
     return m
 
 
-def _column_fsum(m: np.ndarray) -> np.ndarray:
-    """Correctly rounded column sums of an (n, k) matrix."""
-    return np.array([math.fsum(col) for col in m.T.tolist()])
+# _exact_colsum reads about this many values per pass, so each of its
+# temporaries stays near 128 kB; its bucket totals stay exact up to
+# _EXACT_ROWS rows in all
+_SUM_BLOCK = 16384
+_EXACT_ROWS = 1 << 26
+
+
+def _exact_colsum(m) -> np.ndarray:
+    """math.fsum of each column of ``m``, an (n, k) array or an object with
+    ``shape`` whose row slices ``m[a:b]`` are the array's rows.
+
+    np.frexp writes each value as mant * 2**e.  The integer and fraction
+    parts of mant * 2**27 are added up per (column, e) by np.bincount, one
+    block of about _SUM_BLOCK values at a time.  Up to 2**26 rows every
+    such total is exact: the integer parts stay below 2**53 and the
+    fraction parts are multiples of 2**-26 below 2**27.  So math.fsum over
+    a column's scaled totals is the correctly rounded sum of the column,
+    which is fsum's own result (Neal 2015, arXiv:1505.05571).  Where fsum
+    could overflow or meets a non-finite value, or past 2**26 rows, fsum
+    sums the column itself, so every result and exception matches it.  An
+    empty or all-zero column gives +0.0.
+    """
+    n, k = m.shape
+    if n == 0:
+        return np.zeros(k)
+    blocks = []
+    rows = max(1, _SUM_BLOCK // k)
+    for start in range(0, n, rows):
+        frac, e = np.frexp(m[start:start + rows])
+        frac *= 2.0**27
+        whole = np.trunc(frac)
+        with np.errstate(invalid="ignore"):   # inf - inf: a non-finite total, handled below
+            frac -= whole
+        e0, e1 = int(e.min()), int(e.max())
+        width = e1 - e0 + 1
+        # column j's exponents go to buckets j * width + (e - e0)
+        bucket = np.add(e, np.arange(-e0, k * width - e0, width), dtype=np.intp).ravel()
+        del e
+        sums = [np.bincount(bucket, part.ravel(), k * width) for part in (whole, frac)]
+        blocks.append((e0, e1, np.stack(sums)))
+    lo, hi = min(b[0] for b in blocks), max(b[1] for b in blocks)
+    if len(blocks) == 1:
+        totals = blocks[0][2]
+    else:
+        totals = np.zeros((2, k * (hi - lo + 1)))
+        for e0, e1, sums in blocks:
+            totals.reshape(2, k, -1)[:, :, e0 - lo:e1 - lo + 1] += sums.reshape(2, k, -1)
+    # every value is below 2**hi, so fsum's running sums stay below 2**1022
+    if n < _EXACT_ROWS and hi + n.bit_length() <= 1022 and np.isfinite(totals).all():
+        parts = np.ldexp(totals.reshape(2, k, -1), np.arange(lo - 27, hi - 26)).transpose(1, 0, 2)
+        return np.array([math.fsum(col) for col in parts.reshape(k, -1).tolist()])
+    return np.array([math.fsum(col) for col in np.asarray(m[0:n]).T.tolist()])
+
+
+def _exact_sum(x: np.ndarray) -> float:
+    """math.fsum of a vector, by :func:`_exact_colsum`."""
+    return float(_exact_colsum(x.reshape(-1, 1))[0])
 
 
 def score(data, theta: Theta, spec: ModelSpec) -> np.ndarray:
     """Analytic gradient of the log pseudo-likelihood over free parameters."""
-    return _column_fsum(score_contributions(data, theta, spec))
+    return _exact_colsum(score_contributions(data, theta, spec))
+
+
+class _PairProducts:
+    """The Hessian's summands w col_j h col_i, one column per pair j <= i
+    in row-major upper-triangle order, as a matrix that
+    :func:`_exact_colsum` reads a row block at a time: no (n, k(k+1)/2)
+    array is held.  Each product is formed as (w col_j h) col_i."""
+
+    def __init__(self, w, design, h):
+        self.w = w
+        self.cols = [col for _, col in design]
+        self.j, self.i = np.triu_indices(len(design))
+        keys = ["".join(sorted(design[j][0] + design[i][0])) for j, i in zip(self.j, self.i)]
+        used = list(dict.fromkeys(keys))
+        self.h = [h[key] for key in used]
+        self.h_col = [used.index(key) for key in keys]
+        self.shape = (w.size, len(keys))
+
+    def __getitem__(self, rows):
+        d = np.column_stack([col[rows] for col in self.cols])
+        h = np.column_stack([h[rows] for h in self.h])
+        out = (self.w[rows, None] * d)[:, self.j]
+        out *= h[:, self.h_col]
+        out *= d[:, self.i]
+        return out
 
 
 def _case_hessian(arrs: SubjectArrays, spec: ModelSpec, cp: _CasePass) -> np.ndarray:
@@ -192,7 +273,7 @@ def _case_hessian(arrs: SubjectArrays, spec: ModelSpec, cp: _CasePass) -> np.nda
     (1 - v) l'' + v r'' + v (1 - v) (r' - l')(r' - l')^T, and q enters the
     recent branch r inside the window and the long-term branch l outside
     it.  Since v is 1 in cell I and 0 in cell II, one formula covers all
-    four cells.  One fsum per parameter pair keeps the result exactly
+    four cells.  Each pair's sum is correctly rounded, hence exactly
     permutation invariant, and no (n, k, k) array exists.
     """
     log_pi, _, log_p, _, _, inside = cp.pieces
@@ -211,13 +292,10 @@ def _case_hessian(arrs: SubjectArrays, spec: ModelSpec, cp: _CasePass) -> np.nda
         "tt": ab,
     }
     design = _design(arrs, spec)
-    hess = np.zeros((len(design), len(design)))
-    for j, (pred_j, col_j) in enumerate(design):
-        wc = arrs.w * col_j
-        for i in range(j, len(design)):
-            pred_i, col_i = design[i]
-            pair = "".join(sorted(pred_j + pred_i))
-            hess[j, i] = hess[i, j] = math.fsum((wc * h[pair] * col_i).tolist())
+    k = len(design)
+    hess = np.empty((k, k))
+    upper = np.triu_indices(k)
+    hess[upper] = hess.T[upper] = _exact_colsum(_PairProducts(arrs.w, design, h))
     if not np.isfinite(hess).all():
         raise FloatingPointError("non-finite Hessian entry")
     return hess

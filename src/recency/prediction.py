@@ -11,12 +11,11 @@ externally supplied prevalence and treatment-coverage inputs.
 
 from __future__ import annotations
 
-import csv
-import math
+import re
 
 import numpy as np
 
-from .likelihood import _case_pass
+from .likelihood import _case_pass, _exact_sum
 from .model import (
     ModelSpec,
     RecencyLabel,
@@ -35,6 +34,8 @@ __all__ = [
     "rita_classify",
     "export_predictions",
 ]
+
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
 def type1_risk(subject: Subject, theta_hat: Theta) -> float:
@@ -63,7 +64,7 @@ def recency_rate(data, theta_hat: Theta, spec: ModelSpec) -> float:
     """Weighted average Type-2 risk over every subject in the sample."""
     arrs = as_arrays(data)
     t2 = _type2_vector(arrs, theta_hat, spec)
-    return math.fsum(arrs.w * t2) / math.fsum(arrs.w)
+    return _exact_sum(arrs.w * t2) / _exact_sum(arrs.w)
 
 
 def incidence(p_hiv: float, p_art: float, e_y: float) -> float:
@@ -86,20 +87,33 @@ def rita_classify(odn: float, vl: float) -> int:
     return int(odn <= 1.5 and vl >= 1000.0)
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as csv.writer's default dialect writes it: in double quotes,
+    its own doubled, when it holds a comma, a double quote, CR or LF."""
+    if _NEEDS_QUOTES.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def export_predictions(path, data, theta_hat: Theta, spec: ModelSpec, ids=None) -> None:
-    """Write the prediction CSV: id, s, z, label, type1, type2."""
+    """Write the prediction CSV: id, s, z, label, type1, type2.
+
+    The bytes are csv.writer's: CRLF line ends, floats as repr and ids
+    quoted where they must be.  Each column's text is built once.
+    """
     arrs = as_arrays(data)
     t1 = np.atleast_1d(pi_recent(arrs.x, theta_hat.beta))
     t2 = _type2_vector(arrs, theta_hat, spec)
-    if ids is None:
-        ids = [str(i) for i in range(arrs.n)]
+    ids = list(map(str, range(arrs.n) if ids is None else ids))
+    if _NEEDS_QUOTES.search("".join(ids)):
+        ids = list(map(_csv_field, ids))
     recent, longterm, _, _ = arrs.case_masks()
     labels = np.where(recent, RecencyLabel.RECENT.value,
                       np.where(longterm, RecencyLabel.LONG_TERM.value,
                                RecencyLabel.UNKNOWN.value))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "s", "z", "label", "type1", "type2"])
-        writer.writerows(zip(ids, map(repr, arrs.s.tolist()), arrs.z.tolist(),
+    rows = map(",".join, zip(ids, map(repr, arrs.s.tolist()), map(str, arrs.z.tolist()),
                              labels.tolist(), map(repr, t1.tolist()), map(repr, t2.tolist()),
                              strict=True))
+    with open(path, "w", newline="") as fh:
+        fh.write("id,s,z,label,type1,type2\r\n")
+        fh.writelines(row + "\r\n" for row in rows)

@@ -264,6 +264,16 @@ class TestPredictCommand:
         pytest.param(lambda doc: doc.update(eta_x=0.3), "eta_x", id="eta_x-no-z-model"),
         pytest.param(lambda doc: doc["spec"].update(z_model_covariate="odn"), "eta_x",
                      id="z-model-no-eta_x"),
+        pytest.param(lambda doc: doc["spec"].update(extended="yes"), "extended",
+                     id="spec-flag-not-boolean"),
+        pytest.param(lambda doc: doc["spec"].update(covariate_names="odn"), "covariate_names",
+                     id="spec-covariates-a-string"),
+        pytest.param(lambda doc: doc["spec"].update(fix_eta00="7"), "fix_eta00",
+                     id="spec-fix-not-a-number"),
+        pytest.param(lambda doc: doc["spec"].update(z_model_covariate=1), "z_model_covariate",
+                     id="spec-z-model-not-a-string"),
+        pytest.param(lambda doc: doc.update(covariates=["age"]), "covariates",
+                     id="covariates-copy-differs"),
         # a truncated file: the edit returns the text to write
         pytest.param(lambda doc: json.dumps(doc)[:-1], None, id="not-json"),
     ])

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,14 +20,25 @@ from recency.estimation import (
 )
 from recency.glm import fit_weighted_logistic
 from recency.likelihood import hessian, log_pseudo_likelihood, score
-from recency.model import ModelSpec, Subject, as_arrays, initial_theta
+from recency.model import ModelSpec, Subject, SubjectArrays, as_arrays, initial_theta
 from recency.simulation import default_config, generate
 
 SPEC = ModelSpec(covariate_names=("odn",))
 
 
 def sim_train(seed, n_total=2000, **over):
-    return generate(default_config("1", n_total=n_total, seed=seed, **over)).train
+    return generate(default_config("1", n_total=n_total, seed=seed, **over)).train_arrays
+
+
+def concat(blocks):
+    """The subjects of ``blocks`` (SubjectArrays) one after another."""
+    return SubjectArrays(**{f: np.concatenate([getattr(b, f) for b in blocks])
+                            for f in ("x", "s", "z", "w")})
+
+
+def duplicated_covariate(arrs):
+    """``arrs`` with its one covariate column repeated: two unidentified betas."""
+    return replace(arrs, x=np.column_stack([arrs.x[:, 0], arrs.x[:, 0]]))
 
 
 def fully_labeled(rng, n=300, c=1):
@@ -43,7 +55,7 @@ def fully_labeled(rng, n=300, c=1):
 class TestFit:
     def test_weight_sum_enforced(self):
         subs = sim_train(0)
-        bad = [Subject(covariates=s.covariates, s=s.s, z=s.z, w=0.5) for s in subs]
+        bad = replace(subs, w=np.full(subs.n, 0.5))
         with pytest.raises(ValueError, match="rescale"):
             fit(bad, SPEC)
 
@@ -52,7 +64,7 @@ class TestFit:
         # count and doubles the objective, so the argmax stays put
         subs = sim_train(1, n_total=800)
         base = fit(subs, SPEC)
-        dup = fit(subs + subs, SPEC)
+        dup = fit(concat([subs, subs]), SPEC)
         np.testing.assert_allclose(
             dup.theta_hat.free_values(SPEC), base.theta_hat.free_values(SPEC), atol=1e-8)
         assert dup.log_pl == pytest.approx(2.0 * base.log_pl, rel=1e-12)
@@ -62,7 +74,7 @@ class TestFit:
         # objective and its score without moving the argmax
         subs = sim_train(2, n_total=800)
         base = fit(subs, SPEC)
-        scaled = [Subject(covariates=s.covariates, s=s.s, z=s.z, w=3.0 * s.w) for s in subs]
+        scaled = replace(subs, w=3.0 * subs.w)
         theta = base.theta_hat
         assert log_pseudo_likelihood(scaled, theta, SPEC) == pytest.approx(
             3.0 * base.log_pl, rel=1e-12)
@@ -110,7 +122,7 @@ class TestBfgsObjective:
 
     def test_matches_value_and_score_exactly(self):
         rng = np.random.default_rng(19)
-        arrs = as_arrays(sim_train(19, n_total=600))
+        arrs = sim_train(19, n_total=600)
         for spec in (SPEC,
                      ModelSpec(covariate_names=("odn",), p0_identically_one=True, fix_eta00=None),
                      ModelSpec(covariate_names=("odn",), z_model_covariate="odn")):
@@ -212,9 +224,7 @@ class TestStalledStart:
         np.testing.assert_allclose(stalled_start.se, base.se, rtol=1e-6)
 
     def test_unidentified_model_stays_flagged(self, monkeypatch):
-        subs = sim_train(11, n_total=400)
-        dup = [Subject(covariates=np.array([s.covariates[0], s.covariates[0]]),
-                       s=s.s, z=s.z, w=s.w) for s in subs]
+        dup = duplicated_covariate(sim_train(11, n_total=400))
         self.stalling_minimize(monkeypatch)
         assert not fit(dup, ModelSpec(covariate_names=("odn", "odn2"))).converged
 
@@ -265,9 +275,7 @@ class TestSandwich:
         small_ses = [fit(sim_train(100 + s, n_total=2000), SPEC).se[:2] for s in range(4)]
         big_ses = []
         for u in range(2):
-            blocks = [generate(default_config("1", n_total=2000, seed=200 + 4 * u + s)).train
-                      for s in range(4)]
-            big = [sub for block in blocks for sub in block]
+            big = concat([sim_train(200 + 4 * u + s) for s in range(4)])
             big_ses.append(fit(big, SPEC).se[:2])
         ratio = np.mean(small_ses, axis=0) / np.mean(big_ses, axis=0)
         # 4x the data should halve the standard errors, within 10%
@@ -277,7 +285,7 @@ class TestSandwich:
         subs = sim_train(8, n_total=600)
         res = fit(subs, SPEC)
         rng = np.random.default_rng(0)
-        perm = [subs[i] for i in rng.permutation(len(subs))]
+        perm = subs.subset(rng.permutation(subs.n))
         cov_a = sandwich_covariance(subs, res.theta_hat, SPEC)
         cov_b = sandwich_covariance(perm, res.theta_hat, SPEC)
         np.testing.assert_allclose(cov_a, cov_b, atol=1e-10)
@@ -297,9 +305,7 @@ class TestSandwich:
 
     def test_singular_information_names_parameter(self):
         # duplicated covariate column: beta_odn and beta_odn2 unidentified
-        subs = sim_train(11, n_total=400)
-        dup = [Subject(covariates=np.array([s.covariates[0], s.covariates[0]]),
-                       s=s.s, z=s.z, w=s.w) for s in subs]
+        dup = duplicated_covariate(sim_train(11, n_total=400))
         spec = ModelSpec(covariate_names=("odn", "odn2"))
         res = fit(dup, spec)
         assert not res.converged  # flagged via failed covariance
@@ -340,11 +346,7 @@ class TestEtaVariants:
 class TestBackwardStepwise:
     @staticmethod
     def noise_covariates(subs, rng, extra=4):
-        out = []
-        for s in subs:
-            cov = np.concatenate([s.covariates, rng.normal(size=extra)])
-            out.append(Subject(covariates=cov, s=s.s, z=s.z, w=s.w))
-        return out
+        return replace(subs, x=np.column_stack([subs.x, rng.normal(size=(subs.n, extra))]))
 
     def test_selects_active_covariate(self):
         hits = 0
@@ -361,7 +363,7 @@ class TestBackwardStepwise:
         rng = np.random.default_rng(60)
         base = sim_train(14, n_total=2000)
         # replace the covariate with pure noise: true coefficient 0
-        subs = [Subject(covariates=rng.normal(size=1), s=s.s, z=s.z, w=s.w) for s in base]
+        subs = replace(base, x=rng.normal(size=(base.n, 1)))
         result = backward_stepwise(subs, ("noise",), ModelSpec(covariate_names=("noise",)))
         assert result.selected == ()
 

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from fd_oracle import central_differences
 from recency.likelihood import (
+    _SUM_BLOCK,
     _case_pass,
+    _exact_colsum,
     hessian,
     log_pseudo_likelihood,
     score,
@@ -335,5 +337,67 @@ class TestHessianProperties:
     def test_permutation_invariant(self, sample):
         subs, theta, spec, rng = sample
         perm = [subs[i] for i in rng.permutation(len(subs))]
-        np.testing.assert_allclose(hessian(perm, theta, spec), hessian(subs, theta, spec),
-                                   rtol=0, atol=1e-10)
+        np.testing.assert_array_equal(hessian(perm, theta, spec), hessian(subs, theta, spec))
+
+    @settings(max_examples=30, deadline=None)
+    @given(weighted_sample())
+    def test_score_permutation_invariant(self, sample):
+        subs, theta, spec, rng = sample
+        perm = [subs[i] for i in rng.permutation(len(subs))]
+        np.testing.assert_array_equal(score(perm, theta, spec), score(subs, theta, spec))
+
+
+def column_fsums(m):
+    """The reference: math.fsum of each column."""
+    return np.array([math.fsum(col) for col in m.T.tolist()])
+
+
+@st.composite
+def summands(draw):
+    """(n, k) matrices at the block edges and at 1e5 rows: values over
+    1e-300..1e300, subnormals, signed zeros, or pairs that cancel."""
+    k = draw(st.integers(1, 4))
+    rows = _SUM_BLOCK // k   # rows per block
+    n = draw(st.sampled_from([0, 1, rows - 1, rows, rows + 1, 100_000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["span", "subnormal", "zeros", "cancel"]))
+    if kind == "span":
+        m = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-300, 300, (n, k))
+    elif kind == "subnormal":
+        m = rng.integers(-(1 << 40), 1 << 40, (n, k)) * 5e-324
+    elif kind == "zeros":
+        m = rng.choice([0.0, -0.0], (n, k))
+    else:
+        half = rng.standard_normal((n // 2, k)) * 10.0 ** rng.uniform(-20, 20, (n // 2, k))
+        m = np.concatenate([half, -half, rng.standard_normal((n % 2, k))])[rng.permutation(n)]
+    extra = draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, k - 1),
+                                    st.floats(allow_nan=False, allow_infinity=False)),
+                          max_size=4 if n else 0))
+    for i, j, value in extra:
+        m[i, j] = value
+    return m
+
+
+class TestExactColsum:
+    @settings(max_examples=60, deadline=None)
+    @given(summands())
+    def test_equals_math_fsum_per_column(self, m):
+        try:
+            want = column_fsums(m)
+        except OverflowError:   # fsum's running sum overflowed
+            with pytest.raises(OverflowError):
+                _exact_colsum(m)
+            return
+        got = _exact_colsum(m)
+        assert got.tobytes() == want.tobytes()   # +0.0 where fsum gives +0.0
+
+    @pytest.mark.parametrize("col", [[math.inf, 1.0], [math.nan, 1.0], [-math.inf, 2.0, 3.0]])
+    def test_non_finite_as_fsum(self, col):
+        m = np.array(col)[:, None]
+        assert _exact_colsum(m).tobytes() == column_fsums(m).tobytes()
+
+    @pytest.mark.parametrize("col, error", [([math.inf, -math.inf], ValueError),
+                                            ([1e308, 1e308, -1e308], OverflowError)])
+    def test_fsum_errors_raised(self, col, error):
+        with pytest.raises(error):
+            _exact_colsum(np.array(col)[:, None])

@@ -169,6 +169,22 @@ class TestRita:
 
 
 class TestExport:
+    def test_bytes_match_csv_writer(self, tmp_path):
+        # ids with each character csv.writer quotes, one with a leading
+        # space (not quoted) and one that only looks quoted
+        ids = ["a,b", 'say "hi"', "cr\rid", "lf\nid", " lead", '"q"', "plain"]
+        subs = [sub(0.5, 0, 0.2), sub(0.5, 1, -0.1), sub(4.0, 0, 0.0), sub(4.0, 1, 1.0),
+                sub(0.25, 0, 0.3), sub(2.0, 1, -1.0), sub(1.0, 0, 0.5)]
+        path = tmp_path / "pred.csv"
+        export_predictions(path, subs, THETA, SPEC, ids)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert path.read_bytes() == expected.read_bytes()
+        assert [row[0] for row in rows[1:]] == ids
+
     def test_csv_round_trip(self, tmp_path):
         subs = [sub(0.5, 0, 0.2), sub(0.5, 1, -0.1), sub(4.0, 0, 0.0), sub(4.0, 1, 1.0)]
         path = tmp_path / "pred.csv"
