@@ -4,11 +4,8 @@ __version__ = "0.1.0"
 
 from .model import (
     ModelSpec,
-    RecencyLabel,
-    Subject,
     SubjectArrays,
     Theta,
-    derive_label,
     initial_theta,
     logistic,
     pi_recent,
@@ -42,7 +39,6 @@ from .prediction import (
     incidence,
     recency_rate,
     rita_classify,
-    type1_risk,
     type2_risk,
 )
 from .glm import LogisticFit, fit_weighted_logistic
@@ -60,15 +56,14 @@ from .dataio import ColumnMap, DataError, RawColumns, StandardizationReport, loa
 
 __all__ = [
     "__version__",
-    "ModelSpec", "RecencyLabel", "Subject", "SubjectArrays", "Theta",
-    "derive_label", "initial_theta", "logistic", "pi_recent",
+    "ModelSpec", "SubjectArrays", "Theta", "initial_theta", "logistic", "pi_recent",
     "log_pseudo_likelihood", "score", "score_contributions",
     "FitResult", "StepwiseResult", "VariantFit", "backward_stepwise",
     "best_variant", "compare_eta_variants", "fit", "fit_report", "load_fit",
     "sandwich_covariance",
     "TiltSolution", "fit_extended", "profile_log_likelihood", "solve_mu", "tilt",
     "export_predictions", "incidence", "recency_rate",
-    "rita_classify", "type1_risk", "type2_risk",
+    "rita_classify", "type2_risk",
     "LogisticFit", "fit_weighted_logistic",
     "GeneratedData", "ParamStats", "ReplicateSummary", "ScenarioConfig",
     "auc", "default_config", "generate", "run_replicates",

@@ -2,43 +2,29 @@
 
 Everything downstream (likelihood, estimation, prediction, simulation)
 composes the primitives defined here: the stable logistic function, the
-recency probability ``pi_recent``, and the tri-state label derived from
-testing history.
+recency probability ``pi_recent``, and ``SubjectArrays``, the one
+in-memory data form, which checks itself when it is built.
 
 All types are immutable after construction and all functions are pure.
 """
 
 from __future__ import annotations
 
-import enum
-import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "RecencyLabel",
-    "Subject",
     "Theta",
     "ModelSpec",
     "SubjectArrays",
     "as_arrays",
     "logistic",
     "pi_recent",
-    "derive_label",
     "initial_theta",
 ]
 
 ETA_NAMES = ("eta00", "eta01", "eta10", "eta11")
-
-
-class RecencyLabel(enum.Enum):
-    """Infection-recency status derivable from testing history alone."""
-
-    RECENT = "recent"
-    LONG_TERM = "longterm"
-    UNKNOWN = "unknown"
 
 
 def logistic(x):
@@ -57,59 +43,6 @@ def logistic(x):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-@dataclass(frozen=True)
-class Subject:
-    """One survey participant.
-
-    covariates are on the analysis (standardized) scale and do not
-    include an intercept column; ``s`` is the time in years between the
-    last HIV test and the survey interview; ``z`` is the last test
-    result (1 = positive); ``w`` is the sampling weight.
-    """
-
-    covariates: np.ndarray
-    s: float
-    z: int
-    w: float = 1.0
-
-    def __post_init__(self):
-        cov = np.asarray(self.covariates, dtype=float)
-        if cov.ndim != 1:
-            raise ValueError("covariates must be a 1-d vector")
-        object.__setattr__(self, "covariates", cov)
-        if self.z not in (0, 1):
-            raise ValueError(f"z must be 0 or 1, got {self.z}")
-        object.__setattr__(self, "s", float(self.s))
-        object.__setattr__(self, "w", float(self.w))
-        object.__setattr__(self, "z", int(self.z))
-        if not (math.isfinite(self.s) and self.s > 0):
-            raise ValueError(f"s must be finite and positive, got {self.s}")
-        if not (math.isfinite(self.w) and self.w > 0):
-            raise ValueError(f"weight must be finite and positive, got {self.w}")
-
-    @property
-    def label(self) -> RecencyLabel:
-        return derive_label(self.s, self.z)
-
-
-def derive_label(s: float, z: int) -> RecencyLabel:
-    """Tri-state recency label from (time since last test, test result).
-
-    A negative test within one year pins the infection as recent; a
-    positive test over one year ago pins it as long-term.  The boundary
-    s = 1 counts as "within one year".
-    """
-    if not s > 0:
-        raise ValueError(f"s must be positive, got {s}")
-    if z not in (0, 1):
-        raise ValueError(f"z must be 0 or 1, got {z}")
-    if s <= 1.0 and z == 0:
-        return RecencyLabel.RECENT
-    if s > 1.0 and z == 1:
-        return RecencyLabel.LONG_TERM
-    return RecencyLabel.UNKNOWN
 
 
 @dataclass(frozen=True)
@@ -289,14 +222,54 @@ def pi_recent(covariates, beta) -> float:
 class SubjectArrays:
     """A dataset as columns: the package's one in-memory data form.
 
-    ``preprocess`` and ``generate`` produce it and every kernel reads it;
-    ``as_arrays`` converts a Subject sequence at the public API edge.
+    Row i is one survey participant: covariates ``x[i]`` on the analysis
+    (standardized) scale, without an intercept column; ``s[i]``, the time
+    in years between the last HIV test and the interview; ``z[i]``, that
+    test's result (1 = positive); and ``w[i]``, the sampling weight.
+    ``preprocess`` and ``generate`` produce it and every kernel reads it.
+
+    Construction checks, in one vectorized pass that copies and coerces
+    nothing:
+
+    - every field is a numpy array;
+    - x is 2-d (n, c) and finite; c = 0 is allowed;
+    - s and w are 1-d of length n, finite and positive;
+    - z is 1-d of length n, holds only 0 and 1, and has an integer dtype;
+    - n >= 1 ("empty dataset").
+
+    A failed check raises one ValueError (a TypeError for a field that is
+    not an array) naming the field and, for a bad value, the first bad row
+    and its value.
     """
 
     x: np.ndarray   # (n, c) covariates
     s: np.ndarray   # (n,)
     z: np.ndarray   # (n,) int
     w: np.ndarray   # (n,)
+
+    def __post_init__(self):
+        for name in ("x", "s", "z", "w"):
+            col = getattr(self, name)
+            if not isinstance(col, np.ndarray):
+                raise TypeError(f"{name} must be a numpy array, got {type(col).__name__}")
+            if col.ndim != (2 if name == "x" else 1):
+                shape = "2-d (n, c)" if name == "x" else "1-d"
+                raise ValueError(f"{name} must be {shape}, got shape {col.shape}")
+        n = self.s.size
+        if n == 0:
+            raise ValueError("empty dataset")
+        for name in ("x", "z", "w"):
+            rows = len(getattr(self, name))
+            if rows != n:
+                short = name if rows < n else "s"
+                raise ValueError(f"{name} has {rows} rows but s has {n}: "
+                                 f"row {min(rows, n)} has no {short}")
+        _first_bad_row("x", np.isfinite(self.x).all(axis=1), self.x, "finite")
+        _first_bad_row("s", np.isfinite(self.s) & (self.s > 0), self.s, "finite and positive")
+        _first_bad_row("z", (self.z == 0) | (self.z == 1), self.z, "0 or 1")
+        if self.z.dtype.kind not in "iu":
+            raise ValueError(f"z must have an integer dtype, got {self.z.dtype}")
+        _first_bad_row("w", np.isfinite(self.w) & (self.w > 0), self.w, "finite and positive")
 
     @property
     def n(self) -> int:
@@ -321,18 +294,14 @@ class SubjectArrays:
         )
 
 
+def _first_bad_row(name: str, ok: np.ndarray, col: np.ndarray, rule: str) -> None:
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(f"{name} must be {rule}, got {col[i].tolist()} at row {i}")
+
+
 def as_arrays(data) -> SubjectArrays:
-    """Normalize a Subject sequence (or pass through SubjectArrays)."""
-    if isinstance(data, SubjectArrays):
-        return data
-    subjects: Sequence[Subject] = list(data)
-    if not subjects:
-        raise ValueError("empty dataset")
-    dims = {sub.covariates.size for sub in subjects}
-    if len(dims) != 1:
-        raise ValueError(f"covariate vectors differ in length across subjects: {sorted(dims)}")
-    x = np.stack([sub.covariates for sub in subjects])
-    s = np.array([sub.s for sub in subjects])
-    z = np.array([sub.z for sub in subjects], dtype=int)
-    w = np.array([sub.w for sub in subjects])
-    return SubjectArrays(x=x, s=s, z=z, w=w)
+    """The API-edge type check: ``data`` itself, which must be a SubjectArrays."""
+    if not isinstance(data, SubjectArrays):
+        raise TypeError(f"expected SubjectArrays, got {type(data).__name__}")
+    return data

@@ -16,18 +16,9 @@ import re
 import numpy as np
 
 from .likelihood import _case_pass, _exact_sum
-from .model import (
-    ModelSpec,
-    RecencyLabel,
-    Subject,
-    Theta,
-    as_arrays,
-    check_theta_spec,
-    pi_recent,
-)
+from .model import ModelSpec, SubjectArrays, Theta, as_arrays, check_theta_spec, pi_recent
 
 __all__ = [
-    "type1_risk",
     "type2_risk",
     "recency_rate",
     "incidence",
@@ -38,26 +29,21 @@ __all__ = [
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
-def type1_risk(subject: Subject, theta_hat: Theta) -> float:
-    """P(recent | covariates) at the fitted coefficients."""
-    return pi_recent(subject.covariates, theta_hat.beta)
-
-
-def _type2_vector(arrs, theta: Theta, spec: ModelSpec) -> np.ndarray:
+def _type2_vector(arrs: SubjectArrays, theta: Theta, spec: ModelSpec) -> np.ndarray:
     check_theta_spec(theta, spec)
     return _case_pass(arrs, theta, spec).v
 
 
-def type2_risk(subject: Subject, theta_hat: Theta, spec: ModelSpec) -> float:
-    """P(recent | s, z, covariates).
+def type2_risk(data: SubjectArrays, theta_hat: Theta, spec: ModelSpec) -> np.ndarray:
+    """P(recent | s, z, covariates), one risk per subject.
 
     Exactly 1 for (s <= 1, z = 0) and exactly 0 for (s > 1, z = 1); the
     unknown cells use the closed Bayes forms, which under p0 == 1 reduce
     to 1 in the (s > 1, z = 0) cell.  Under an extended spec the fitted
-    tilt enters the recent-infection branch of both forms.
+    tilt enters the recent-infection branch of both forms.  (Type-1 risk,
+    biomarkers only, is ``pi_recent(data.x, theta_hat.beta)``.)
     """
-    arrs = as_arrays([subject])
-    return float(_type2_vector(arrs, theta_hat, spec)[0])
+    return _type2_vector(as_arrays(data), theta_hat, spec)
 
 
 def recency_rate(data, theta_hat: Theta, spec: ModelSpec) -> float:
@@ -108,9 +94,7 @@ def export_predictions(path, data, theta_hat: Theta, spec: ModelSpec, ids=None) 
     if _NEEDS_QUOTES.search("".join(ids)):
         ids = list(map(_csv_field, ids))
     recent, longterm, _, _ = arrs.case_masks()
-    labels = np.where(recent, RecencyLabel.RECENT.value,
-                      np.where(longterm, RecencyLabel.LONG_TERM.value,
-                               RecencyLabel.UNKNOWN.value))
+    labels = np.where(recent, "recent", np.where(longterm, "longterm", "unknown"))
     rows = map(",".join, zip(ids, map(repr, arrs.s.tolist()), map(str, arrs.z.tolist()),
                              labels.tolist(), map(repr, t1.tolist()), map(repr, t2.tolist()),
                              strict=True))

@@ -29,6 +29,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
@@ -38,7 +39,7 @@ from scipy.optimize import brentq
 
 from .estimation import fit
 from .glm import fit_weighted_logistic
-from .model import ModelSpec, Subject, SubjectArrays, logistic, pi_recent
+from .model import ModelSpec, SubjectArrays, logistic, pi_recent
 from .prediction import _type2_vector, recency_rate
 
 __all__ = [
@@ -77,6 +78,12 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
+        if self.n_total <= 0:
+            raise ValueError(f"n_total must be positive, got {self.n_total}")
+        n_beta = 3 if self.scenario == "S2" else 2
+        if len(self.beta_true) != n_beta:
+            raise ValueError(f"beta_true must have {n_beta} entries for {self.scenario}, the "
+                             f"intercept and one slope per covariate; got {len(self.beta_true)}")
         if self.n_total % 2 != 0:
             raise ValueError("n_total must be even (half train, half test)")
         if self.scenario == "S2" and self.n_total % 3 != 0:
@@ -85,8 +92,9 @@ class ScenarioConfig:
             raise ValueError("z flip rate must be in [0, 1)")
         if any(g <= 0 for g in self.s_gamma):
             raise ValueError("gamma parameters must be positive")
-        if self.scenario == "S6" and len(self.s_gamma) != 3:
-            raise ValueError("S6 needs s_gamma = (shape, rate0, rate1)")
+        if len(self.s_gamma) != (3 if self.scenario == "S6" else 2):
+            gamma = "(shape, rate0, rate1)" if self.scenario == "S6" else "(shape, rate)"
+            raise ValueError(f"{self.scenario} needs s_gamma = {gamma}, got {self.s_gamma}")
 
     @property
     def psi_true(self) -> tuple[float, float] | None:
@@ -128,7 +136,10 @@ class GeneratedData:
 
     The draws are held as :class:`SubjectArrays` (``train_arrays``,
     ``test_arrays`` and, for S2, ``contingency_arrays``).  ``train`` and
-    ``test`` build Subject lists from them each time they are read.
+    ``test`` list the same subjects as per-row records
+    (``covariates, s, z, w``), built each time they are read.  Only the
+    benchmark's survey workload reads them; benchmark v2 (ROADMAP
+    direction 1) moves it to the arrays and deletes both.
     """
 
     train_arrays: SubjectArrays
@@ -141,12 +152,12 @@ class GeneratedData:
     solved_beta0: float | None = None
 
     @property
-    def train(self) -> list[Subject]:
-        return _subjects(self.train_arrays)
+    def train(self) -> list:
+        return _rows(self.train_arrays)
 
     @property
-    def test(self) -> list[Subject]:
-        return _subjects(self.test_arrays)
+    def test(self) -> list:
+        return _rows(self.test_arrays)
 
 
 def _labeled(arrs: SubjectArrays) -> np.ndarray:
@@ -155,9 +166,11 @@ def _labeled(arrs: SubjectArrays) -> np.ndarray:
     return recent | longterm
 
 
-def _subjects(arrs: SubjectArrays) -> list[Subject]:
-    return [Subject(covariates=arrs.x[i], s=arrs.s[i], z=arrs.z[i], w=arrs.w[i])
-            for i in range(arrs.n)]
+_Row = namedtuple("_Row", "covariates s z w")
+
+
+def _rows(arrs: SubjectArrays) -> list:
+    return list(map(_Row, arrs.x, arrs.s.tolist(), arrs.z.tolist(), arrs.w.tolist()))
 
 
 def _draw_z(rng, y, s, q0, q1):
@@ -241,7 +254,7 @@ def generate(config: ScenarioConfig, rng: np.random.Generator | None = None) -> 
 
     s_tr, z_tr = s[idx_tr], z[idx_tr]
     s_te, z_te = s[idx_te], z[idx_te]
-    # latent per derive_label: unknown iff (s <= 1, z = 1) or (s > 1, z = 0)
+    # latent: the true history is a cell of unknown label, (s <= 1, z = 1) or (s > 1, z = 0)
     test_latent = (s_te <= 1.0) == (z_te == 1)
     if config.scenario == "S5":
         # the train half draws first, so its reports never depend on the test half
@@ -420,7 +433,11 @@ def run_replicates(config: ScenarioConfig, n_reps: int, spec: ModelSpec,
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
     if n_jobs is None:
-        n_jobs = int(os.environ.get("RECENCY_THREADS", "1"))
+        threads = os.environ.get("RECENCY_THREADS", "1")
+        try:
+            n_jobs = int(threads)
+        except ValueError:
+            raise ValueError(f"RECENCY_THREADS must be an integer, got {threads!r}") from None
     seeds = np.random.SeedSequence(config.seed).spawn(n_reps)
     tasks = [(config, spec, r, seeds[r]) for r in range(n_reps)]
     if n_jobs > 1:

@@ -15,9 +15,10 @@ from recency.densityratio import profile_log_likelihood, solve_mu, tilt
 from recency.estimation import fit
 from recency.glm import fit_weighted_logistic
 from recency.likelihood import log_pseudo_likelihood, score
-from recency.model import ModelSpec, Subject, initial_theta, logistic
+from recency.model import ModelSpec, initial_theta, logistic
 from recency.prediction import type2_risk
 from recency.simulation import default_config, run_replicates
+from subjects import subjects
 
 SPEC = ModelSpec(covariate_names=("odn",))
 SPEC_EXT = ModelSpec(covariate_names=("odn",), extended=True)
@@ -176,27 +177,28 @@ class TestCriterion5:
         assert ok, "; ".join(f)
 
 
+def normalized(draws):
+    """Subjects from (x, s, z, w) draws, weights rescaled to sum to n."""
+    x, s, z, w = zip(*draws)
+    total = sum(w)
+    return subjects(x, s, z, [wi * len(draws) / total for wi in w])
+
+
 class TestCriterion6:
     def test_fully_labeled_matches_independent_logistic(self):
         rng = np.random.default_rng(606)
         worst = 0.0
         for _ in range(20):
             n = 500
-            subs = []
+            draws = []
             for _ in range(n):
                 x = rng.normal(size=1)
                 y = int(rng.random() < logistic(0.6 - 0.8 * x[0]))
                 s = float(rng.uniform(0.05, 1.0)) if y else float(rng.uniform(1.05, 9.0))
-                subs.append(Subject(covariates=x, s=s, z=1 - y,
-                                    w=float(rng.uniform(0.5, 2.0))))
-            total = sum(sub.w for sub in subs)
-            subs = [Subject(covariates=sub.covariates, s=sub.s, z=sub.z,
-                            w=sub.w * n / total) for sub in subs]
+                draws.append((x, s, 1 - y, float(rng.uniform(0.5, 2.0))))
+            subs = normalized(draws)
             res = fit(subs, SPEC)
-            ys = np.array([1 if sub.label.value == "recent" else 0 for sub in subs])
-            xs = np.stack([sub.covariates for sub in subs])
-            ws = np.array([sub.w for sub in subs])
-            oracle = fit_weighted_logistic(xs, ys, ws)
+            oracle = fit_weighted_logistic(subs.x, subs.case_masks()[0].astype(int), subs.w)
             worst = max(worst, float(np.max(np.abs(res.theta_hat.beta - oracle.beta))))
         ok = report(6, worst <= 1e-6,
                     f"max |beta_pl - beta_irls| over 20 datasets = {worst:.2e} (tol 1e-6)")
@@ -210,10 +212,9 @@ class TestCriterion7:
         for k in range(50):
             extended = k % 3 == 2
             spec = SPEC_EXT if extended else SPEC
-            subs = [Subject(covariates=rng.normal(size=1),
-                            s=float(rng.gamma(0.7, 3.0)) + 1e-6,
-                            z=int(rng.integers(2)),
-                            w=float(rng.uniform(0.5, 2.0))) for _ in range(50)]
+            subs = subjects(*zip(*[(rng.normal(size=1), float(rng.gamma(0.7, 3.0)) + 1e-6,
+                                    int(rng.integers(2)), float(rng.uniform(0.5, 2.0)))
+                                   for _ in range(50)]))
             free = np.concatenate([
                 rng.normal([0.6, -0.5], 0.5),
                 rng.normal([-0.6, -4.5], [0.3, 1.0]),
@@ -255,13 +256,9 @@ class TestCriterion9:
         bracket_ok = True
         for _ in range(100):
             n = int(rng.integers(15, 80))
-            subs = [Subject(covariates=rng.normal(size=1),
-                            s=float(rng.gamma(0.8, 2.5)) + 1e-9,
-                            z=int(rng.integers(2)),
-                            w=float(rng.uniform(0.5, 2.0))) for _ in range(n)]
-            total = sum(sub.w for sub in subs)
-            subs = [Subject(covariates=sub.covariates, s=sub.s, z=sub.z,
-                            w=sub.w * n / total) for sub in subs]
+            subs = normalized([(rng.normal(size=1), float(rng.gamma(0.8, 2.5)) + 1e-9,
+                                int(rng.integers(2)), float(rng.uniform(0.5, 2.0)))
+                               for _ in range(n)])
             psi = (float(rng.uniform(-0.8, 0.8)), float(rng.uniform(-0.6, 0.6)))
             sol = solve_mu(psi, subs)
             if not sol.feasible:
@@ -269,9 +266,8 @@ class TestCriterion9:
             feasible_checked += 1
             worst_sum = max(worst_sum, abs(sol.residual_sum))
             worst_tilt = max(worst_tilt, abs(sol.residual_tilt))
-            e = tilt(np.array([sub.s for sub in subs]), psi)
-            w = np.array([sub.w for sub in subs])
-            u = (w - n) / (n * (e - 1.0))
+            e = tilt(subs.s, psi)
+            u = (subs.w - n) / (n * (e - 1.0))
             neg, pos = u[u < 0], u[u > 0]
             lo = neg.max() if neg.size else -math.inf
             hi = pos.min() if pos.size else math.inf
@@ -280,9 +276,8 @@ class TestCriterion9:
         prof_gap = 0.0
         for seed in range(5):
             rng2 = np.random.default_rng(1000 + seed)
-            subs = [Subject(covariates=rng2.normal(size=1),
-                            s=float(rng2.gamma(0.8, 2.5)) + 1e-9,
-                            z=int(rng2.integers(2)), w=1.0) for _ in range(60)]
+            subs = subjects(*zip(*[(rng2.normal(size=1), float(rng2.gamma(0.8, 2.5)) + 1e-9,
+                                    int(rng2.integers(2))) for _ in range(60)]))
             theta = initial_theta(SPEC_EXT).with_free(
                 np.array([0.5, -0.4, -0.5, -4.5, 0.0, 0.0]), SPEC_EXT)
             prof = profile_log_likelihood(subs, theta, SPEC_EXT)
@@ -313,21 +308,22 @@ class TestCriterion10:
             [(float(s), 0, float(x)) for s, x in zip(
                 np.linspace(1.05, 12.0, 10), np.linspace(1.5, -1.5, 10))],
         )
-        for cell in cells:
-            for s, z, x in cell:
-                closed = type2_risk(Subject(covariates=np.array([x]), s=s, z=z),
-                                    theta, SPEC)
-                pi = logistic(BETA_TRUE[0] + BETA_TRUE[1] * x)
-                y = rng.random(n) < pi
-                if s <= 1.0:
-                    p1 = logistic(ETA_TRUE[2] + ETA_TRUE[3] * (s - 1.0))
-                    zs = np.where(y, rng.random(n) < p1, True)
-                else:
-                    p0 = logistic(ETA_TRUE[0] + ETA_TRUE[1] * (s - 1.0))
-                    zs = np.where(y, False, rng.random(n) < p0)
-                match = zs == bool(z)
-                posterior = float(y[match].mean())
-                worst = max(worst, abs(closed - posterior))
+        # scored as one batch; the Monte Carlo draws run point by point
+        points = [point for cell in cells for point in cell]
+        s, z, x = zip(*points)
+        risks = type2_risk(subjects(np.array(x)[:, None], s, z), theta, SPEC)
+        for (s, z, x), closed in zip(points, risks.tolist(), strict=True):
+            pi = logistic(BETA_TRUE[0] + BETA_TRUE[1] * x)
+            y = rng.random(n) < pi
+            if s <= 1.0:
+                p1 = logistic(ETA_TRUE[2] + ETA_TRUE[3] * (s - 1.0))
+                zs = np.where(y, rng.random(n) < p1, True)
+            else:
+                p0 = logistic(ETA_TRUE[0] + ETA_TRUE[1] * (s - 1.0))
+                zs = np.where(y, False, rng.random(n) < p0)
+            match = zs == bool(z)
+            posterior = float(y[match].mean())
+            worst = max(worst, abs(closed - posterior))
         ok = report(10, worst <= 0.01,
                     f"max |closed form - MC posterior| over 20 points = {worst:.4f} (tol 0.01)")
         assert ok

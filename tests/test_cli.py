@@ -6,9 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from recency import cli
+from recency import cli, simulation
 from recency.cli import main
-from recency.model import Subject
 from recency.simulation import default_config, generate
 
 
@@ -122,14 +121,15 @@ class TestNoPerRowObjects:
                                  "NA" if i % 10 == 0 else test[i] % 12 + 1, interview[i] // 12,
                                  interview[i] % 12 + 1, arrs.z[i], repr(float(arrs.x[i, 0])),
                                  int(rng.integers(0, 100000))])
+        # the package's one per-row record is simulation's; the CLI must not build it
         calls = []
-        original = Subject.__post_init__
+        original = simulation._rows
 
-        def counting(self):
+        def counting(arrs):
             calls.append(1)
-            original(self)
+            return original(arrs)
 
-        monkeypatch.setattr(Subject, "__post_init__", counting)
+        monkeypatch.setattr(simulation, "_rows", counting)
         assert main(["fit", "--data", str(path), "--covariates", "odn,logvl",
                      "--out", str(tmp_path / "fit")]) in (0, 2)
         assert main(["predict", "--fit", str(tmp_path / "fit" / "fit.json"), "--data", str(path),
@@ -197,6 +197,16 @@ class TestSimulateCommand:
         assert code == 1
         assert "usage error: --reps must be at least 1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--beta", "1,2,3"], "beta_true must have 2 entries for S1"),
+        (["--n", "0"], "n_total must be positive, got 0"),
+    ], ids=["beta-length", "zero-n"])
+    def test_bad_config_exit_1_names_field(self, tmp_path, capsys, flags, message):
+        args = ["simulate", "--scenario", "1", "--reps", "1", "--n", "200"]
+        code = main(args + flags + ["--out", str(tmp_path / "bad")])
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_single_replicate_degenerate_sd(self, tmp_path):
         out = tmp_path / "one"

@@ -18,20 +18,16 @@ from recency.densityratio import (
 )
 from recency.estimation import SCORE_TOL, _sandwich
 from recency.likelihood import log_pseudo_likelihood
-from recency.model import ModelSpec, Subject, as_arrays, initial_theta
+from recency.model import ModelSpec, initial_theta
 from recency.simulation import default_config, generate
+from subjects import rows, subjects
 
 SPEC_EXT = ModelSpec(covariate_names=("odn",), extended=True)
 
 
 def random_subjects(rng, n, gamma=(0.8, 0.4)):
-    return [
-        Subject(covariates=rng.normal(size=1),
-                s=float(rng.gamma(gamma[0], 1.0 / gamma[1])) + 1e-9,
-                z=int(rng.integers(2)),
-                w=1.0)
-        for _ in range(n)
-    ]
+    return subjects(*zip(*[(rng.normal(size=1), float(rng.gamma(gamma[0], 1.0 / gamma[1])) + 1e-9,
+                            int(rng.integers(2))) for _ in range(n)]))
 
 
 class TestTilt:
@@ -64,12 +60,11 @@ class TestSolveMu:
         np.testing.assert_allclose(sol.jumps, np.full(25, 1 / 25), rtol=1e-12)
 
     def test_root_matches_grid_search(self):
-        subs = [Subject(covariates=np.zeros(1), s=0.5, z=0),
-                Subject(covariates=np.zeros(1), s=2.0, z=1)] * 8
+        subs = subjects(0.0, [0.5, 2.0] * 8, [0, 1] * 8)
         psi = (0.3, -0.3)
         sol = solve_mu(psi, subs)
         assert sol.feasible
-        e = tilt(np.array([sub.s for sub in subs]), psi)
+        e = tilt(subs.s, psi)
         d = e - 1.0
         lo, hi = -1.0 / d.max(), -1.0 / d.min()
         grid = np.linspace(lo + 1e-9, hi - 1e-9, 2_000_001)
@@ -100,8 +95,8 @@ class TestSolveMu:
             sol = solve_mu(psi, subs)
             if not sol.feasible:
                 continue
-            e = tilt(np.array([sub.s for sub in subs]), psi)
-            w = np.array([sub.w for sub in subs])
+            e = tilt(subs.s, psi)
+            w = subs.w
             n = len(subs)
             u = (w - n) / (n * (e - 1.0))
             neg, pos = u[u < 0], u[u > 0]
@@ -113,7 +108,7 @@ class TestSolveMu:
         rng = np.random.default_rng(43)
         subs = random_subjects(rng, 30)
         psi = (0.4, -0.35)
-        e = tilt(np.array([sub.s for sub in subs]), psi)
+        e = tilt(subs.s, psi)
         d = e - 1.0
         w = np.ones(len(subs))
         lo, hi = -1.0 / d.max(), -1.0 / d.min()
@@ -150,10 +145,10 @@ class TestProfile:
         prof = profile_log_likelihood(subs, theta, SPEC_EXT)
         n = len(subs)
         explicit = 0.0
-        for sub, p in zip(subs, sol.jumps):
-            explicit += sub.w * math.log(p)
-            explicit += sub.w * _case_term(sub, theta)
-        constant = sum(sub.w * math.log(sub.w / n) for sub in subs)
+        for (x, s, z, w), p in zip(rows(subs), sol.jumps, strict=True):
+            explicit += w * math.log(p)
+            explicit += w * _case_term(x, s, z, theta)
+        constant = sum(w * math.log(w / n) for _, _, _, w in rows(subs))
         assert prof == pytest.approx(explicit - constant, abs=1e-9)
 
     def test_infeasible_psi_is_minus_inf(self):
@@ -191,8 +186,7 @@ class TestProfileScore:
 
     def setup_method(self):
         rng = np.random.default_rng(90)
-        self.subs = random_subjects(rng, 50)
-        self.arrs = as_arrays(self.subs)
+        self.arrs = random_subjects(rng, 50)
         self.template = initial_theta(SPEC_EXT)
         self.obj = _ProfileObjective(self.arrs, self.template, SPEC_EXT)
         self.points = feasible_points(rng, self.arrs, 5)
@@ -202,7 +196,7 @@ class TestProfileScore:
             an = self.obj.gradient(free)
             fd = central_differences(
                 lambda v: profile_log_likelihood(
-                    self.subs, self.template.with_free(v, SPEC_EXT), SPEC_EXT),
+                    self.arrs, self.template.with_free(v, SPEC_EXT), SPEC_EXT),
                 free)
             assert np.max(np.abs(an - fd) / (1.0 + np.abs(an))) < 1e-6
 
@@ -247,7 +241,7 @@ class TestOnePassObjective:
 
     def setup_method(self):
         rng = np.random.default_rng(91)
-        self.arrs = as_arrays(random_subjects(rng, 50))
+        self.arrs = random_subjects(rng, 50)
         self.template = initial_theta(SPEC_EXT)
         self.points = feasible_points(rng, self.arrs, 5)
 
@@ -300,17 +294,17 @@ class TestOnePassObjective:
         assert asked["hess"] == asked["value_and_gradient"]
 
 
-def _case_term(sub, theta):
+def _case_term(x, s, z, theta):
     from recency.model import logistic
-    pi = logistic(theta.beta[0] + float(sub.covariates @ theta.beta[1:]))
-    p0 = logistic(theta.eta[0] + theta.eta[1] * (sub.s - 1))
-    p1 = logistic(theta.eta[2] + theta.eta[3] * (sub.s - 1))
-    e = math.exp(theta.psi[0] + theta.psi[1] * sub.s)
-    if sub.s <= 1 and sub.z == 0:
+    pi = logistic(theta.beta[0] + float(x @ theta.beta[1:]))
+    p0 = logistic(theta.eta[0] + theta.eta[1] * (s - 1))
+    p1 = logistic(theta.eta[2] + theta.eta[3] * (s - 1))
+    e = math.exp(theta.psi[0] + theta.psi[1] * s)
+    if s <= 1 and z == 0:
         return math.log(pi * e * (1 - p1))
-    if sub.s > 1 and sub.z == 1:
+    if s > 1 and z == 1:
         return math.log((1 - pi) * p0)
-    if sub.s <= 1 and sub.z == 1:
+    if s <= 1 and z == 1:
         return math.log(1 - pi + pi * e * p1)
     return math.log((1 - pi) * (1 - p0) + pi * e)
 

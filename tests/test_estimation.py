@@ -20,8 +20,9 @@ from recency.estimation import (
 )
 from recency.glm import fit_weighted_logistic
 from recency.likelihood import hessian, log_pseudo_likelihood, score
-from recency.model import ModelSpec, Subject, SubjectArrays, as_arrays, initial_theta
+from recency.model import ModelSpec, SubjectArrays, initial_theta
 from recency.simulation import default_config, generate
+from subjects import subjects
 
 SPEC = ModelSpec(covariate_names=("odn",))
 
@@ -42,14 +43,14 @@ def duplicated_covariate(arrs):
 
 
 def fully_labeled(rng, n=300, c=1):
-    subs = []
+    draws = []
     for _ in range(n):
         x = rng.normal(size=c)
         y = int(rng.random() < 1 / (1 + math.exp(-(0.6 - 0.8 * x[0]))))
         s = float(rng.uniform(0.05, 1.0)) if y else float(rng.uniform(1.05, 9.0))
-        subs.append(Subject(covariates=x, s=s, z=1 - y, w=1.0))
-    # rescale weights (already 1, sums to n)
-    return subs
+        draws.append((x, s, 1 - y))
+    # unit weights already sum to n
+    return subjects(*zip(*draws))
 
 
 class TestFit:
@@ -89,10 +90,7 @@ class TestFit:
         for _ in range(3):
             subs = fully_labeled(rng)
             res = fit(subs, SPEC)
-            y = np.array([1 if s.label.value == "recent" else 0 for s in subs])
-            x = np.stack([s.covariates for s in subs])
-            w = np.array([s.w for s in subs])
-            lr = fit_weighted_logistic(x, y, w)
+            lr = fit_weighted_logistic(subs.x, subs.case_masks()[0].astype(int), subs.w)
             assert np.max(np.abs(res.theta_hat.beta - lr.beta)) < 1e-6
 
     def test_deterministic(self):
@@ -141,7 +139,7 @@ class TestBfgsObjective:
         # case IV with pi = 0 and p0 = 1: both branches are impossible
         spec = ModelSpec(covariate_names=("odn",), p0_identically_one=True, fix_eta00=None)
         template = initial_theta(spec)
-        arrs = as_arrays([Subject(covariates=np.zeros(1), s=2.0, z=0)])
+        arrs = subjects(0.0, 2.0, 0)
         free = np.array([-math.inf, 0.0, -5.0])
         with np.errstate(invalid="ignore"):
             with pytest.raises(FloatingPointError):

@@ -1,6 +1,7 @@
 """Case contributions, pseudo-likelihood value, analytic score and Hessian."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,52 +18,45 @@ from recency.likelihood import (
     score,
     score_contributions,
 )
-from recency.model import ModelSpec, Subject, as_arrays, initial_theta, logistic
+from recency.model import ModelSpec, initial_theta, logistic
+from subjects import rows, subjects
 
 SPEC = ModelSpec(covariate_names=("odn",))
 TABLE_THETA = initial_theta(SPEC).with_packed(np.array([0.95, -0.53, 7.0, -0.62, -7.0, -5.71]))
 
 
 def random_subjects(rng, n, n_cov=1):
-    subs = []
-    for _ in range(n):
-        subs.append(Subject(
-            covariates=rng.normal(size=n_cov),
-            s=float(rng.gamma(0.8, 2.5)) + 1e-6,
-            z=int(rng.integers(2)),
-            w=float(rng.uniform(0.5, 2.0)),
-        ))
-    return subs
+    return subjects(*zip(*[(rng.normal(size=n_cov), float(rng.gamma(0.8, 2.5)) + 1e-6,
+                            int(rng.integers(2)), float(rng.uniform(0.5, 2.0)))
+                           for _ in range(n)]))
 
 
-def brute_force_term(sub, theta, spec):
+def brute_force_term(x, s, z, theta, spec):
     """Direct (non-log-space) reimplementation of the four case formulas."""
-    pi = logistic(theta.beta[0] + float(sub.covariates @ theta.beta[1:]))
-    p0 = 1.0 if spec.p0_identically_one else logistic(theta.eta[0] + theta.eta[1] * (sub.s - 1))
-    p1 = logistic(theta.eta[2] + theta.eta[3] * (sub.s - 1))
-    e = math.exp(theta.psi[0] + theta.psi[1] * sub.s) if theta.psi is not None else 1.0
-    if sub.s <= 1 and sub.z == 0:
+    pi = logistic(theta.beta[0] + float(x @ theta.beta[1:]))
+    p0 = 1.0 if spec.p0_identically_one else logistic(theta.eta[0] + theta.eta[1] * (s - 1))
+    p1 = logistic(theta.eta[2] + theta.eta[3] * (s - 1))
+    e = math.exp(theta.psi[0] + theta.psi[1] * s) if theta.psi is not None else 1.0
+    if s <= 1 and z == 0:
         return math.log(pi * e * (1 - p1))
-    if sub.s > 1 and sub.z == 1:
+    if s > 1 and z == 1:
         return math.log((1 - pi) * p0)
-    if sub.s <= 1 and sub.z == 1:
+    if s <= 1 and z == 1:
         return math.log(1 - pi + pi * e * p1)
     return math.log((1 - pi) * (1 - p0) + pi * e)
 
 
-def case_term(sub, theta, spec):
-    """(case I-IV, unweighted term) of one subject from the kernel pass."""
-    arrs = as_arrays([sub])
-    case = ("I", "II", "III", "IV")[[bool(mask[0]) for mask in arrs.case_masks()].index(True)]
-    return case, float(_case_pass(arrs, theta, spec).terms[0])
+def case_terms(arrs, theta, spec):
+    """(case I-IV of each subject, unweighted terms) from the kernel pass."""
+    cases = np.select(arrs.case_masks(), ["I", "II", "III", "IV"], default="")
+    return cases.tolist(), _case_pass(arrs, theta, spec).terms
 
 
 class TestCaseContribution:
     def test_case_iii_collapses_to_one_minus_pi(self):
         # p1 forced to zero -> the mixture term is exactly 1 - pi = 0.5
         theta = initial_theta(SPEC).with_packed(np.array([0.0, 0.0, 7.0, 0.0, -800.0, 0.0]))
-        sub = Subject(covariates=np.zeros(1), s=0.5, z=1)
-        case, term = case_term(sub, theta, SPEC)
+        [case], [term] = case_terms(subjects(0.0, 0.5, 1), theta, SPEC)
         assert case == "III"
         assert term == pytest.approx(math.log(0.5), abs=1e-15)
 
@@ -71,28 +65,24 @@ class TestCaseContribution:
         spec = ModelSpec(covariate_names=(), p0_identically_one=True, fix_eta00=None)
         beta0 = math.log(0.3 / 0.7)
         theta = initial_theta(spec).with_packed(np.array([beta0, 0.0, 0.0, -7.0, -5.0]))
-        sub = Subject(covariates=np.zeros(0), s=2.0, z=0)
-        case, term = case_term(sub, theta, spec)
+        [case], [term] = case_terms(subjects(np.zeros((1, 0)), 2.0, 0), theta, spec)
         assert case == "IV"
         assert term == pytest.approx(math.log(0.3), abs=1e-12)
 
     def test_composed_oracle_point(self):
         # case I at the generating truths: log[expit(0.95) * (1 - expit(-4.145))]
-        sub = Subject(covariates=np.zeros(1), s=0.5, z=0)
         expected = math.log(logistic(0.95) * (1.0 - logistic(-4.145)))
-        case, term = case_term(sub, TABLE_THETA, SPEC)
+        [case], [term] = case_terms(subjects(0.0, 0.5, 0), TABLE_THETA, SPEC)
         assert case == "I"
         assert term == pytest.approx(expected, abs=1e-12)
 
     def test_case_ids_match_labels(self):
         rng = np.random.default_rng(5)
-        for sub in random_subjects(rng, 50):
-            case, _ = case_term(sub, TABLE_THETA, SPEC)
-            label = sub.label.value
-            if case in ("I", "II"):
-                assert label != "unknown"
-            else:
-                assert label == "unknown"
+        subs = random_subjects(rng, 50)
+        cases, _ = case_terms(subs, TABLE_THETA, SPEC)
+        for case, (_, s, z, _) in zip(cases, rows(subs), strict=True):
+            labeled = (s <= 1 and z == 0) or (s > 1 and z == 1)
+            assert (case in ("I", "II")) == labeled
 
 
 class TestWindowBoundary:
@@ -105,10 +95,10 @@ class TestWindowBoundary:
     @pytest.mark.parametrize("z", [0, 1])
     @pytest.mark.parametrize("s", [1.0, float(np.nextafter(1.0, 2.0))])
     def test_term_and_recent_share(self, s, z):
-        sub = Subject(covariates=np.array([0.3]), s=s, z=z)
-        cp = _case_pass(as_arrays([sub]), self.THETA, self.SPEC_EXT)
+        arrs = subjects(0.3, s, z)
+        cp = _case_pass(arrs, self.THETA, self.SPEC_EXT)
         assert cp.terms[0] == pytest.approx(
-            brute_force_term(sub, self.THETA, self.SPEC_EXT), rel=1e-12)
+            brute_force_term(arrs.x[0], s, z, self.THETA, self.SPEC_EXT), rel=1e-12)
         if (s, z) == (1.0, 0):
             assert cp.v[0] == 1.0     # cell I: recent
         elif s > 1.0 and z == 1:
@@ -120,15 +110,16 @@ class TestWindowBoundary:
 class TestLogPseudoLikelihood:
     def test_single_case_iii_with_weight(self):
         theta = initial_theta(SPEC).with_packed(np.array([0.0, 0.0, 7.0, 0.0, -800.0, 0.0]))
-        sub = Subject(covariates=np.zeros(1), s=0.5, z=1, w=2.0)
-        assert log_pseudo_likelihood([sub], theta, SPEC) == pytest.approx(
+        sub = subjects(0.0, 0.5, 1, w=2.0)
+        assert log_pseudo_likelihood(sub, theta, SPEC) == pytest.approx(
             2.0 * math.log(0.5), abs=1e-14)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(6)
         subs = random_subjects(rng, 10)
         theta = initial_theta(SPEC).with_packed(np.array([0.4, -0.8, 1.2, -0.3, -2.0, -4.0]))
-        expected = math.fsum(sub.w * brute_force_term(sub, theta, SPEC) for sub in subs)
+        expected = math.fsum(w * brute_force_term(x, s, z, theta, SPEC)
+                             for x, s, z, w in rows(subs))
         assert log_pseudo_likelihood(subs, theta, SPEC) == pytest.approx(expected, rel=1e-12)
 
     def test_extended_matches_brute_force(self):
@@ -137,33 +128,34 @@ class TestLogPseudoLikelihood:
         spec = ModelSpec(covariate_names=("odn",), extended=True)
         theta = initial_theta(spec).with_packed(
             np.array([0.4, -0.8, 7.0, -0.62, -2.0, -4.0, -0.3, 0.2]))
-        expected = math.fsum(sub.w * brute_force_term(sub, theta, spec) for sub in subs)
+        expected = math.fsum(w * brute_force_term(x, s, z, theta, spec)
+                             for x, s, z, w in rows(subs))
         assert log_pseudo_likelihood(subs, theta, spec) == pytest.approx(expected, rel=1e-12)
 
     def test_fully_labeled_separates(self):
         # on label-determined data the objective splits into a logistic
         # log-likelihood for y plus the z-model terms
         rng = np.random.default_rng(8)
-        subs = []
+        draws = []
         for _ in range(40):
             y = int(rng.integers(2))
             s = float(rng.uniform(0.1, 1.0)) if y else float(rng.uniform(1.01, 8.0))
-            subs.append(Subject(covariates=rng.normal(size=1), s=s, z=1 - y,
-                                w=float(rng.uniform(0.5, 2.0))))
+            draws.append((rng.normal(size=1), s, 1 - y, float(rng.uniform(0.5, 2.0))))
+        subs = subjects(*zip(*draws))
         theta = TABLE_THETA
         ll = log_pseudo_likelihood(subs, theta, SPEC)
         y_loglik = 0.0
         z_loglik = 0.0
-        for sub in subs:
-            pi = logistic(theta.beta[0] + float(sub.covariates @ theta.beta[1:]))
-            p0 = logistic(theta.eta[0] + theta.eta[1] * (sub.s - 1))
-            p1 = logistic(theta.eta[2] + theta.eta[3] * (sub.s - 1))
-            if sub.label.value == "recent":
-                y_loglik += sub.w * math.log(pi)
-                z_loglik += sub.w * math.log(1 - p1)
+        for x, s, z, w in draws:
+            pi = logistic(theta.beta[0] + float(x @ theta.beta[1:]))
+            p0 = logistic(theta.eta[0] + theta.eta[1] * (s - 1))
+            p1 = logistic(theta.eta[2] + theta.eta[3] * (s - 1))
+            if z == 0:   # recent
+                y_loglik += w * math.log(pi)
+                z_loglik += w * math.log(1 - p1)
             else:
-                y_loglik += sub.w * math.log(1 - pi)
-                z_loglik += sub.w * math.log(p0)
+                y_loglik += w * math.log(1 - pi)
+                z_loglik += w * math.log(p0)
         assert ll == pytest.approx(y_loglik + z_loglik, rel=1e-12)
 
     def test_weight_scaling(self):
@@ -171,31 +163,30 @@ class TestLogPseudoLikelihood:
         subs = random_subjects(rng, 30)
         theta = TABLE_THETA
         base = log_pseudo_likelihood(subs, theta, SPEC)
-        scaled = [Subject(covariates=s.covariates, s=s.s, z=s.z, w=3.0 * s.w) for s in subs]
+        scaled = replace(subs, w=3.0 * subs.w)
         assert log_pseudo_likelihood(scaled, theta, SPEC) == pytest.approx(3.0 * base, rel=1e-12)
 
     def test_permutation_invariance_exact(self):
         rng = np.random.default_rng(10)
         subs = random_subjects(rng, 101)
         ll = log_pseudo_likelihood(subs, TABLE_THETA, SPEC)
-        perm = list(rng.permutation(len(subs)))
-        assert log_pseudo_likelihood([subs[i] for i in perm], TABLE_THETA, SPEC) == ll
+        perm = rng.permutation(len(subs))
+        assert log_pseudo_likelihood(subs.subset(perm), TABLE_THETA, SPEC) == ll
 
     def test_mixture_terms_dominate_worse_branch(self):
         rng = np.random.default_rng(11)
         subs = random_subjects(rng, 200)
         theta = TABLE_THETA
-        for sub in subs:
-            pi = logistic(theta.beta[0] + float(sub.covariates @ theta.beta[1:]))
-            case, term = case_term(sub, theta, SPEC)
+        for x, case, term in zip(subs.x, *case_terms(subs, theta, SPEC), strict=True):
+            pi = logistic(theta.beta[0] + float(x @ theta.beta[1:]))
             if case == "III":
                 assert term >= math.log(1 - pi) - 1e-12
             elif case == "IV":
                 assert term >= math.log(pi) - 1e-12
 
     def test_empty_dataset_errors(self):
-        with pytest.raises(ValueError):
-            log_pseudo_likelihood([], TABLE_THETA, SPEC)
+        with pytest.raises(ValueError, match="empty dataset"):
+            log_pseudo_likelihood(subjects(np.zeros((0, 1)), [], []), TABLE_THETA, SPEC)
 
     def test_degenerate_theta_gives_minus_inf(self):
         # log-space evaluation keeps every finite theta finite; the -inf
@@ -203,8 +194,8 @@ class TestLogPseudoLikelihood:
         spec = ModelSpec(covariate_names=("odn",), p0_identically_one=True, fix_eta00=None)
         theta = initial_theta(spec).with_packed(
             np.array([-math.inf, 0.0, 0.0, 0.0, -7.0, -5.0]))
-        sub = Subject(covariates=np.zeros(1), s=2.0, z=0)  # case IV, pi = 0, p0 = 1
-        assert log_pseudo_likelihood([sub], theta, spec) == -math.inf
+        sub = subjects(0.0, 2.0, 0)  # case IV, pi = 0, p0 = 1
+        assert log_pseudo_likelihood(sub, theta, spec) == -math.inf
 
 
 def fd_gradient(subs, theta, spec):
@@ -282,7 +273,7 @@ class TestScore:
         rng = np.random.default_rng(16)
         subs = random_subjects(rng, 30)
         base = score(subs, TABLE_THETA, SPEC)
-        scaled = [Subject(covariates=s.covariates, s=s.s, z=s.z, w=2.0 * s.w) for s in subs]
+        scaled = replace(subs, w=2.0 * subs.w)
         np.testing.assert_allclose(score(scaled, TABLE_THETA, SPEC), 2.0 * base, rtol=1e-12)
 
 
@@ -327,7 +318,7 @@ class TestHessianProperties:
     @given(weighted_sample(), st.floats(0.01, 100.0))
     def test_linear_in_weights(self, sample, factor):
         subs, theta, spec, _ = sample
-        scaled = [Subject(covariates=s.covariates, s=s.s, z=s.z, w=factor * s.w) for s in subs]
+        scaled = replace(subs, w=factor * subs.w)
         base = hessian(subs, theta, spec)
         np.testing.assert_allclose(hessian(scaled, theta, spec), factor * base,
                                    rtol=1e-12, atol=1e-10)
@@ -336,14 +327,14 @@ class TestHessianProperties:
     @given(weighted_sample())
     def test_permutation_invariant(self, sample):
         subs, theta, spec, rng = sample
-        perm = [subs[i] for i in rng.permutation(len(subs))]
+        perm = subs.subset(rng.permutation(len(subs)))
         np.testing.assert_array_equal(hessian(perm, theta, spec), hessian(subs, theta, spec))
 
     @settings(max_examples=30, deadline=None)
     @given(weighted_sample())
     def test_score_permutation_invariant(self, sample):
         subs, theta, spec, rng = sample
-        perm = [subs[i] for i in rng.permutation(len(subs))]
+        perm = subs.subset(rng.permutation(len(subs)))
         np.testing.assert_array_equal(score(perm, theta, spec), score(subs, theta, spec))
 
 

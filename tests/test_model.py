@@ -5,20 +5,23 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from recency.estimation import fit
 from recency.likelihood import _linear_pieces, log_pseudo_likelihood
 from recency.model import (
     ModelSpec,
-    RecencyLabel,
-    Subject,
     SubjectArrays,
     Theta,
     as_arrays,
-    derive_label,
     initial_theta,
     logistic,
     pi_recent,
 )
+from recency.prediction import type2_risk
+from recency.simulation import default_config, generate
+from subjects import subjects
 
 
 class TestLogistic:
@@ -110,59 +113,215 @@ class TestP0P1:
         assert np.all(np.diff(p[s > 1.0]) <= 0)    # p0
 
 
+def labels(s, z):
+    """Each subject's tri-state label, read from case_masks."""
+    recent, longterm, _, _ = subjects(0.0, s, z).case_masks()
+    return np.where(recent, "recent", np.where(longterm, "longterm", "unknown")).tolist()
+
+
 class TestDeriveLabel:
+    """The label the reported (s, z) derives: cell I is recent, cell II
+    long-term, cells III and IV unknown."""
+
     def test_recent(self):
-        assert derive_label(0.4, 0) is RecencyLabel.RECENT
+        assert labels(0.4, 0) == ["recent"]
 
     def test_long_term(self):
-        assert derive_label(3.0, 1) is RecencyLabel.LONG_TERM
+        assert labels(3.0, 1) == ["longterm"]
 
     def test_unknown_cells(self):
-        assert derive_label(0.4, 1) is RecencyLabel.UNKNOWN
-        assert derive_label(3.0, 0) is RecencyLabel.UNKNOWN
+        assert labels([0.4, 3.0], [1, 0]) == ["unknown", "unknown"]
 
     def test_boundary_counts_as_within_one_year(self):
-        assert derive_label(1.0, 0) is RecencyLabel.RECENT
-        assert derive_label(1.0, 1) is RecencyLabel.UNKNOWN
-
-    def test_partition_of_the_plane(self):
-        # exactly four cells, two of them unknown
-        labels = {(s, z): derive_label(s, z) for s in (0.2, 0.9, 1.0, 1.1, 8.0) for z in (0, 1)}
-        cells = {(s <= 1.0, z): lab for (s, z), lab in labels.items()}
-        assert len(cells) == 4
-        assert sum(1 for lab in cells.values() if lab is RecencyLabel.UNKNOWN) == 2
+        assert labels([1.0, 1.0], [0, 1]) == ["recent", "unknown"]
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            derive_label(-1.0, 0)
-        with pytest.raises(ValueError):
-            derive_label(1.0, 2)
+        with pytest.raises(ValueError, match="s must be finite and positive, got -1.0 at row 0"):
+            labels(-1.0, 0)
+        with pytest.raises(ValueError, match="z must be 0 or 1, got 2 at row 0"):
+            labels(1.0, 2)
+
+
+def one_subject(**bad):
+    """One valid subject's columns, with ``bad`` in place of its values."""
+    cols = {"x": np.zeros((1, 1)), "s": np.ones(1), "z": np.zeros(1, dtype=int),
+            "w": np.ones(1)}
+    cols.update({name: np.array([value]) for name, value in bad.items()})
+    return SubjectArrays(**cols)
 
 
 class TestSubject:
+    """Per-subject invariants, which SubjectArrays checks when it is built."""
+
     def test_invariants(self):
-        with pytest.raises(ValueError):
-            Subject(covariates=np.zeros(1), s=0.0, z=0)
-        with pytest.raises(ValueError):
-            Subject(covariates=np.zeros(1), s=math.inf, z=0)
-        with pytest.raises(ValueError):
-            Subject(covariates=np.zeros(1), s=1.0, z=0, w=0.0)
-        with pytest.raises(ValueError):
-            Subject(covariates=np.zeros(1), s=1.0, z=0.5)
+        for field, value in (("s", 0.0), ("s", math.inf), ("w", 0.0), ("z", 0.5)):
+            with pytest.raises(ValueError, match=rf"^{field} must be .*, got {value} at row 0$"):
+                one_subject(**{field: value})
 
     def test_label_property(self):
-        sub = Subject(covariates=np.zeros(1), s=0.5, z=0)
-        assert sub.label is RecencyLabel.RECENT
+        assert labels([0.5, 3.0, 0.5, 3.0], [0, 1, 1, 0]) == [
+            "recent", "longterm", "unknown", "unknown"]
 
     def test_as_arrays_rejects_ragged(self):
-        subs = [Subject(covariates=np.zeros(1), s=1.0, z=0),
-                Subject(covariates=np.zeros(2), s=1.0, z=0)]
-        with pytest.raises(ValueError):
-            as_arrays(subs)
+        with pytest.raises(ValueError, match="x has 1 rows but s has 2: row 1 has no x"):
+            as_arrays(SubjectArrays(x=np.zeros((1, 1)), s=np.ones(2), z=np.zeros(2, dtype=int),
+                                    w=np.ones(2)))
 
     def test_as_arrays_rejects_empty(self):
-        with pytest.raises(ValueError):
-            as_arrays([])
+        with pytest.raises(ValueError, match="empty dataset"):
+            as_arrays(subjects(np.zeros((0, 1)), [], []))
+
+
+def s1_train():
+    return generate(default_config("1", n_total=2000, seed=0)).train_arrays
+
+
+def with_row(arrs, field, row, value):
+    """``arrs`` with ``field[row]`` set to ``value`` (z as float when it must be)."""
+    col = getattr(arrs, field).copy()
+    if isinstance(value, float) and col.dtype.kind != "f":
+        col = col.astype(float)
+    col[row] = value
+    return replace(arrs, **{field: col})
+
+
+class TestSubjectArrays:
+    """Bad survey columns raise a ValueError naming the field and the row;
+    before the check, fit took each of these without an error."""
+
+    @pytest.mark.parametrize("field, value, shown", [
+        ("z", 2, "2"), ("z", 0.5, "0.5"), ("s", -1.0, "-1.0"), ("s", math.nan, "nan"),
+        ("w", -1.0, "-1.0"), ("x", math.inf, r"\[inf\]"),
+    ])
+    def test_bad_value_names_field_and_row(self, field, value, shown):
+        arrs = s1_train()
+        with pytest.raises(ValueError, match=rf"^{field} must be .*, got {shown} at row 17$"):
+            fit(with_row(arrs, field, 17, value), ModelSpec(("odn",)))
+
+    def test_negative_weight_with_the_sum_kept(self):
+        arrs = s1_train()
+        w = arrs.w.copy()
+        w[17], w[18] = -1.0, 3.0
+        assert w.sum() == arrs.n
+        with pytest.raises(ValueError, match="^w must be finite and positive, got -1.0 at row 17$"):
+            replace(arrs, w=w)
+
+    def test_short_covariate_matrix(self):
+        arrs = s1_train()
+        with pytest.raises(ValueError, match="^x has 999 rows but s has 1000: row 999 has no x$"):
+            replace(arrs, x=arrs.x[:-1])
+
+    def test_float_z_of_zeros_and_ones(self):
+        arrs = s1_train()
+        with pytest.raises(ValueError, match="^z must have an integer dtype, got float64$"):
+            replace(arrs, z=arrs.z.astype(float))
+
+    @pytest.mark.parametrize("field, shape", [("x", (3,)), ("s", (3, 1)), ("w", (3, 1))])
+    def test_wrong_rank(self, field, shape):
+        cols = {"x": np.zeros((3, 1)), "s": np.ones(3), "z": np.zeros(3, dtype=int),
+                "w": np.ones(3), field: np.ones(shape)}
+        with pytest.raises(ValueError, match=rf"^{field} must be .*-d"):
+            SubjectArrays(**cols)
+
+    def test_empty_dataset(self):
+        spec = ModelSpec(("odn",))
+        with pytest.raises(ValueError, match="^empty dataset$"):
+            log_pseudo_likelihood(s1_train().subset(np.zeros(1000, dtype=bool)),
+                                  initial_theta(spec), spec)
+
+    def test_no_covariates_and_no_copy(self):
+        # backward_stepwise may drop every covariate
+        arrs = s1_train()
+        x = arrs.x[:, []]
+        kept = replace(arrs, x=x)
+        assert kept.x is x and kept.s is arrs.s and kept.z is arrs.z and kept.w is arrs.w
+
+    @pytest.mark.parametrize("data", [[], [(np.zeros(1), 0.5, 0, 1.0)], {"s": np.ones(2)}],
+                             ids=["empty-list", "row-list", "dict"])
+    def test_anything_else_is_a_type_error(self, data):
+        spec = ModelSpec(("odn",))
+        with pytest.raises(TypeError, match=f"expected SubjectArrays, got {type(data).__name__}"):
+            as_arrays(data)
+        with pytest.raises(TypeError, match="expected SubjectArrays"):
+            fit(data, spec)
+        with pytest.raises(TypeError, match="expected SubjectArrays"):
+            type2_risk(data, initial_theta(spec), spec)
+
+    def test_column_that_is_not_an_array(self):
+        with pytest.raises(TypeError, match="^s must be a numpy array, got list$"):
+            SubjectArrays(x=np.zeros((2, 1)), s=[0.5, 2.0], z=np.zeros(2, dtype=int),
+                          w=np.ones(2))
+
+
+NEXT_AFTER_ONE = float(np.nextafter(1.0, 2.0))
+
+
+@st.composite
+def valid_columns(draw):
+    """Columns of 1-30 valid subjects with 0-3 covariates; s is often
+    exactly 1.0 or the next double up."""
+    n = draw(st.integers(1, 30))
+    c = draw(st.integers(0, 3))
+    x = draw(st.lists(st.lists(st.floats(-10.0, 10.0), min_size=c, max_size=c),
+                      min_size=n, max_size=n))
+    gap = st.one_of(st.sampled_from([1.0, NEXT_AFTER_ONE]), st.floats(1e-6, 50.0))
+    s = draw(st.lists(gap, min_size=n, max_size=n))
+    z = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    w = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    return {"x": np.array(x, dtype=float).reshape(n, c), "s": np.array(s),
+            "z": np.array(z, dtype=int), "w": np.array(w)}
+
+
+class TestSubjectArraysProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(valid_columns())
+    def test_valid_columns_construct_uncopied(self, cols):
+        arrs = SubjectArrays(**cols)
+        assert all(getattr(arrs, name) is col for name, col in cols.items())
+
+    @settings(max_examples=60, deadline=None)
+    @given(valid_columns())
+    def test_case_masks_partition_rows(self, cols):
+        arrs = SubjectArrays(**cols)
+        masks = np.array(arrs.case_masks())
+        assert (masks.sum(axis=0) == 1).all()
+        inside = np.array([s <= 1.0 for s in cols["s"].tolist()])
+        assert inside[cols["s"] == 1.0].all() and not inside[cols["s"] == NEXT_AFTER_ONE].any()
+        negative = cols["z"] == 0
+        for mask, expected in zip(masks, (inside & negative, ~inside & ~negative,
+                                          inside & ~negative, ~inside & negative)):
+            np.testing.assert_array_equal(mask, expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(valid_columns(), st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6))
+    def test_type2_in_unit_interval_and_pinned_in_cells_i_ii(self, cols, free):
+        arrs = SubjectArrays(**cols)
+        spec = ModelSpec(tuple(f"c{j}" for j in range(arrs.x.shape[1])))
+        # beta, then the free eta01 and eta11
+        theta = initial_theta(spec).with_free(np.array(free[:spec.n_beta] + free[4:]), spec)
+        t2 = type2_risk(arrs, theta, spec)
+        recent, longterm, _, _ = arrs.case_masks()
+        assert t2.shape == (arrs.n,) and ((t2 >= 0.0) & (t2 <= 1.0)).all()
+        assert (t2[recent] == 1.0).all() and (t2[longterm] == 0.0).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(valid_columns(), st.data())
+    def test_one_corrupt_cell_names_field_and_row(self, cols, data):
+        n, c = cols["x"].shape
+        field = data.draw(st.sampled_from(["s", "z", "w"] + (["x"] if c else [])))
+        row = data.draw(st.integers(0, n - 1))
+        bad = {"x": [math.inf, -math.inf, math.nan],
+               "s": [0.0, -1.0, -0.0, math.inf, -math.inf, math.nan],
+               "z": [2, -1, 0.5, math.nan],
+               "w": [0.0, -1.0, math.inf, math.nan]}[field]
+        value = data.draw(st.sampled_from(bad))
+        col = cols[field].astype(float) if isinstance(value, float) else cols[field].copy()
+        if field == "x":
+            col[row, data.draw(st.integers(0, c - 1))] = value
+        else:
+            col[row] = value
+        with pytest.raises(ValueError, match=rf"^{field} must be .* at row {row}$"):
+            SubjectArrays(**{**cols, field: col})
 
 
 class TestThetaAndSpec:
@@ -199,9 +358,8 @@ class TestThetaAndSpec:
         # a tilt or eta_x the spec does not have would be ignored silently
         spec = ModelSpec(covariate_names=("odn",))
         theta = replace(initial_theta(spec), **extra)
-        subs = [Subject(covariates=np.zeros(1), s=0.5, z=1)]
         with pytest.raises(ValueError, match=next(iter(extra))):
-            log_pseudo_likelihood(subs, theta, spec)
+            log_pseudo_likelihood(subjects(0.0, 0.5, 1), theta, spec)
 
     def test_z_model_covariate_must_exist(self):
         with pytest.raises(ValueError):

@@ -6,72 +6,80 @@ import math
 import numpy as np
 import pytest
 
-from recency.model import ModelSpec, Subject, initial_theta, logistic
+from recency.model import ModelSpec, initial_theta, logistic, pi_recent
 from recency.prediction import (
     export_predictions,
     incidence,
     recency_rate,
     rita_classify,
-    type1_risk,
     type2_risk,
 )
+from subjects import subjects
 
 SPEC = ModelSpec(covariate_names=("odn",))
 THETA = initial_theta(SPEC).with_packed(np.array([0.95, -0.53, 7.0, -0.62, -7.0, -5.71]))
 
 
-def sub(s, z, x=0.0):
-    return Subject(covariates=np.array([x]), s=s, z=z)
+def type1(x, theta=THETA):
+    """Type-1 risk of subjects with these odn values."""
+    return pi_recent(np.asarray(x, dtype=float)[:, None], theta.beta)
+
+
+def type2(s, z, x=0.0, theta=THETA, spec=SPEC):
+    """Type-2 risk of subjects (s, z, x), scored as one batch."""
+    return type2_risk(subjects(x if np.ndim(x) == 0 else np.asarray(x)[:, None], s, z),
+                      theta, spec)
 
 
 class TestType1:
     def test_table_point(self):
-        assert type1_risk(sub(0.5, 0), THETA) == pytest.approx(logistic(0.95), abs=1e-12)
+        assert type1([0.0]) == pytest.approx([logistic(0.95)], abs=1e-12)
 
     def test_zero_beta(self):
         theta = initial_theta(SPEC)
-        assert type1_risk(sub(0.5, 0), theta) == 0.5
+        np.testing.assert_array_equal(type1([0.0], theta), [0.5])
 
     def test_monotone_in_odn(self):
-        risks = [type1_risk(sub(0.5, 0, x), THETA) for x in np.linspace(-3, 3, 25)]
-        assert all(a > b for a, b in zip(risks, risks[1:]))
+        risks = type1(np.linspace(-3, 3, 25))
+        assert (np.diff(risks) < 0).all()
 
 
 class TestType2:
     def test_labeled_cells_exact(self):
-        assert type2_risk(sub(0.5, 0), THETA, SPEC) == 1.0
-        assert type2_risk(sub(3.0, 1), THETA, SPEC) == 0.0
-        assert type2_risk(sub(1.0, 0), THETA, SPEC) == 1.0  # boundary is recent
+        # the boundary s = 1 is recent
+        np.testing.assert_array_equal(type2([0.5, 3.0, 1.0], [0, 1, 0]), [1.0, 0.0, 1.0])
 
     def test_case_iii_closed_form(self):
         # 1 / (exp(-x'beta) * (1 + exp(-eta10 - eta11 (s-1))) + 1)
         expected = 1.0 / (math.exp(-0.95) * (1.0 + math.exp(4.145)) + 1.0)
-        assert type2_risk(sub(0.5, 1), THETA, SPEC) == pytest.approx(expected, rel=1e-12)
+        assert type2(0.5, 1) == pytest.approx([expected], rel=1e-12)
 
     def test_case_iv_closed_form(self):
         s = 6.0
         p0 = logistic(7.0 - 0.62 * (s - 1.0))
         expected = 1.0 / (math.exp(-0.95) * (1.0 - p0) + 1.0)
-        assert type2_risk(sub(s, 0), THETA, SPEC) == pytest.approx(expected, rel=1e-12)
+        assert type2(s, 0) == pytest.approx([expected], rel=1e-12)
 
     def test_p0_one_forces_case_iv_to_one(self):
         spec = ModelSpec(covariate_names=("odn",), p0_identically_one=True, fix_eta00=None)
         theta = initial_theta(spec).with_packed(np.array([0.95, -0.53, 0.0, 0.0, -7.0, -5.71]))
-        assert type2_risk(sub(4.0, 0), theta, spec) == 1.0
+        np.testing.assert_array_equal(type2(4.0, 0, theta=theta, spec=spec), [1.0])
 
     def test_monotone_in_s(self):
-        with_z1 = [type2_risk(sub(s, 1), THETA, SPEC) for s in np.linspace(0.02, 1.0, 30)]
-        assert all(a >= b for a, b in zip(with_z1, with_z1[1:]))
-        with_z0 = [type2_risk(sub(s, 0), THETA, SPEC) for s in np.linspace(1.01, 20, 30)]
-        assert all(a >= b for a, b in zip(with_z0, with_z0[1:]))
+        with_z1 = type2(np.linspace(0.02, 1.0, 30), 1)
+        assert (np.diff(with_z1) <= 0).all()
+        with_z0 = type2(np.linspace(1.01, 20, 30), 0)
+        assert (np.diff(with_z0) <= 0).all()
 
     def test_drops_fast_as_s_approaches_one_with_positive_test(self):
-        assert type2_risk(sub(0.05, 1), THETA, SPEC) > 50 * type2_risk(sub(0.95, 1), THETA, SPEC)
+        early, late = type2([0.05, 0.95], 1)
+        assert early > 50 * late
 
     def test_matches_monte_carlo_posterior(self):
         rng = np.random.default_rng(80)
-        for s, z, x in [(0.5, 1, 0.3), (2.5, 0, -0.8)]:
-            closed = type2_risk(sub(s, z, x), THETA, SPEC)
+        points = [(0.5, 1, 0.3), (2.5, 0, -0.8)]
+        closed = type2(*map(list, zip(*points)))
+        for (s, z, x), risk in zip(points, closed, strict=True):
             n = 400_000
             pi = logistic(0.95 - 0.53 * x)
             y = rng.random(n) < pi
@@ -84,7 +92,7 @@ class TestType2:
                 zs = np.where(y, False, rng.random(n) < p0)
                 mask = zs == (z == 1)
             posterior = y[mask].mean()
-            assert closed == pytest.approx(posterior, abs=0.02)
+            assert risk == pytest.approx(posterior, abs=0.02)
 
     def test_tilt_enters_unknown_cells(self):
         spec = ModelSpec(covariate_names=("odn",), extended=True)
@@ -93,32 +101,40 @@ class TestType2:
         tilted = initial_theta(spec).with_free(
             np.array([0.95, -0.53, -0.62, -5.71, -0.4, 0.2]), spec)
         s = 3.0
-        base = type2_risk(sub(s, 0), theta0, spec)
-        up = type2_risk(sub(s, 0), tilted, spec)
+        (base,) = type2(s, 0, theta=theta0, spec=spec)
+        (up,) = type2(s, 0, theta=tilted, spec=spec)
         e = math.exp(-0.4 + 0.2 * s)  # tilt multiplies the recent branch
         p0 = logistic(7.0 - 0.62 * (s - 1.0))
         expected = 1.0 / (math.exp(-0.95) * (1.0 - p0) / e + 1.0)
         assert up == pytest.approx(expected, rel=1e-12)
         assert up != base
 
+    def test_one_row_batch_equals_its_row_in_the_full_batch(self):
+        # the "tiny prediction batch": each subject scored alone gets the
+        # bits it gets inside the batch
+        rng = np.random.default_rng(81)
+        arrs = subjects(rng.normal(size=(40, 1)), rng.gamma(0.8, 2.5, size=40),
+                        rng.integers(0, 2, size=40))
+        full = type2_risk(arrs, THETA, SPEC)
+        alone = [type2_risk(arrs.subset([i]), THETA, SPEC)[0] for i in range(arrs.n)]
+        assert full.tolist() == alone
+
 
 class TestRecencyRate:
     def test_all_recent_is_one(self):
-        subs = [sub(0.5, 0), sub(0.9, 0)]
-        assert recency_rate(subs, THETA, SPEC) == 1.0
+        assert recency_rate(subjects(0.0, [0.5, 0.9], 0), THETA, SPEC) == 1.0
 
     def test_weighted_average(self):
-        subs = [Subject(covariates=np.zeros(1), s=0.5, z=0, w=3.0),
-                Subject(covariates=np.zeros(1), s=4.0, z=1, w=1.0)]
+        subs = subjects(0.0, [0.5, 4.0], [0, 1], w=[3.0, 1.0])
         assert recency_rate(subs, THETA, SPEC) == pytest.approx(0.75, abs=1e-12)
 
     def test_empty_errors(self):
-        with pytest.raises(ValueError):
-            recency_rate([], THETA, SPEC)
+        with pytest.raises(ValueError, match="empty dataset"):
+            recency_rate(subjects(np.zeros((0, 1)), [], []), THETA, SPEC)
 
     def test_theta_without_psi_rejected_under_extended_spec(self, tmp_path):
         spec = ModelSpec(covariate_names=("odn",), extended=True)
-        subs = [sub(0.5, 1), sub(4.0, 0)]
+        subs = subjects(0.0, [0.5, 4.0], [1, 0])
         with pytest.raises(ValueError, match="psi"):
             recency_rate(subs, THETA, spec)
         with pytest.raises(ValueError, match="psi"):
@@ -173,8 +189,8 @@ class TestExport:
         # ids with each character csv.writer quotes, one with a leading
         # space (not quoted) and one that only looks quoted
         ids = ["a,b", 'say "hi"', "cr\rid", "lf\nid", " lead", '"q"', "plain"]
-        subs = [sub(0.5, 0, 0.2), sub(0.5, 1, -0.1), sub(4.0, 0, 0.0), sub(4.0, 1, 1.0),
-                sub(0.25, 0, 0.3), sub(2.0, 1, -1.0), sub(1.0, 0, 0.5)]
+        subs = subjects([[0.2], [-0.1], [0.0], [1.0], [0.3], [-1.0], [0.5]],
+                        [0.5, 0.5, 4.0, 4.0, 0.25, 2.0, 1.0], [0, 1, 0, 1, 0, 1, 0])
         path = tmp_path / "pred.csv"
         export_predictions(path, subs, THETA, SPEC, ids)
         with open(path, newline="") as fh:
@@ -186,7 +202,7 @@ class TestExport:
         assert [row[0] for row in rows[1:]] == ids
 
     def test_csv_round_trip(self, tmp_path):
-        subs = [sub(0.5, 0, 0.2), sub(0.5, 1, -0.1), sub(4.0, 0, 0.0), sub(4.0, 1, 1.0)]
+        subs = subjects([[0.2], [-0.1], [0.0], [1.0]], [0.5, 0.5, 4.0, 4.0], [0, 1, 0, 1])
         path = tmp_path / "pred.csv"
         export_predictions(path, subs, THETA, SPEC)
         with open(path) as fh:
@@ -194,7 +210,5 @@ class TestExport:
         assert [r["label"] for r in rows] == ["recent", "unknown", "unknown", "longterm"]
         assert float(rows[0]["type2"]) == 1.0
         assert float(rows[3]["type2"]) == 0.0
-        for row, subject in zip(rows, subs, strict=True):
-            assert float(row["type1"]) == pytest.approx(type1_risk(subject, THETA), rel=1e-12)
-            assert float(row["type2"]) == pytest.approx(type2_risk(subject, THETA, SPEC),
-                                                        rel=1e-12)
+        assert [float(row["type1"]) for row in rows] == pi_recent(subs.x, THETA.beta).tolist()
+        assert [float(row["type2"]) for row in rows] == type2_risk(subs, THETA, SPEC).tolist()

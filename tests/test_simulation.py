@@ -78,9 +78,26 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(scenario="S1", n_total=1001)
 
+    @pytest.mark.parametrize("scenario, beta", [("1", (1.0, 2.0, 3.0)), ("2", (0.0, -0.19)),
+                                                ("6", (0.95,))])
+    def test_beta_length_must_match_scenario(self, scenario, beta):
+        # S2 has two covariates, every other scenario one
+        n_beta = 3 if scenario == "2" else 2
+        with pytest.raises(ValueError, match=f"beta_true must have {n_beta} entries for "
+                                             f"S{scenario}.*got {len(beta)}$"):
+            default_config(scenario, beta_true=beta)
+
+    @pytest.mark.parametrize("n_total", [0, -2])
+    def test_nonpositive_n_total_rejected(self, n_total):
+        with pytest.raises(ValueError, match=f"^n_total must be positive, got {n_total}$"):
+            default_config("1", n_total=n_total)
+
     def test_s6_needs_three_gamma_values(self):
         with pytest.raises(ValueError):
             ScenarioConfig(scenario="S6", s_gamma=(0.6, 0.19))
+        # and every other scenario two: a lone shape failed in generate
+        with pytest.raises(ValueError, match=r"S1 needs s_gamma = \(shape, rate\), got \(0.6,\)"):
+            ScenarioConfig(scenario="S1", s_gamma=(0.6,))
 
     def test_s6_psi_truth_is_gamma_tilt(self):
         cfg = default_config("6")
@@ -98,42 +115,54 @@ class TestGenerate:
     def test_seed_reproducibility(self):
         a = generate(default_config("1", n_total=400, seed=5))
         b = generate(default_config("1", n_total=400, seed=5))
-        assert all(np.array_equal(x.covariates, y.covariates) and x.s == y.s
-                   and x.z == y.z and x.w == y.w
-                   for x, y in zip(a.train + a.test, b.train + b.test))
+        for half in ("train_arrays", "test_arrays"):
+            for field in ("x", "s", "z", "w"):
+                np.testing.assert_array_equal(getattr(getattr(a, half), field),
+                                              getattr(getattr(b, half), field))
         np.testing.assert_array_equal(a.y_train, b.y_train)
+
+    def test_train_and_test_rows_match_the_arrays(self):
+        # the benchmark's survey workload reads these per-row records
+        gen = generate(default_config("2", n_total=600, seed=5))
+        for rows, arrs in ((gen.train, gen.train_arrays), (gen.test, gen.test_arrays)):
+            assert len(rows) == arrs.n
+            for i, row in enumerate(rows):
+                assert row._fields == ("covariates", "s", "z", "w")
+                np.testing.assert_array_equal(row.covariates, arrs.x[i])
+                assert type(row.s) is float and row.s == arrs.s[i]
+                assert type(row.z) is int and row.z == arrs.z[i]
+                assert type(row.w) is float and row.w == arrs.w[i]
 
     def test_split_sizes_and_weights(self):
         gen = generate(default_config("1", n_total=600, seed=6))
-        assert len(gen.train) == 300 and len(gen.test) == 300
-        assert all(sub.w == 1.0 for sub in gen.train + gen.test)
+        assert gen.train_arrays.n == 300 and gen.test_arrays.n == 300
+        assert (gen.train_arrays.w == 1.0).all() and (gen.test_arrays.w == 1.0).all()
 
     def test_test_partition_by_label(self):
         gen = generate(default_config("1", n_total=600, seed=7))
         recent, longterm, _, _ = gen.test_arrays.case_masks()
         labeled = recent | longterm
-        assert [sub.label.value != "unknown" for sub in gen.test] == labeled.tolist()
+        arrs = gen.test_arrays
+        assert [(s <= 1) == (z == 0) for s, z in zip(arrs.s.tolist(), arrs.z.tolist())] == \
+            labeled.tolist()
         assert 0 < labeled.sum() < gen.test_arrays.n
         # error-free reports: the latent-status set is the reported-unknown set
         np.testing.assert_array_equal(gen.test_latent, ~labeled)
 
     def test_deterministic_cells_respected(self):
         gen = generate(default_config("1", n_total=4000, seed=8))
-        for subs, ys in ((gen.train, gen.y_train), (gen.test, gen.y_test)):
-            for sub, y in zip(subs, ys):
-                if sub.s <= 1 and y == 0:
-                    assert sub.z == 1
-                if sub.s > 1 and y == 1:
-                    assert sub.z == 0
+        for arrs, ys in ((gen.train_arrays, gen.y_train), (gen.test_arrays, gen.y_test)):
+            inside = arrs.s <= 1
+            assert (arrs.z[inside & (ys == 0)] == 1).all()
+            assert (arrs.z[~inside & (ys == 1)] == 0).all()
 
     def test_z_frequencies_track_p0(self):
         # binned empirical P(z=1 | s>1, y=0) within binomial noise of the model
         cfg = default_config("1", n_total=120_000, seed=9)
         gen = generate(cfg)
-        subs = gen.train + gen.test
         ys = np.concatenate([gen.y_train, gen.y_test])
-        s = np.array([sub.s for sub in subs])
-        z = np.array([sub.z for sub in subs])
+        s = np.concatenate([gen.train_arrays.s, gen.test_arrays.s])
+        z = np.concatenate([gen.train_arrays.z, gen.test_arrays.z])
         sel = (s > 1) & (ys == 0)
         bins = [(1.0, 4.0), (4.0, 8.0), (8.0, 14.0)]
         for lo, hi in bins:
@@ -149,27 +178,28 @@ class TestGenerate:
         cfg1 = default_config("1", n_total=400, seed=10)
         cfg5 = default_config("5", n_total=400, seed=10, noise=(0.0, 0.0))
         a, b = generate(cfg1), generate(cfg5)
-        assert all(x.s == y.s and x.z == y.z for x, y in zip(a.train, b.train))
+        np.testing.assert_array_equal(a.train_arrays.s, b.train_arrays.s)
+        np.testing.assert_array_equal(a.train_arrays.z, b.train_arrays.z)
 
     def test_s5_perturbs_train_only(self):
         # both halves carry reporting error; the truth stays that of S1
         cfg1 = default_config("1", n_total=2000, seed=11)
         cfg5 = default_config("5", n_total=2000, seed=11)
         a, b = generate(cfg1), generate(cfg5)
-        for clean, noisy in ((a.train, b.train), (a.test, b.test)):
-            ds = np.array([y.s - x.s for x, y in zip(clean, noisy)])
-            clamped = np.array([y.s for y in noisy]) == pytest.approx(1.0 / 365.0)
+        for clean, noisy in ((a.train_arrays, b.train_arrays), (a.test_arrays, b.test_arrays)):
+            ds = noisy.s - clean.s
+            clamped = noisy.s == pytest.approx(1.0 / 365.0)
             assert np.all((np.abs(ds) <= 1.0 / 6.0 + 1e-12) | clamped)
-            flips = sum(1 for x, y in zip(clean, noisy) if x.z != y.z)
-            assert 0.01 <= flips / len(noisy) <= 0.035
-        assert all(np.array_equal(x.covariates, y.covariates) for x, y in zip(a.test, b.test))
+            flips = int((clean.z != noisy.z).sum())
+            assert 0.01 <= flips / noisy.n <= 0.035
+        np.testing.assert_array_equal(a.test_arrays.x, b.test_arrays.x)
         np.testing.assert_array_equal(a.y_test, b.y_test)
         np.testing.assert_array_equal(a.test_latent, b.test_latent)
 
     def test_s6_log_density_ratio_is_linear_tilt(self):
         cfg = default_config("6", n_total=200_000, seed=12)
         gen = generate(cfg)
-        s = np.array([sub.s for sub in gen.train])
+        s = gen.train_arrays.s
         y = gen.y_train
         edges = np.linspace(0.25, 6.0, 10)
         centers = 0.5 * (edges[:-1] + edges[1:])
@@ -184,11 +214,10 @@ class TestGenerate:
     def test_s7_covariate_enters_z_model(self):
         cfg = default_config("7", n_total=150_000, seed=13)
         gen = generate(cfg)
-        subs = gen.train + gen.test
         ys = np.concatenate([gen.y_train, gen.y_test])
-        x = np.array([sub.covariates[0] for sub in subs])
-        s = np.array([sub.s for sub in subs])
-        z = np.array([sub.z for sub in subs])
+        x = np.concatenate([gen.train_arrays.x[:, 0], gen.test_arrays.x[:, 0]])
+        s = np.concatenate([gen.train_arrays.s, gen.test_arrays.s])
+        z = np.concatenate([gen.train_arrays.z, gen.test_arrays.z])
         sel = (s > 1) & (s < 3) & (ys == 0)
         lo = sel & (x < -0.5)
         hi = sel & (x > 0.5)
@@ -201,7 +230,7 @@ class TestGenerate:
         cfg = default_config("7", n_total=8000, seed=21)
         gen = generate(cfg)
         spec = ModelSpec(covariate_names=("odn",), z_model_covariate="odn")
-        res = fit(gen.train, spec)
+        res = fit(gen.train_arrays, spec)
         assert res.converged
         est = res.estimates()
         se = dict(zip(res.free_names, res.se))
@@ -213,7 +242,7 @@ class TestGenerate:
         assert gen.train_arrays.n == gen.test_arrays.n == gen.contingency_arrays.n == 1000
         y_all = np.concatenate([gen.y_train, gen.y_test, gen.y_contingency])
         assert abs(y_all.mean() - 0.5) < 0.03
-        assert gen.train[0].covariates.size == 2
+        assert gen.train_arrays.x.shape[1] == 2
         assert gen.solved_beta0 is not None
 
 
@@ -250,6 +279,11 @@ class TestRunReplicates:
                           "auc1", "auc2", "e_y", "converged"]
         assert len(rows) == sum(len(r["params"]) for r in small_summary.replicates)
 
+    def test_non_integer_thread_count_is_named(self, monkeypatch):
+        monkeypatch.setenv("RECENCY_THREADS", "abc")
+        with pytest.raises(ValueError, match="^RECENCY_THREADS must be an integer, got 'abc'$"):
+            run_replicates(default_config("1", n_total=400, seed=0), 1, SPEC)
+
     def test_rejects_zero_reps(self):
         with pytest.raises(ValueError):
             run_replicates(default_config("1", n_total=400, seed=0), 0, SPEC)
@@ -271,12 +305,12 @@ class TestRunReplicates:
         seed_seq = np.random.SeedSequence(cfg.seed).spawn(1)[0]
         gen = generate(cfg, np.random.default_rng(seed_seq))
         clean_test = generate(default_config("1", n_total=2000, seed=18),
-                          np.random.default_rng(seed_seq)).test
+                              np.random.default_rng(seed_seq)).test_arrays
         # latent-status subjects whose flipped z lands in a determined cell
-        recent, longterm, _, _ = gen.test_arrays.case_masks()
-        misreported = [sub for sub, clean, latent, labeled in zip(
-            gen.test, clean_test, gen.test_latent, recent | longterm)
-            if latent and labeled and sub.z != clean.z]
+        test = gen.test_arrays
+        recent, longterm, _, _ = test.case_masks()
+        flipped = gen.test_latent & (recent | longterm) & (test.z != clean_test.z)
+        misreported = list(zip(test.s[flipped].tolist(), test.z[flipped].tolist()))
         assert misreported
         scored = []
 
@@ -290,17 +324,18 @@ class TestRunReplicates:
         (arrays,) = scored
         assert arrays.n == int(gen.test_latent.sum())
         rows = set(zip(arrays.s.tolist(), arrays.z.tolist()))
-        assert all((sub.s, sub.z) in rows for sub in misreported)
+        assert all(pair in rows for pair in misreported)
 
     def test_replicate_builds_no_subject(self, monkeypatch):
+        # the per-row records of GeneratedData.train / .test are never built
         calls = []
-        original = simulation.Subject.__post_init__
+        original = simulation._rows
 
-        def counting(self):
+        def counting(arrs):
             calls.append(1)
-            original(self)
+            return original(arrs)
 
-        monkeypatch.setattr(simulation.Subject, "__post_init__", counting)
+        monkeypatch.setattr(simulation, "_rows", counting)
         summary = run_replicates(default_config("1", seed=4), 1, SPEC, n_jobs=1)
         assert summary.n_reps == 1 and len(calls) == 0
 
