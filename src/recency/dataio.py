@@ -1,9 +1,12 @@
 """CSV ingestion and survey preprocessing, one column at a time.
 
-:func:`load` reads a headered CSV once with the stdlib ``csv`` module into
-:class:`RawColumns`: the row ids plus one float64 array per field, with
-NaN for a missing cell.  Every cell is validated on the way, and the
-earliest bad row raises a :class:`DataError` that names it.
+:func:`load` reads a headered CSV once into :class:`RawColumns`: the row
+ids plus one float64 array per field, with NaN for a missing cell.  A
+plain file (numbers and ``NA`` cells, no quotes) is parsed by numpy's C
+text reader; :func:`load` declines to the stdlib ``csv`` module, cell by
+cell, on anything that reader might read differently, so both paths give
+the same arrays, ids and errors.  Every cell is validated on the way, and
+the earliest bad row raises a :class:`DataError` that names it.
 
 :func:`preprocess` turns those columns into the model's
 :class:`~recency.model.SubjectArrays`: derive the test-to-interview gap
@@ -18,9 +21,12 @@ with a recorded reason, never silently.  No per-row object is built.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import re
+import warnings
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
@@ -39,6 +45,9 @@ __all__ = [
 
 MISSING = "NA"
 _MISSING_CELLS = frozenset(("", MISSING))
+# an exactly-NA cell: the literal first, so re scans for it, then a separator
+# or an end of the text on each side
+_NA_CELL = re.compile(r"NA(?<![^,\n]NA)(?![^,\n])")
 CONTINUOUS_COVARIATES = ("age", "odn", "logvl", "cd4")
 KNOWN_COVARIATES = ("age", "gender", "odn", "logvl", "cd4")
 # parsed in this order after weight, so the first bad field is the one reported
@@ -157,6 +166,64 @@ def _check(bad, message):
         raise DataError(f"row {i + 2}: {message(i)}")
 
 
+def _spells_nonfinite(text: str) -> bool:
+    """Whether ``text`` holds ``nan`` or ``inf`` in any case (its lowered
+    copy is freed on return, before the parse builds its own)."""
+    lowered = text.lower()
+    return "nan" in lowered or "inf" in lowered
+
+
+def _numpy_columns(text: str, width: int, usecols: dict, id_col):
+    """The numeric columns and id cells of ``text`` from numpy's C reader,
+    or None to decline.
+
+    ``usecols`` maps each field to its column; ``id_col`` is the id
+    column or None.  Returns ``(id_cells, {field: float64 array})`` only
+    where the ``csv`` path of :func:`load` would read the same values and
+    ids and raise no parse error: the file has no quote, bare CR or NUL,
+    no ``nan``/``inf`` spelling in any case, every line has the header's
+    width (so no row is blank or ragged), every used cell is a number or
+    exactly ``NA``, no value overflows, and every integer field is what
+    ``int`` reads.  Anything else declines.
+    """
+    if '"' in text or "\0" in text or _spells_nonfinite(text):
+        return None
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):
+            return None
+        text = text.replace("\r\n", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    if len(lines) < 2 or set(map(str.count, lines, repeat(","))) != {width - 1}:
+        return None
+    ints = [name for name in usecols if name in INT_FIELDS]
+
+    def with_na_as(token):
+        # no nan is spelled in the file, so a nan read stands for an NA cell
+        return [_NA_CELL.sub(token, line) if MISSING in line else line for line in lines]
+
+    read = dict(delimiter=",", comments=None, skiprows=1, ndmin=2)
+    try:
+        with warnings.catch_warnings():
+            # numpy < 2 reads "3.0" into an integer with a DeprecationWarning
+            warnings.simplefilter("error", DeprecationWarning)
+            values = np.loadtxt(with_na_as("nan"), usecols=list(usecols.values()), **read)
+            whole = np.loadtxt(with_na_as("0"), dtype=np.int64,
+                               usecols=[usecols[name] for name in ints], **read)
+    except (ValueError, DeprecationWarning):
+        return None
+    n = len(lines) - 1
+    if len(values) != n or np.isinf(values).any():
+        return None
+    columns = dict(zip(usecols, values.T.copy()))
+    for name, col in zip(ints, whole.T):
+        columns[name] = np.where(np.isnan(columns[name]), math.nan, col)
+    if id_col is None:
+        return [""] * n, columns
+    return [line.split(",", id_col + 1)[id_col] for line in lines[1:]], columns
+
+
 def load(path, columns: ColumnMap = ColumnMap(), *, phia_vl: bool = False) -> RawColumns:
     """Read a headered CSV into :class:`RawColumns`; missing token is ``NA``.
 
@@ -169,13 +236,22 @@ def load(path, columns: ColumnMap = ColumnMap(), *, phia_vl: bool = False) -> Ra
     ("undetectable", "less than 20", ...), resolved later by
     :func:`preprocess`.  A row with no id gets its 1-based data-row
     number.
+
+    The file is read once.  numpy's C reader parses it when
+    :func:`_numpy_columns` can vouch for the result; otherwise (quotes,
+    empty or padded cells, categorical viral loads, a bad cell, ...) the
+    ``csv`` module reads it cell by cell, which also names any bad row.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: no header row")
-        rows = [row for row in reader if row]   # blank lines are not rows
+    with open(path, "rb") as fh:
+        data = fh.read()
+
+    def text_stream():   # what open(path, newline="") reads, from the bytes in hand
+        return io.TextIOWrapper(io.BytesIO(data), newline="")
+
+    reader = csv.reader(text_stream())
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path}: no header row")
     position = {name: j for j, name in enumerate(header)}   # a repeated name reads its last column
     missing = [col for col in (columns.weight, columns.z) if col not in position]
     has_s = columns.s is not None and columns.s in position
@@ -185,23 +261,35 @@ def load(path, columns: ColumnMap = ColumnMap(), *, phia_vl: bool = False) -> Ra
     if missing:
         raise DataError(f"{path}: missing mandatory column(s): {', '.join(missing)}")
 
-    n = len(rows)
-    width = len(header)
-    rows = [row + [""] * (width - len(row)) if len(row) < width else row for row in rows]
+    usecols = {name: position[col] for name in ("weight",) + INT_FIELDS + FLOAT_FIELDS
+               if (col := getattr(columns, name)) and col in position}
+    id_col = position.get(columns.id)
     vl_raw: dict[int, str] = {}
+    fast = _numpy_columns(text_stream().read(), len(header), usecols, id_col)
+    if fast is None:
+        rows = [row for row in reader if row]   # blank lines are not rows
+        n = len(rows)
+        width = len(header)
+        rows = [row + [""] * (width - len(row)) if len(row) < width else row for row in rows]
+        id_cells = map(itemgetter(id_col), rows) if id_col is not None else [""] * n
 
-    def parse(name, kind):
-        col = getattr(columns, name)
-        if not col or col not in position:
-            return np.full(n, math.nan)
-        categorical = vl_raw if phia_vl and name == "vl" else None
-        return _parse(list(map(itemgetter(position[col]), rows)), kind, col, categorical)
+        def parse(name):
+            if name not in usecols:
+                return np.full(n, math.nan)
+            categorical = vl_raw if phia_vl and name == "vl" else None
+            return _parse(list(map(itemgetter(usecols[name]), rows)),
+                          int if name in INT_FIELDS else float, getattr(columns, name), categorical)
+    else:
+        id_cells, arrays = fast
+        n = len(id_cells)
 
-    weight = parse("weight", float)
+        def parse(name):
+            return arrays[name] if name in arrays else np.full(n, math.nan)
+
+    weight = parse("weight")
     _check(np.isnan(weight), lambda i: f"column {columns.weight!r} is mandatory")
     _check(weight <= 0, lambda i: f"weight must be positive, got {float(weight[i])}")
-    parsed = {name: parse(name, int) for name in INT_FIELDS}
-    parsed.update({name: parse(name, float) for name in FLOAT_FIELDS})
+    parsed = {name: parse(name) for name in INT_FIELDS + FLOAT_FIELDS}
     for name in ("test_month", "interview_month"):
         val = parsed[name]
         _check((val < 1) | (val > 12), lambda i: f"{name} must be in 1..12, got {int(val[i])}")
@@ -210,8 +298,9 @@ def load(path, columns: ColumnMap = ColumnMap(), *, phia_vl: bool = False) -> Ra
     vl = parsed["vl"]
     _check(vl < 0, lambda i: f"vl must be nonnegative, got {float(vl[i])}")
 
-    id_cells = map(itemgetter(position[columns.id]), rows) if columns.id in position else [""] * n
-    ids = [cell.strip() or str(i + 1) for i, cell in enumerate(id_cells)]
+    ids = list(map(str.strip, id_cells))
+    if not all(ids):
+        ids = [cell or str(i + 1) for i, cell in enumerate(ids)]
     return RawColumns(ids=ids, weight=weight, vl_raw=vl_raw, **parsed)
 
 

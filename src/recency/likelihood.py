@@ -64,6 +64,9 @@ __all__ = [
 def _linear_pieces(arrs: SubjectArrays, theta: Theta, spec: ModelSpec):
     """Per-subject log pi, log(1 - pi), log p, log(1 - p) of the one
     test-result predictor q, the tilt exponent and the inside-window mask."""
+    if arrs.x.shape[1] != spec.n_covariates:
+        raise ValueError(f"x has {arrs.x.shape[1]} covariate column(s) but the spec has "
+                         f"{spec.n_covariates}: {spec.covariate_names}")
     lb = theta.beta[0] + arrs.x @ theta.beta[1:]
     inside = arrs.s <= 1.0
     sm1 = arrs.s - 1.0

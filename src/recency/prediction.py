@@ -81,23 +81,35 @@ def _csv_field(text: str) -> str:
     return text
 
 
+def _reprs(a: np.ndarray, end: str = "") -> list[str]:
+    """``repr`` of each element of ``a`` followed by ``end``, each distinct
+    float64 formatted once.  Values are told apart by their bits:
+    ``np.unique`` on the floats would merge -0.0 with 0.0."""
+    if a.dtype != np.float64:
+        return [text + end for text in map(repr, a.tolist())]
+    bits, inverse = np.unique(a.view(np.uint64), return_inverse=True)
+    texts = [text + end for text in map(repr, bits.view(np.float64).tolist())]
+    return np.array(texts, dtype=object)[inverse].tolist()
+
+
 def export_predictions(path, data, theta_hat: Theta, spec: ModelSpec, ids=None) -> None:
     """Write the prediction CSV: id, s, z, label, type1, type2.
 
     The bytes are csv.writer's: CRLF line ends, floats as repr and ids
-    quoted where they must be.  Each column's text is built once.
+    quoted where they must be.  Each column's text is built once, and the
+    s and Type-2 columns, which repeat many values, format each distinct
+    value once.
     """
     arrs = as_arrays(data)
+    t2 = _type2_vector(arrs, theta_hat, spec)   # first: it checks x against the spec
     t1 = np.atleast_1d(pi_recent(arrs.x, theta_hat.beta))
-    t2 = _type2_vector(arrs, theta_hat, spec)
     ids = list(map(str, range(arrs.n) if ids is None else ids))
     if _NEEDS_QUOTES.search("".join(ids)):
         ids = list(map(_csv_field, ids))
     recent, longterm, _, _ = arrs.case_masks()
     labels = np.where(recent, "recent", np.where(longterm, "longterm", "unknown"))
-    rows = map(",".join, zip(ids, map(repr, arrs.s.tolist()), map(str, arrs.z.tolist()),
-                             labels.tolist(), map(repr, t1.tolist()), map(repr, t2.tolist()),
-                             strict=True))
+    lines = map(",".join, zip(ids, _reprs(arrs.s), map(str, arrs.z.tolist()), labels.tolist(),
+                              map(repr, t1.tolist()), _reprs(t2, end="\r\n"), strict=True))
     with open(path, "w", newline="") as fh:
         fh.write("id,s,z,label,type1,type2\r\n")
-        fh.writelines(row + "\r\n" for row in rows)
+        fh.writelines(lines)

@@ -84,6 +84,12 @@ class ScenarioConfig:
         if len(self.beta_true) != n_beta:
             raise ValueError(f"beta_true must have {n_beta} entries for {self.scenario}, the "
                              f"intercept and one slope per covariate; got {len(self.beta_true)}")
+        if len(self.eta_true) != 4:
+            raise ValueError("eta_true must have 4 entries, (eta00, eta01, eta10, eta11); "
+                             f"got {len(self.eta_true)}")
+        if len(self.noise) != 2:
+            raise ValueError("noise must have 2 entries, (s jitter half-width, z flip rate); "
+                             f"got {len(self.noise)}")
         if self.n_total % 2 != 0:
             raise ValueError("n_total must be even (half train, half test)")
         if self.scenario == "S2" and self.n_total % 3 != 0:

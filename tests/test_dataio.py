@@ -1,11 +1,16 @@
 """CSV loading and the preprocessing pipeline."""
 
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from recency.dataio import ColumnMap, DataError, load, preprocess
+from recency import dataio
+from recency.dataio import ColumnMap, DataError, RawColumns, load, preprocess
 
 
 def write_csv(path, header, rows):
@@ -276,3 +281,202 @@ class TestPreprocess:
         path = write_csv(tmp_path / "d.csv", HEADER, standard_rows())
         with pytest.raises(DataError, match="unknown covariate"):
             preprocess(load(path), covariates=("bmi",))
+
+
+ARRAY_FIELDS = [f.name for f in dataclasses.fields(RawColumns) if f.name not in ("ids", "vl_raw")]
+
+
+def csv_path_load(path, **kwargs):
+    """:func:`load` with its numpy path declined: the csv module reads every cell."""
+    with mock.patch.object(dataio, "_numpy_columns", return_value=None):
+        return load(path, **kwargs)
+
+
+def outcome(read, path, **kwargs):
+    try:
+        return read(path, **kwargs)
+    except Exception as exc:   # compared by type and text
+        return exc
+
+
+def numpy_path_load(path, **kwargs):
+    """``(outcome of load, whether its numpy path accepted the file)``."""
+    taken = []
+    real = dataio._numpy_columns
+
+    def spy(*args):
+        result = real(*args)
+        taken.append(result is not None)
+        return result
+
+    with mock.patch.object(dataio, "_numpy_columns", spy):
+        got = outcome(load, path, **kwargs)
+    return got, taken == [True]
+
+
+def assert_same(got, want):
+    """Equal exceptions by type and text, or equal columns: every array by
+    dtype, shape and bytes, ids and vl_raw by value."""
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert not isinstance(got, Exception), got
+    assert got.ids == want.ids and got.vl_raw == want.vl_raw
+    for name in ARRAY_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+PLAIN_HEADER = "id,weight,test_year,test_month,interview_year,interview_month,z,odn,vl"
+PLAIN_ROWS = ["a,1.5,2015,3,2016,3,0,1.2,0", "b,0.25,2014,NA,2016,1,1,NA,12000",
+              "c,2.0,2015,9,2016,2,1,0.4,NA"]
+
+
+def plain_csv(path, rows=PLAIN_ROWS, header=PLAIN_HEADER, end="\n"):
+    with open(path, "w", newline="") as fh:
+        fh.write(end.join([header, *rows]) + end)
+    return path
+
+
+class TestNumpyPath:
+    """load's numpy path returns what the csv path returns, or declines."""
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_plain_file_takes_the_numpy_path(self, tmp_path, end):
+        path = plain_csv(tmp_path / "d.csv", end=end)
+        got, taken = numpy_path_load(path)
+        assert taken
+        assert_same(got, csv_path_load(path))
+        assert got.ids == ["a", "b", "c"] and math.isnan(got.test_month[1])
+
+    @pytest.mark.parametrize("rows, header", [
+        # signs, a negative zero and leading zeros in integer fields
+        (["a,1.5,+2015,03,2016,3,-0,1.2,0"], PLAIN_HEADER),
+        # padded numbers, which float and int both read
+        (["a, 1.5 ,2015, 3,2016,3 ,0,1.2,0"], PLAIN_HEADER),
+        # exponents, and an id column that is not the first
+        (["1.5e0,a,2015,3,2016,3,1,12E-1,1e4"],
+         "weight,id,test_year,test_month,interview_year,interview_month,z,odn,vl"),
+        # no id column, an unused column and an id-like NA
+        (["1.5,2015,3,2016,3,0,x y,NA"], "weight,test_year,test_month,interview_year,"
+                                          "interview_month,z,note,odn"),
+        # out-of-range values reach the same range check
+        (["a,1.5,2015,13,2016,3,0,1.2,0"], PLAIN_HEADER),
+        (["a,-1.5,2015,3,2016,3,0,1.2,0"], PLAIN_HEADER),
+        (["a,1.5,2015,3,2016,3,2,1.2,0"], PLAIN_HEADER),
+        (["a,1.5,2015,3,2016,3,0,1.2,-4"], PLAIN_HEADER),
+        (["a,NA,2015,3,2016,3,0,1.2,0"], PLAIN_HEADER),
+    ])
+    def test_accepted_files_match_the_csv_path(self, tmp_path, rows, header):
+        path = plain_csv(tmp_path / "d.csv", rows, header)
+        got, taken = numpy_path_load(path)
+        assert taken
+        assert_same(got, outcome(csv_path_load, path))
+
+    @pytest.mark.parametrize("cell, value", [
+        ("id", '"a,1"'), ("id", "Nancy"), ("odn", "nan"), ("odn", "NaN"), ("odn", "inf"),
+        ("odn", "-Infinity"), ("odn", "1e400"), ("odn", "1_0"), ("odn", ""), ("odn", "NA "),
+        ("odn", " "), ("weight", "x"), ("test_month", "3.0"), ("z", "1e0"),
+        ("test_year", "99999999999999999999"), ("vl", "undetectable"),
+    ])
+    def test_declined_cells(self, tmp_path, cell, value):
+        rows = [row.split(",") for row in PLAIN_ROWS]
+        rows[1][PLAIN_HEADER.split(",").index(cell)] = value
+        path = plain_csv(tmp_path / "d.csv", [",".join(row) for row in rows])
+        for phia_vl in (False, True):
+            got, taken = numpy_path_load(path, phia_vl=phia_vl)
+            assert not taken
+            assert_same(got, outcome(csv_path_load, path, phia_vl=phia_vl))
+
+    @pytest.mark.parametrize("text", [
+        PLAIN_HEADER + "\n" + PLAIN_ROWS[0] + "\n\n" + PLAIN_ROWS[1] + "\n",   # blank line
+        PLAIN_HEADER + "\n" + PLAIN_ROWS[0] + "\n   \n",                     # whitespace row
+        PLAIN_HEADER + "\n" + PLAIN_ROWS[0] + "\na,1.0\n",                   # short row
+        PLAIN_HEADER + "\n" + PLAIN_ROWS[0] + ",extra\n",                    # long row
+        PLAIN_HEADER + "\r" + PLAIN_ROWS[0] + "\r",                          # bare CR
+        PLAIN_HEADER + "\n",                                                  # no data row
+    ])
+    def test_declined_layouts(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        got, taken = numpy_path_load(path)
+        assert not taken
+        assert_same(got, outcome(csv_path_load, path))
+
+
+# a cell grammar for the differential test: numbers both paths read, the
+# NA token, and text only the csv path reads (or rejects)
+_INTEGERS = st.one_of(
+    st.integers(-3, 2030).map(str),
+    st.builds("{}{:03d}".format, st.sampled_from(["+", "-"]), st.integers(0, 20)),
+)
+_NUMBERS = st.one_of(
+    _INTEGERS,
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.builds("{}{}e{}".format, st.sampled_from(["", "+", "-"]), st.integers(0, 99),
+              st.integers(-330, 330)),
+    st.sampled_from(["-0.0", ".5", "5.", "1E+02", "1e400", "-1e400",
+                     "9223372036854775808", "99999999999999999999"]),
+)
+_IN_RANGE = {
+    "weight": st.floats(0.01, 100.0).map(repr),
+    "test_year": st.integers(2000, 2016).map(str),
+    "test_month": st.integers(1, 12).map(str),
+    "interview_year": st.integers(2015, 2017).map(str),
+    "interview_month": st.integers(1, 12).map(str),
+    "z": st.sampled_from(["0", "1"]),
+    "s": st.floats(0.01, 10.0).map(repr),
+    "odn": st.floats(-5.0, 5.0).map(repr),
+    "vl": st.integers(0, 10**6).map(str),
+}
+_CSV_ONLY = st.sampled_from([
+    "", "NA ", " NA", " ", " 3", "3 ", "\t2", "1_0", "nan", "NaN", "inf", "-Infinity", "INF",
+    "3.0", "3e0", "x", "undetectable", "less than 20", '"4"', '"NA"',
+])
+_PLAIN_IDS = st.from_regex(r"[A-Za-z0-9_ .-]{0,6}", fullmatch=True)
+_QUOTED_IDS = st.sampled_from(['"p,1"', '"p""2"', '""', '"NA"', 'p"3'])
+COLUMNS = ["id", *_IN_RANGE]
+
+
+@st.composite
+def csv_texts(draw):
+    """A CSV file's text: a permuted header, rows of grammar cells, LF or
+    CRLF line ends, and (unless plain) text only the csv path reads, blank
+    lines, short or long rows and columns left out."""
+    plain = draw(st.booleans())
+    header = draw(st.permutations(COLUMNS))
+    if not plain and draw(st.booleans()):
+        header = header[:draw(st.integers(2, len(header)))]
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        row = []
+        for col in header:
+            if col == "id":
+                row.append(draw(_PLAIN_IDS if plain else st.one_of(_PLAIN_IDS, _QUOTED_IDS)))
+                continue
+            good = _IN_RANGE[col]
+            if plain:
+                # mostly in range, so a row reaches every check
+                other = _INTEGERS if col in dataio.INT_FIELDS else _NUMBERS
+                cell = st.one_of(good, good, good, good, st.just("NA"), other)
+            else:
+                cell = st.one_of(good, _NUMBERS, st.just("NA"), _CSV_ONLY)
+            row.append(draw(cell))
+        if not plain:
+            row = row[:draw(st.integers(0, len(row)))] + draw(st.lists(_NUMBERS, max_size=1))
+        lines.append(",".join(row))
+    if not plain and draw(st.booleans()):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", "   "])))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+class TestNumpyPathDifferential:
+    @settings(max_examples=400, deadline=None)
+    @given(text=csv_texts(), phia_vl=st.booleans())
+    def test_load_equals_the_csv_path(self, tmp_path_factory, text, phia_vl):
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        path.write_bytes(text.encode())
+        got, taken = numpy_path_load(path, phia_vl=phia_vl)
+        event("numpy path" if taken else "csv path")
+        assert_same(got, outcome(csv_path_load, path, phia_vl=phia_vl))

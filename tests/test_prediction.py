@@ -2,18 +2,24 @@
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from recency.estimation import fit
 from recency.model import ModelSpec, initial_theta, logistic, pi_recent
 from recency.prediction import (
+    _reprs,
     export_predictions,
     incidence,
     recency_rate,
     rita_classify,
     type2_risk,
 )
+from recency.simulation import default_config, generate
 from subjects import subjects
 
 SPEC = ModelSpec(covariate_names=("odn",))
@@ -212,3 +218,40 @@ class TestExport:
         assert float(rows[3]["type2"]) == 0.0
         assert [float(row["type1"]) for row in rows] == pi_recent(subs.x, THETA.beta).tolist()
         assert [float(row["type2"]) for row in rows] == type2_risk(subs, THETA, SPEC).tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.floats(),
+        # signed zeros, the smallest subnormal and normal, and the values
+        # where repr switches to and from exponent notation
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16,
+                         9999999999999998.0, 1e-5, 0.0001, 1.0, 0.1 + 0.2]),
+    ), min_size=1, max_size=40), st.integers(1, 3))
+    def test_distinct_value_text_is_repr_per_element(self, values, step):
+        a = np.array(values)
+        assert _reprs(a) == [repr(v) for v in values]
+        # a strided view is told apart by the same bits
+        assert _reprs(a[::step]) == [repr(v) for v in values[::step]]
+
+    def test_non_float_column_keeps_its_own_repr(self):
+        assert _reprs(np.array([1, 2, 1])) == ["1", "2", "1"]
+
+
+class TestCovariateCount:
+    """A dataset whose x has another column count than the spec's
+    covariates is named, not left to numpy's matmul error."""
+
+    @pytest.mark.parametrize("call", [
+        lambda arrs, tmp: fit(arrs, SPEC),
+        lambda arrs, tmp: fit(arrs, replace(SPEC, extended=True)),
+        lambda arrs, tmp: recency_rate(arrs, THETA, SPEC),
+        lambda arrs, tmp: type2_risk(arrs, THETA, SPEC),
+        lambda arrs, tmp: export_predictions(tmp / "pred.csv", arrs, THETA, SPEC),
+    ], ids=["fit", "fit_extended", "recency_rate", "type2_risk", "export_predictions"])
+    def test_doubled_odn_column_is_named(self, tmp_path, call):
+        arrs = generate(default_config("1", n_total=200, seed=0)).train_arrays
+        doubled = replace(arrs, x=np.hstack([arrs.x, arrs.x]))
+        with pytest.raises(ValueError, match=r"^x has 2 covariate column\(s\) but the spec has 1: "
+                                             r"\('odn',\)$"):
+            call(doubled, tmp_path)
+        assert not (tmp_path / "pred.csv").exists()

@@ -92,6 +92,17 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=f"^n_total must be positive, got {n_total}$"):
             default_config("1", n_total=n_total)
 
+    def test_eta_length_must_be_four(self):
+        # a short eta_true failed in generate with an IndexError
+        with pytest.raises(ValueError, match=r"^eta_true must have 4 entries, \(eta00, eta01, "
+                                             r"eta10, eta11\); got 1$"):
+            default_config("1", n_total=200, eta_true=(7.0,))
+
+    def test_noise_length_must_be_two(self):
+        with pytest.raises(ValueError, match=r"^noise must have 2 entries, \(s jitter "
+                                             r"half-width, z flip rate\); got 1$"):
+            default_config("5", n_total=200, noise=(0.1,))
+
     def test_s6_needs_three_gamma_values(self):
         with pytest.raises(ValueError):
             ScenarioConfig(scenario="S6", s_gamma=(0.6, 0.19))
