@@ -1,12 +1,13 @@
 """CSV ingestion and survey preprocessing, one column at a time.
 
-:func:`load` reads a headered CSV once into :class:`RawColumns`: the row
-ids plus one float64 array per field, with NaN for a missing cell.  A
-plain file (numbers and ``NA`` cells, no quotes) is parsed by numpy's C
-text reader; :func:`load` declines to the stdlib ``csv`` module, cell by
-cell, on anything that reader might read differently, so both paths give
-the same arrays, ids and errors.  Every cell is validated on the way, and
-the earliest bad row raises a :class:`DataError` that names it.
+:func:`load` reads a headered CSV into :class:`RawColumns`: the row ids
+plus one float64 array per field, with NaN for a missing cell.  The rows
+of a plain file (numbers and ``NA`` cells, no quotes) are parsed by
+numpy's C text reader, in one read of the file; on anything that reader
+might read differently :func:`load` declines, reads the file again and
+parses it with the stdlib ``csv`` module, cell by cell, so both paths
+give the same arrays, ids and errors.  Every cell is validated on the
+way, and the earliest bad row raises a :class:`DataError` that names it.
 
 :func:`preprocess` turns those columns into the model's
 :class:`~recency.model.SubjectArrays`: derive the test-to-interview gap
@@ -21,7 +22,6 @@ with a recorded reason, never silently.  No per-row object is built.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import re
 import warnings
@@ -53,6 +53,7 @@ KNOWN_COVARIATES = ("age", "gender", "odn", "logvl", "cd4")
 # parsed in this order after weight, so the first bad field is the one reported
 INT_FIELDS = ("test_year", "test_month", "interview_year", "interview_month", "z")
 FLOAT_FIELDS = ("age", "gender", "odn", "cd4", "vl", "s")
+_PROBE_ROWS = 1000
 
 
 class DataError(ValueError):
@@ -174,54 +175,60 @@ def _spells_nonfinite(text: str) -> bool:
 
 
 def _numpy_columns(text: str, width: int, usecols: dict, id_col):
-    """The numeric columns and id cells of ``text`` from numpy's C reader,
-    or None to decline.
+    """The numeric columns and id cells of the data rows ``text`` (the file
+    after its header) from numpy's C reader, or None to decline.
 
     ``usecols`` maps each field to its column; ``id_col`` is the id
     column or None.  Returns ``(id_cells, {field: float64 array})`` only
     where the ``csv`` path of :func:`load` would read the same values and
-    ids and raise no parse error: the file has no quote, bare CR or NUL,
+    ids and raise no parse error: the rows hold no quote, bare CR or NUL,
     no ``nan``/``inf`` spelling in any case, every line has the header's
     width (so no row is blank or ragged), every used cell is a number or
     exactly ``NA``, no value overflows, and every integer field is what
-    ``int`` reads.  Anything else declines.
+    ``int`` reads.  Anything else declines.  The first ``_PROBE_ROWS``
+    rows are parsed before the rest is split, so a bad cell among them
+    declines at little cost.
     """
-    if '"' in text or "\0" in text or _spells_nonfinite(text):
+    if '"' in text or "\0" in text:
         return None
     if "\r" in text:
         if text.count("\r") != text.count("\r\n"):
             return None
         text = text.replace("\r\n", "\n")
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()
-    if len(lines) < 2 or set(map(str.count, lines, repeat(","))) != {width - 1}:
-        return None
     ints = [name for name in usecols if name in INT_FIELDS]
 
-    def with_na_as(token):
+    def with_na_as(token, lines):
         # no nan is spelled in the file, so a nan read stands for an NA cell
         return [_NA_CELL.sub(token, line) if MISSING in line else line for line in lines]
 
-    read = dict(delimiter=",", comments=None, skiprows=1, ndmin=2)
+    read = dict(delimiter=",", comments=None, ndmin=2)
+    floats = list(usecols.values())
     try:
         with warnings.catch_warnings():
-            # numpy < 2 reads "3.0" into an integer with a DeprecationWarning
-            warnings.simplefilter("error", DeprecationWarning)
-            values = np.loadtxt(with_na_as("nan"), usecols=list(usecols.values()), **read)
-            whole = np.loadtxt(with_na_as("0"), dtype=np.int64,
+            # any warning declines: an empty parse, or a numpy that reads
+            # "3.0" into an integer with a DeprecationWarning
+            warnings.simplefilter("error")
+            np.loadtxt(with_na_as("nan", text.split("\n", _PROBE_ROWS)[:_PROBE_ROWS]),
+                       usecols=floats, **read)
+            if _spells_nonfinite(text):
+                return None
+            lines = text.split("\n")
+            if not lines[-1]:
+                lines.pop()
+            values = np.loadtxt(with_na_as("nan", lines), usecols=floats, **read)
+            if (len(values) != len(lines) or np.isinf(values).any()
+                    or set(map(str.count, lines, repeat(","))) != {width - 1}):
+                return None
+            whole = np.loadtxt(with_na_as("0", lines), dtype=np.int64,
                                usecols=[usecols[name] for name in ints], **read)
-    except (ValueError, DeprecationWarning):
-        return None
-    n = len(lines) - 1
-    if len(values) != n or np.isinf(values).any():
+    except (ValueError, Warning):
         return None
     columns = dict(zip(usecols, values.T.copy()))
     for name, col in zip(ints, whole.T):
         columns[name] = np.where(np.isnan(columns[name]), math.nan, col)
     if id_col is None:
-        return [""] * n, columns
-    return [line.split(",", id_col + 1)[id_col] for line in lines[1:]], columns
+        return [""] * len(lines), columns
+    return [line.split(",", id_col + 1)[id_col] for line in lines], columns
 
 
 def load(path, columns: ColumnMap = ColumnMap(), *, phia_vl: bool = False) -> RawColumns:
@@ -237,37 +244,41 @@ def load(path, columns: ColumnMap = ColumnMap(), *, phia_vl: bool = False) -> Ra
     :func:`preprocess`.  A row with no id gets its 1-based data-row
     number.
 
-    The file is read once.  numpy's C reader parses it when
-    :func:`_numpy_columns` can vouch for the result; otherwise (quotes,
-    empty or padded cells, categorical viral loads, a bad cell, ...) the
-    ``csv`` module reads it cell by cell, which also names any bad row.
+    The ``csv`` module reads the header; numpy's C reader parses the
+    rows below it when :func:`_numpy_columns` can vouch for the result.
+    Otherwise (quoted or empty cells, categorical viral loads, a bad
+    cell, ...) the file is read again from the top and the ``csv`` module
+    reads it cell by cell, which also names any bad row.  A pipe, which
+    cannot be read twice, goes to the ``csv`` module from the start.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: no header row")
+        position = {name: j for j, name in enumerate(header)}   # a repeated name reads its last column
+        missing = [col for col in (columns.weight, columns.z) if col not in position]
+        has_s = columns.s is not None and columns.s in position
+        has_interview = columns.interview_year in position and columns.interview_month in position
+        if not has_s and not has_interview:
+            missing.append(f"{columns.s or 's'} or {columns.interview_year}+{columns.interview_month}")
+        if missing:
+            raise DataError(f"{path}: missing mandatory column(s): {', '.join(missing)}")
 
-    def text_stream():   # what open(path, newline="") reads, from the bytes in hand
-        return io.TextIOWrapper(io.BytesIO(data), newline="")
-
-    reader = csv.reader(text_stream())
-    header = next(reader, None)
-    if header is None:
-        raise DataError(f"{path}: no header row")
-    position = {name: j for j, name in enumerate(header)}   # a repeated name reads its last column
-    missing = [col for col in (columns.weight, columns.z) if col not in position]
-    has_s = columns.s is not None and columns.s in position
-    has_interview = columns.interview_year in position and columns.interview_month in position
-    if not has_s and not has_interview:
-        missing.append(f"{columns.s or 's'} or {columns.interview_year}+{columns.interview_month}")
-    if missing:
-        raise DataError(f"{path}: missing mandatory column(s): {', '.join(missing)}")
-
-    usecols = {name: position[col] for name in ("weight",) + INT_FIELDS + FLOAT_FIELDS
-               if (col := getattr(columns, name)) and col in position}
-    id_col = position.get(columns.id)
+        usecols = {name: position[col] for name in ("weight",) + INT_FIELDS + FLOAT_FIELDS
+                   if (col := getattr(columns, name)) and col in position}
+        id_col = position.get(columns.id)
+        fast = None
+        if fh.seekable():   # a pipe is read once, by the csv module
+            # the rest of the file at once; no copy of it is left for the csv path
+            fast = _numpy_columns(fh.read(), len(header), usecols, id_col)
+            if fast is None:   # read the file again, one row at a time
+                fh.seek(0)
+                next(reader)
+        if fast is None:
+            rows = [row for row in reader if row]   # blank lines are not rows
     vl_raw: dict[int, str] = {}
-    fast = _numpy_columns(text_stream().read(), len(header), usecols, id_col)
     if fast is None:
-        rows = [row for row in reader if row]   # blank lines are not rows
         n = len(rows)
         width = len(header)
         rows = [row + [""] * (width - len(row)) if len(row) < width else row for row in rows]

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import os
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -360,6 +362,8 @@ class TestNumpyPath:
         # no id column, an unused column and an id-like NA
         (["1.5,2015,3,2016,3,0,x y,NA"], "weight,test_year,test_month,interview_year,"
                                           "interview_month,z,note,odn"),
+        # a quoted header: the csv module reads it, numpy the rows below
+        (PLAIN_ROWS, ",".join(f'"{col}"' for col in PLAIN_HEADER.split(","))),
         # out-of-range values reach the same range check
         (["a,1.5,2015,13,2016,3,0,1.2,0"], PLAIN_HEADER),
         (["a,-1.5,2015,3,2016,3,0,1.2,0"], PLAIN_HEADER),
@@ -402,6 +406,52 @@ class TestNumpyPath:
         got, taken = numpy_path_load(path)
         assert not taken
         assert_same(got, outcome(csv_path_load, path))
+
+    @pytest.mark.parametrize("bad_row, parses", [(0, 1), (2, 2)])
+    def test_a_bad_cell_in_the_top_rows_declines_at_the_probe(self, tmp_path, bad_row, parses):
+        rows = [row.split(",") for row in PLAIN_ROWS]
+        rows[bad_row][-1] = "undetectable"
+        path = plain_csv(tmp_path / "d.csv", [",".join(row) for row in rows])
+        with mock.patch.object(dataio, "_PROBE_ROWS", 2), \
+                mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            got, taken = numpy_path_load(path, phia_vl=True)
+        # a bad first row fails the probe; a bad third row, past it, fails the full parse
+        assert not taken and loadtxt.call_count == parses
+        assert_same(got, csv_path_load(path, phia_vl=True))
+
+    def test_a_warning_from_numpy_declines(self, tmp_path):
+        # a numpy that reads "3.0" into an integer, as some releases did,
+        # warns as it does so; load must not take that 3
+        real = np.loadtxt
+
+        def lenient(lines, dtype=float, **kwargs):
+            if dtype is np.int64:
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                              DeprecationWarning, stacklevel=2)
+                return real(lines, **kwargs).astype(np.int64)
+            return real(lines, dtype=dtype, **kwargs)
+
+        rows = [row.split(",") for row in PLAIN_ROWS]
+        rows[1][PLAIN_HEADER.split(",").index("test_year")] = "2014.0"
+        path = plain_csv(tmp_path / "d.csv", [",".join(row) for row in rows])
+        with mock.patch.object(np, "loadtxt", lenient):
+            got, taken = numpy_path_load(path)
+        assert not taken
+        assert str(got) == "row 3: column 'test_year' has unparseable value '2014.0'"
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_a_pipe_is_read_once_by_the_csv_module(self, tmp_path):
+        path = plain_csv(tmp_path / "d.csv")
+        read_end, write_end = os.pipe()
+        os.write(write_end, path.read_bytes())   # far less than a pipe holds
+        os.close(write_end)
+        try:
+            with mock.patch.object(dataio, "_numpy_columns") as numpy_columns:
+                got = load(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        numpy_columns.assert_not_called()
+        assert_same(got, load(path))
 
 
 # a cell grammar for the differential test: numbers both paths read, the
@@ -447,7 +497,8 @@ def csv_texts(draw):
     header = draw(st.permutations(COLUMNS))
     if not plain and draw(st.booleans()):
         header = header[:draw(st.integers(2, len(header)))]
-    lines = [",".join(header)]
+    quote = draw(st.sampled_from(["", '"']))   # the header is read by the csv module
+    lines = [",".join(f"{quote}{col}{quote}" for col in header)]
     for _ in range(draw(st.integers(0, 6))):
         row = []
         for col in header:
@@ -473,10 +524,11 @@ def csv_texts(draw):
 
 class TestNumpyPathDifferential:
     @settings(max_examples=400, deadline=None)
-    @given(text=csv_texts(), phia_vl=st.booleans())
-    def test_load_equals_the_csv_path(self, tmp_path_factory, text, phia_vl):
+    @given(text=csv_texts(), phia_vl=st.booleans(), probe=st.sampled_from([1, 2, 1000]))
+    def test_load_equals_the_csv_path(self, tmp_path_factory, text, phia_vl, probe):
         path = tmp_path_factory.mktemp("csv") / "d.csv"
         path.write_bytes(text.encode())
-        got, taken = numpy_path_load(path, phia_vl=phia_vl)
+        with mock.patch.object(dataio, "_PROBE_ROWS", probe):
+            got, taken = numpy_path_load(path, phia_vl=phia_vl)
         event("numpy path" if taken else "csv path")
         assert_same(got, outcome(csv_path_load, path, phia_vl=phia_vl))
