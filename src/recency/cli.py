@@ -17,8 +17,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .dataio import ColumnMap, DataError, load, preprocess
 from .estimation import (
@@ -86,9 +84,6 @@ def _covariate_list(text: str) -> tuple[str, ...]:
     names = tuple(t.strip() for t in text.split(",") if t.strip())
     if not names:
         raise UsageError("empty covariate list")
-    repeated = sorted({name for name in names if names.count(name) > 1})
-    if repeated:
-        raise UsageError(f"covariate(s) listed more than once: {', '.join(repeated)}")
     return names
 
 
@@ -131,13 +126,13 @@ def _add_model_flags(p):
                    help="fit the density-ratio extension (tilt on the time gap)")
 
 
-def _build_spec(args, covariates) -> ModelSpec:
+def _build_spec(args) -> ModelSpec:
     if args.p0_one and args.fix_eta00 is not None:
         raise UsageError("--p0-one already removes eta00/eta01; do not combine with --fix-eta00")
     fix00 = None if args.p0_one else _parse_fix(args.fix_eta00 or "7", "--fix-eta00")
     fix10 = _parse_fix(args.fix_eta10 if args.fix_eta10 is not None else "-7", "--fix-eta10")
     return ModelSpec(
-        covariate_names=covariates,
+        covariate_names=_covariate_list(args.covariates),
         fix_eta00=fix00,
         fix_eta10=fix10,
         p0_identically_one=args.p0_one,
@@ -145,15 +140,11 @@ def _build_spec(args, covariates) -> ModelSpec:
     )
 
 
-def _load_arrays(args):
-    columns = _column_map(args)
-    covariates = _covariate_list(args.covariates)
-    records = load(args.data, columns, phia_vl=args.phia_vl)
-    arrays, report = preprocess(
-        records, seed=args.seed, covariates=covariates,
-        impute_month=not args.no_impute_month,
-    )
-    return arrays, report, covariates
+def _load_arrays(args, covariates, standardization=None):
+    """The ``--data`` file as the model's arrays and the preprocessing report."""
+    records = load(args.data, _column_map(args), phia_vl=args.phia_vl)
+    return preprocess(records, seed=args.seed, covariates=covariates,
+                      impute_month=not args.no_impute_month, standardization=standardization)
 
 
 def _report_dict(report) -> dict:
@@ -167,8 +158,8 @@ def _report_dict(report) -> dict:
 
 def cmd_fit(args) -> int:
     started = time.time()
-    arrays, report, covariates = _load_arrays(args)
-    spec = _build_spec(args, covariates)
+    spec = _build_spec(args)
+    arrays, report = _load_arrays(args, spec.covariate_names)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -187,12 +178,12 @@ def cmd_fit(args) -> int:
 
 def cmd_select(args) -> int:
     started = time.time()
-    arrays, report, covariates = _load_arrays(args)
-    spec = _build_spec(args, covariates)
+    spec = _build_spec(args)
+    arrays, _ = _load_arrays(args, spec.covariate_names)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    variants = compare_eta_variants(arrays, covariates)
+    variants = compare_eta_variants(arrays, spec.covariate_names)
     variant_rows = [
         {
             "variant": v.name,
@@ -206,7 +197,7 @@ def cmd_select(args) -> int:
     ]
     (out / "variants.json").write_text(json.dumps(variant_rows, indent=2))
 
-    stepwise = backward_stepwise(arrays, covariates, spec)
+    stepwise = backward_stepwise(arrays, spec.covariate_names, spec)
     doc = {
         "selected": list(stepwise.selected),
         "trace": [
@@ -224,21 +215,11 @@ def cmd_simulate(args) -> int:
     started = time.time()
     if args.reps < 1:
         raise UsageError(f"--reps must be at least 1, got {args.reps}")
-    overrides = {}
-    if args.beta:
-        overrides["beta_true"] = tuple(float(v) for v in args.beta.split(","))
-    if args.eta:
-        vals = tuple(float(v) for v in args.eta.split(","))
-        if len(vals) != 4:
-            raise UsageError("--eta expects four comma-separated values")
-        overrides["eta_true"] = vals
-    if args.s_gamma:
-        overrides["s_gamma"] = tuple(float(v) for v in args.s_gamma.split(","))
-    if args.noise:
-        vals = tuple(float(v) for v in args.noise.split(","))
-        if len(vals) != 2:
-            raise UsageError("--noise expects jitter,flip-rate")
-        overrides["noise"] = vals
+    # ScenarioConfig checks each length and names the field
+    overrides = {field: tuple(float(v) for v in text.split(","))
+                 for field, text in (("beta_true", args.beta), ("eta_true", args.eta),
+                                     ("s_gamma", args.s_gamma), ("noise", args.noise))
+                 if text}
     if args.odn_z_coeff is not None:
         overrides["odn_in_z_coeff"] = args.odn_z_coeff
     config = default_config(args.scenario, n_total=args.n, seed=args.seed, **overrides)
@@ -271,22 +252,9 @@ def cmd_predict(args) -> int:
     except ValueError as exc:   # JSONDecodeError included
         raise DataError(f"fit file {args.fit}: {exc}") from None
 
-    columns = _column_map(args)
-    records = load(args.data, columns, phia_vl=args.phia_vl)
-    absent = [
-        name for name in spec.covariate_names
-        if np.isnan(records.vl if name == "logvl" else getattr(records, name)).all()
-        and not (name == "logvl" and records.vl_raw)
-    ]
-    if absent:
-        raise DataError(
-            f"data is missing covariate column(s) required by the fit: {', '.join(absent)}"
-        )
-    arrays, report = preprocess(
-        records, seed=args.seed, covariates=tuple(spec.covariate_names),
-        impute_month=not args.no_impute_month,
-        standardization=fit_doc.get("preprocessing", {}).get("standardization", {}),
-    )
+    arrays, report = _load_arrays(
+        args, spec.covariate_names,
+        standardization=fit_doc.get("preprocessing", {}).get("standardization", {}))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -124,18 +124,24 @@ def _parse(cells, kind, col, categorical=None) -> np.ndarray:
     """One column's cells as float64, NaN where a cell is NA or empty.
 
     Raises a DataError naming the row of the first cell ``kind`` cannot
-    parse or that is not finite.  With ``categorical`` (a dict), a cell
-    ``float`` cannot parse is stored there under its row index instead.
+    parse or that is not finite (an integer beyond float range included).
+    A cell with an underscore or a non-ASCII character, which ``int`` and
+    ``float`` would read, cannot be parsed.  With ``categorical`` (a
+    dict), a cell that cannot be parsed is stored there under its row
+    index instead.
     """
-    try:
-        values = np.array(list(map(kind, cells)), dtype=float)
-        missing = 0
-    except ValueError:   # an NA or empty cell stops map: one pass that reads them as NaN
+    values = None
+    joined = "".join(cells)
+    if joined.isascii() and "_" not in joined:
         try:
-            values = np.array([math.nan if cell in _MISSING_CELLS else kind(cell)
-                               for cell in cells], dtype=float)
-            missing = cells.count("") + cells.count(MISSING)
-        except ValueError:
+            try:
+                values = np.array(list(map(kind, cells)), dtype=float)
+                missing = 0
+            except ValueError:   # an NA or empty cell stops map: one pass that reads them as NaN
+                values = np.array([math.nan if cell in _MISSING_CELLS else kind(cell)
+                                   for cell in cells], dtype=float)
+                missing = cells.count("") + cells.count(MISSING)
+        except (ValueError, OverflowError):   # a bad cell, or an integer beyond float range
             values = None
     # every NaN a missing cell's, none parsed from text, and no infinity
     if values is not None and np.isnan(values).sum() == missing and not np.isinf(values).any():
@@ -147,6 +153,8 @@ def _parse(cells, kind, col, categorical=None) -> np.ndarray:
         value = math.nan
         if text and text != MISSING:
             try:
+                if not text.isascii() or "_" in text:
+                    raise ValueError(text)
                 value = kind(text)
             except ValueError:
                 if categorical is None:
@@ -154,7 +162,11 @@ def _parse(cells, kind, col, categorical=None) -> np.ndarray:
                                     f"value {text!r}") from None
                 categorical[i] = text
             else:
-                if not math.isfinite(value):
+                try:
+                    finite = math.isfinite(value)
+                except OverflowError:   # an integer beyond float range
+                    finite = False
+                if not finite:
                     raise DataError(f"row {i + 2}: column {col!r} must be finite, got {text!r}")
         out.append(value)
     return np.array(out, dtype=float)
@@ -374,6 +386,12 @@ def preprocess(records: RawColumns, seed: int = 0, covariates=("odn",), *,
     report = StandardizationReport()
     ids = records.ids
     n = len(records)
+    # a column the CSV lacks reads as NaN in every row; a categorical viral load is a value
+    absent = [name for name in covariates if n
+              and np.isnan(records.vl if name == "logvl" else getattr(records, name)).all()
+              and not (name == "logvl" and records.vl_raw)]
+    if absent:
+        raise DataError(f"data is missing covariate column(s): {', '.join(absent)}")
     alive = np.ones(n, dtype=bool)
     reasons: dict[int, str] = {}
 

@@ -49,6 +49,7 @@ def logistic(x):
 class ModelSpec:
     """Which parameters are estimated and how the model is wired.
 
+    ``covariate_names`` are distinct: each names one ``beta_<name>``.
     ``fix_eta00`` / ``fix_eta10`` pin the corresponding intercepts of the
     test-result model (None leaves them free).  ``p0_identically_one``
     replaces the long-term positive-result probability with the constant
@@ -66,7 +67,11 @@ class ModelSpec:
     z_model_covariate: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "covariate_names", tuple(self.covariate_names))
+        names = tuple(self.covariate_names)
+        object.__setattr__(self, "covariate_names", names)
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise ValueError(f"covariate(s) listed more than once: {', '.join(repeated)}")
         if self.z_model_covariate is not None and self.z_model_covariate not in self.covariate_names:
             raise ValueError(
                 f"z_model_covariate {self.z_model_covariate!r} not among covariates {self.covariate_names}"

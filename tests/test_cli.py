@@ -102,6 +102,28 @@ class TestFitCommand:
         assert "listed more than once: odn" in capsys.readouterr().err
         assert loads == [] and not out.exists()
 
+    @pytest.mark.parametrize("command", ["fit", "select"])
+    def test_absent_covariate_column_exit_1(self, data_csv, tmp_path, capsys, command):
+        # data_csv has no cd4 column: named before any row is dropped for it
+        out = tmp_path / "absent"
+        code = main([command, "--data", str(data_csv), "--covariates", "odn,cd4",
+                     "--out", str(out)])
+        assert code == 1
+        assert "error: data is missing covariate column(s): cd4" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integer_beyond_float_range_exit_1(self, tmp_path, capsys):
+        huge = "1" + "0" * 400
+        path = tmp_path / "huge.csv"
+        path.write_text(f"id,weight,s,z,odn,test_year\na,1.0,0.5,0,1.2,2015\n"
+                        f"b,1.0,2.5,1,0.3,{huge}\n")
+        out = tmp_path / "huge"
+        code = main(["fit", "--data", str(path), "--covariates", "odn", "--out", str(out)])
+        assert code == 1
+        assert (f"error: row 3: column 'test_year' must be finite, got '{huge}'"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestNoPerRowObjects:
     def test_fit_and_predict_build_no_subject(self, tmp_path, monkeypatch):
@@ -201,7 +223,9 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("flags, message", [
         (["--beta", "1,2,3"], "beta_true must have 2 entries for S1"),
         (["--n", "0"], "n_total must be positive, got 0"),
-    ], ids=["beta-length", "zero-n"])
+        (["--eta", "1,2,3"], "eta_true must have 4 entries"),
+        (["--noise", "0.1"], "noise must have 2 entries"),
+    ], ids=["beta-length", "zero-n", "eta-length", "noise-length"])
     def test_bad_config_exit_1_names_field(self, tmp_path, capsys, flags, message):
         args = ["simulate", "--scenario", "1", "--reps", "1", "--n", "200"]
         code = main(args + flags + ["--out", str(tmp_path / "bad")])
@@ -383,12 +407,14 @@ class TestPredictCommand:
                      "--out", str(tmp_path / "p")]) == 1
         assert "odn" in capsys.readouterr().err
 
-    def test_covariate_mismatch_lists_missing(self, fit_dir, tmp_path):
+    def test_covariate_mismatch_lists_missing(self, fit_dir, tmp_path, capsys):
         path = tmp_path / "thin.csv"
         path.write_text("id,weight,s,z,age\na,1.0,0.5,0,30\nb,1.0,2.5,1,40\n")
         code = main(["predict", "--fit", str(fit_dir / "fit.json"),
                      "--data", str(path), "--out", str(tmp_path / "p4")])
         assert code == 1
+        assert "error: data is missing covariate column(s): odn" in capsys.readouterr().err
+        assert not (tmp_path / "p4").exists()
 
 
 class TestEntryPoint:

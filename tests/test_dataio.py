@@ -103,6 +103,37 @@ class TestLoad:
         with pytest.raises(DataError, match="row 3: column 's' must be finite"):
             load(path)
 
+    @pytest.mark.parametrize("column, cell", [
+        ("odn", "1_0"), ("test_year", "2_015"), ("test_month", "\u0663"), ("odn", "\u0661.5"),
+    ])
+    def test_underscore_and_non_ascii_digits_refused(self, tmp_path, column, cell):
+        # int and float read 2_015 as 2015 and an Arabic-Indic three as 3
+        rows = standard_rows()
+        rows[1][HEADER.index(column)] = cell
+        path = write_csv(tmp_path / "d.csv", HEADER, rows)
+        with pytest.raises(DataError, match=f"^row 3: column '{column}' has unparseable value"):
+            csv_path_load(path)
+
+    @pytest.mark.parametrize("cell", ["1_000", "\u0661\u0662"])
+    def test_underscore_viral_load_is_categorical_under_phia_vl(self, tmp_path, cell):
+        rows = standard_rows()
+        rows[1][HEADER.index("vl")] = cell
+        path = write_csv(tmp_path / "d.csv", HEADER, rows)
+        records = csv_path_load(path, phia_vl=True)
+        assert records.vl_raw == {1: cell} and math.isnan(records.vl[1])
+
+    @pytest.mark.parametrize("others", [
+        ["2014", "2015"],            # every cell an integer: the first parse
+        ["NA", "2015"],              # an NA cell: the second parse
+        ["2014", "NA "],             # a padded NA: cell by cell
+        ["2014", "\u0662\u0660"],    # a non-ASCII cell: cell by cell
+    ], ids=["plain", "na", "padded-na", "non-ascii"])
+    def test_integer_beyond_float_range_is_not_finite(self, others):
+        huge = "1" + "0" * 400
+        with pytest.raises(DataError, match=f"^row 3: column 'test_year' must be finite, "
+                                            f"got '{huge}'$"):
+            dataio._parse([others[0], huge, others[1]], int, "test_year")
+
     def test_column_mapping_override(self, tmp_path):
         header = ["pid", "wt", "ty", "tm", "iy", "im", "result", "odn_val"]
         rows = [["x", 1.5, 2015, 2, 2016, 2, 1, 0.8]]
@@ -279,6 +310,37 @@ class TestPreprocess:
         assert 0.0 <= math.expm1(resolved["b"]) < 20.0
         assert math.expm1(resolved["c"]) == pytest.approx(1e7, rel=1e-6)
 
+    def test_absent_covariate_named(self, tmp_path):
+        header = [c for c in HEADER if c not in ("age", "cd4")]
+        rows = [[v for c, v in zip(HEADER, r) if c not in ("age", "cd4")] for r in standard_rows()]
+        path = write_csv(tmp_path / "d.csv", header, rows)
+        with pytest.raises(DataError, match=r"^data is missing covariate column\(s\): cd4, age$"):
+            preprocess(load(path), covariates=("odn", "cd4", "age"))
+
+    def test_all_na_covariate_is_absent(self, tmp_path):
+        rows = standard_rows()
+        for r in rows:
+            r[HEADER.index("odn")] = "NA"
+        path = write_csv(tmp_path / "d.csv", HEADER, rows)
+        with pytest.raises(DataError, match=r"missing covariate column\(s\): odn$"):
+            preprocess(load(path), covariates=("odn",))
+
+    def test_header_only_file_has_no_usable_rows(self, tmp_path):
+        # no row to hold a value is no evidence that a column is absent
+        path = write_csv(tmp_path / "d.csv", HEADER, [])
+        with pytest.raises(DataError, match="^no usable rows after preprocessing$"):
+            preprocess(load(path), covariates=("odn",))
+
+    def test_categorical_viral_loads_are_not_absent(self, tmp_path):
+        rows = standard_rows()
+        for r, vl in zip(rows, ["undetectable", "less than 20", "more than 1 million"]):
+            r[HEADER.index("vl")] = vl
+        path = write_csv(tmp_path / "d.csv", HEADER, rows)
+        records = load(path, phia_vl=True)
+        assert np.isnan(records.vl).all()
+        arrays, _ = preprocess(records, covariates=("logvl",))
+        assert arrays.n == 3
+
     def test_unknown_covariate_rejected(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", HEADER, standard_rows())
         with pytest.raises(DataError, match="unknown covariate"):
@@ -381,7 +443,8 @@ class TestNumpyPath:
         ("id", '"a,1"'), ("id", "Nancy"), ("odn", "nan"), ("odn", "NaN"), ("odn", "inf"),
         ("odn", "-Infinity"), ("odn", "1e400"), ("odn", "1_0"), ("odn", ""), ("odn", "NA "),
         ("odn", " "), ("weight", "x"), ("test_month", "3.0"), ("z", "1e0"),
-        ("test_year", "99999999999999999999"), ("vl", "undetectable"),
+        ("test_year", "99999999999999999999"), ("test_year", "1" + "0" * 400),
+        ("test_year", "2_015"), ("odn", "\u0663"), ("vl", "undetectable"),
     ])
     def test_declined_cells(self, tmp_path, cell, value):
         rows = [row.split(",") for row in PLAIN_ROWS]

@@ -388,6 +388,16 @@ class TestFitReport:
         assert doc["eta"]["eta00"] == 7.0
         assert len(doc["cov"]["matrix"]) == len(res.free_names)
 
+    @pytest.mark.parametrize("spec", [
+        ModelSpec(covariate_names=("logvl", "odn")),
+        ModelSpec(covariate_names=("logvl", "odn"), fix_eta00=None, extended=True),
+    ], ids=["default", "free_eta00_extended"])
+    def test_one_se_per_free_parameter(self, spec):
+        res = fit(generate(default_config("2", n_total=600, seed=19)).train_arrays, spec)
+        doc = fit_report(res)
+        assert list(doc["se"]) == list(res.free_names) == doc["cov"]["params"]
+        assert len(doc["se"]) == res.n_free == len(spec.free_names())
+
     def test_p0_one_omits_eta00_eta01(self):
         subs = sim_train(18, n_total=600)
         spec = ModelSpec(covariate_names=("odn",), p0_identically_one=True, fix_eta00=None)

@@ -361,6 +361,16 @@ class TestThetaAndSpec:
         with pytest.raises(ValueError, match=next(iter(extra))):
             log_pseudo_likelihood(subjects(0.0, 0.5, 1), theta, spec)
 
+    @pytest.mark.parametrize("names, shown", [
+        (("odn", "odn"), "odn"), (("age", "odn", "cd4", "odn", "age"), "age, odn"),
+    ])
+    def test_repeated_covariate_rejected(self, names, shown):
+        # two beta_odn entries would share one name in every report
+        with pytest.raises(ValueError, match=rf"^covariate\(s\) listed more than once: {shown}$"):
+            ModelSpec(covariate_names=names)
+        with pytest.raises(ValueError, match="listed more than once"):
+            replace(ModelSpec(covariate_names=("odn",)), covariate_names=names)
+
     def test_z_model_covariate_must_exist(self):
         with pytest.raises(ValueError):
             ModelSpec(covariate_names=("odn",), z_model_covariate="age")
