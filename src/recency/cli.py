@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .dataio import ColumnMap, DataError, load, preprocess
+from .dataio import KNOWN_COVARIATES, ColumnMap, DataError, load, preprocess
 from .estimation import (
     backward_stepwise,
     compare_eta_variants,
@@ -96,7 +96,7 @@ def _column_map(args) -> ColumnMap:
     return dataclasses.replace(ColumnMap(), **overrides)
 
 
-COVARIATES_HELP = "comma-separated covariate names (age,gender,odn,logvl,cd4)"
+COVARIATES_HELP = f"comma-separated covariate names ({','.join(KNOWN_COVARIATES)})"
 
 
 def _add_data_flags(p):
@@ -223,10 +223,7 @@ def cmd_simulate(args) -> int:
     if args.odn_z_coeff is not None:
         overrides["odn_in_z_coeff"] = args.odn_z_coeff
     config = default_config(args.scenario, n_total=args.n, seed=args.seed, **overrides)
-
-    n_cov = 2 if config.scenario == "S2" else 1
-    names = ("logvl", "odn") if n_cov == 2 else ("odn",)
-    spec = ModelSpec(covariate_names=names, extended=args.extended)
+    spec = ModelSpec(covariate_names=config.covariate_names, extended=args.extended)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -301,10 +298,11 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--s-gamma", default=None,
                        help="gamma shape,rate (scenario 6: shape,rate0,rate1)")
     p_sim.add_argument("--noise", default=None,
-                       help="jitter half-width,flip rate (scenario 5; applied to every "
-                            "reported history, train and test halves)")
+                       help="reporting error on every reported history: s jitter "
+                            "half-width,z flip rate (any scenario; nonzero by default in 5)")
     p_sim.add_argument("--odn-z-coeff", type=float, default=None,
-                       help="covariate leak into the test-result model (scenario 7)")
+                       help="odn's leak into both test-result expits (any scenario; "
+                            "nonzero by default in 7)")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_pred = sub.add_parser("predict", help="predictions from a stored fit")

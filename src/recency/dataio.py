@@ -331,11 +331,11 @@ _NUMBER = re.compile(r"[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?")
 
 
 def _parse_quantity(text: str) -> float:
-    mult = 1e6 if "million" in text else 1.0
-    m = _NUMBER.search(text.replace(",", ""))
-    if m is None:
+    """The one number in ``text``, times 1e6 for "million"; ValueError if none, several or ``_``."""
+    numbers = _NUMBER.findall(text.replace(",", ""))
+    if len(numbers) != 1 or "_" in text:
         raise ValueError(text)
-    return float(m.group(0)) * mult
+    return float(numbers[0]) * (1e6 if "million" in text else 1.0)
 
 
 def _resolve_vl(raw: str, rid: str, rng) -> float:

@@ -149,11 +149,12 @@ def _profile_pieces(arrs, theta, spec):
     sol = solve_mu(theta.psi, arrs)
     if not sol.feasible:
         return None, sol
-    return _profile_contrib(arrs, theta.psi, sol, _case_terms(arrs, theta, spec)), sol
+    d = tilt(arrs.s, theta.psi) - 1.0
+    return _profile_contrib(arrs, d, sol, _case_terms(arrs, theta, spec)), sol
 
 
-def _profile_contrib(arrs, psi, sol, terms):
-    return arrs.w * (-np.log1p(sol.mu * (tilt(arrs.s, psi) - 1.0)) + terms)
+def _profile_contrib(arrs, d, sol, terms):
+    return arrs.w * (-np.log1p(sol.mu * d) + terms)
 
 
 def profile_log_likelihood(data, theta: Theta, spec: ModelSpec) -> float:
@@ -173,9 +174,9 @@ class _ProfileObjective:
     """The extended fit's objective for :func:`estimation._maximize`:
     the profile likelihood, its analytic gradient, Hessian and sandwich,
     and trust-exact runs on its negation with rejection counting.  One
-    cached root-find and kernel pass per distinct point serves every
-    method but ``value``: trust-exact asks for the value, gradient and
-    Hessian at each trial point, the Hessian first."""
+    cached root-find, kernel pass and set of multiplier pieces per distinct
+    point serves every method but ``value``: trust-exact asks for the
+    value, gradient and Hessian at each trial point, the Hessian first."""
 
     def __init__(self, arrs, template, spec):
         self.arrs = arrs
@@ -208,12 +209,12 @@ class _ProfileObjective:
         """Trust-exact objective (value, -gradient) from the cached pass;
         (inf, NaNs) where psi is infeasible."""
         try:
-            theta, sol, cp = self._feasible_pass(free)
+            sol, cp, mp = self._feasible_pass(free)
         except FloatingPointError:
             return self._negated_total(None, None), np.full(free.size, np.nan)
-        contrib = _profile_contrib(self.arrs, theta.psi, sol, cp.terms)
+        contrib = _profile_contrib(self.arrs, mp[1], sol, cp.terms)
         try:
-            grad = -_exact_colsum(self._profile_scores(theta, sol, cp))
+            grad = -_exact_colsum(self._profile_scores(sol, cp, mp))
         except FloatingPointError:
             grad = np.full(free.size, np.nan)
         return self._negated_total(contrib, sol), grad
@@ -233,9 +234,9 @@ class _ProfileObjective:
                         method="trust-exact", options={"gtol": SCORE_TOL, "maxiter": MAX_ITER})
 
     def _feasible_pass(self, free):
-        """Theta, tilt solution and kernel pass at ``free``, kept for the
-        last distinct point; raises FloatingPointError where psi is
-        infeasible or its tilt overflows."""
+        """Tilt solution, kernel pass and multiplier pieces at ``free``,
+        kept for the last distinct point; raises FloatingPointError where
+        psi is infeasible or its tilt overflows."""
         if self._x is None or not np.array_equal(free, self._x):
             theta = self.template.with_free(free, self.spec)
             try:
@@ -243,17 +244,17 @@ class _ProfileObjective:
             except OverflowError:
                 sol = None
             feasible = sol is not None and sol.feasible
-            cp = _case_pass(self.arrs, theta, self.spec) if feasible else None
-            self._x, self._pieces = np.array(free, dtype=float), (theta, sol, cp)
-        theta, sol, cp = self._pieces
-        if cp is None:
+            pieces = (sol, _case_pass(self.arrs, theta, self.spec),
+                      self._multiplier_pieces(theta.psi, sol)) if feasible else None
+            self._x, self._pieces = np.array(free, dtype=float), pieces
+        if self._pieces is None:
             raise FloatingPointError("profile derivatives requested at infeasible psi")
-        return theta, sol, cp
+        return self._pieces
 
     def multiplier(self, free):
         """mu at ``free``, or None where psi is infeasible."""
         try:
-            return self._feasible_pass(free)[1].mu
+            return self._feasible_pass(free)[0].mu
         except FloatingPointError:
             return None
 
@@ -261,10 +262,10 @@ class _ProfileObjective:
         """Per-subject profile scores m_i; (n, k)."""
         return self._profile_scores(*self._feasible_pass(free))
 
-    def _multiplier_pieces(self, theta, sol):
+    def _multiplier_pieces(self, psi, sol):
         """e, d = e - 1, 1 + mu d, d(e)/d(psi0, psi1), g_mu and g_psi."""
         arrs = self.arrs
-        e = tilt(arrs.s, theta.psi)
+        e = tilt(arrs.s, psi)
         d = e - 1.0
         denom = 1.0 + sol.mu * d
         de = np.column_stack([e, e * arrs.s])
@@ -272,8 +273,9 @@ class _ProfileObjective:
         g_psi = _exact_colsum((arrs.w / denom**2)[:, None] * de)
         return e, d, denom, de, g_mu, g_psi
 
-    def _profile_scores(self, theta, sol, cp):
-        """Profile scores from the kernel pass cp at a feasible psi.
+    def _profile_scores(self, sol, cp, mp):
+        """Profile scores from the kernel pass cp and the multiplier
+        pieces mp at a feasible psi.
 
         The case-term scores, plus in the psi columns the derivative of
         -w log(1 + mu d) through d = e - 1 and through mu(psi), whose
@@ -283,7 +285,7 @@ class _ProfileObjective:
         """
         arrs = self.arrs
         m = _case_scores(arrs, self.spec, cp)
-        _, d, denom, de, g_mu, g_psi = self._multiplier_pieces(theta, sol)
+        _, d, denom, de, g_mu, g_psi = mp
         dmu = -g_psi / g_mu
         m[:, self.psi_cols] -= (arrs.w / denom)[:, None] * (sol.mu * de + d[:, None] * dmu)
         if not np.isfinite(m).all():
@@ -296,8 +298,7 @@ class _ProfileObjective:
         The case-term Hessian plus the psi-block correction of the module
         docstring; raises FloatingPointError where psi is infeasible.
         """
-        theta, sol, cp = self._feasible_pass(free)
-        e, _, denom, _, g_mu, g_psi = self._multiplier_pieces(theta, sol)
+        sol, cp, (e, _, denom, _, g_mu, g_psi) = self._feasible_pass(free)
         s = self.arrs.s
         q = self.arrs.w * sol.mu * (1.0 - sol.mu) * e / denom**2
         c00, c01, c11 = _exact_colsum(np.column_stack([q, q * s, q * s * s]))

@@ -10,6 +10,8 @@ All types are immutable after construction and all functions are pure.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,11 @@ __all__ = [
 ]
 
 ETA_NAMES = ("eta00", "eta01", "eta10", "eta11")
+
+
+def _is_number(value) -> bool:
+    """A real number, Python's or numpy's, that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def logistic(x):
@@ -49,14 +56,16 @@ def logistic(x):
 class ModelSpec:
     """Which parameters are estimated and how the model is wired.
 
-    ``covariate_names`` are distinct: each names one ``beta_<name>``.
-    ``fix_eta00`` / ``fix_eta10`` pin the corresponding intercepts of the
-    test-result model (None leaves them free).  ``p0_identically_one``
-    replaces the long-term positive-result probability with the constant
-    1, removing eta00 and eta01 from the model entirely.  ``extended``
-    turns on the density-ratio tilt with parameters (psi0, psi1).
-    ``z_model_covariate`` optionally names one covariate that enters both
-    test-result expits with a single shared coefficient (eta_x).
+    ``covariate_names`` is a list or tuple of distinct strings: each names
+    one ``beta_<name>``.  ``fix_eta00`` / ``fix_eta10`` pin the
+    corresponding intercepts of the test-result model (a finite number,
+    stored as a float; None leaves them free).  ``p0_identically_one``
+    (a bool) replaces the long-term positive-result probability with the
+    constant 1, removing eta00 and eta01 from the model entirely.
+    ``extended`` (a bool) turns on the density-ratio tilt with parameters
+    (psi0, psi1).  ``z_model_covariate`` optionally names one covariate
+    that enters both test-result expits with a single shared coefficient
+    (eta_x).  A refused value raises a ValueError quoting the field name.
     """
 
     covariate_names: tuple[str, ...]
@@ -67,15 +76,24 @@ class ModelSpec:
     z_model_covariate: str | None = None
 
     def __post_init__(self):
-        names = tuple(self.covariate_names)
-        object.__setattr__(self, "covariate_names", names)
+        names = self.covariate_names
+        if not isinstance(names, (list, tuple)) or not all(isinstance(c, str) for c in names):
+            raise ValueError(f"'covariate_names' is {names!r}, not a list or tuple of strings")
+        object.__setattr__(self, "covariate_names", tuple(names))
         repeated = sorted({name for name in names if names.count(name) > 1})
         if repeated:
             raise ValueError(f"covariate(s) listed more than once: {', '.join(repeated)}")
-        if self.z_model_covariate is not None and self.z_model_covariate not in self.covariate_names:
-            raise ValueError(
-                f"z_model_covariate {self.z_model_covariate!r} not among covariates {self.covariate_names}"
-            )
+        for key in ("fix_eta00", "fix_eta10"):
+            value = getattr(self, key)
+            if value is not None and not (_is_number(value) and math.isfinite(value)):
+                raise ValueError(f"{key!r} is {value!r}, not a finite number or None")
+            object.__setattr__(self, key, None if value is None else float(value))
+        for key in ("p0_identically_one", "extended"):
+            if not isinstance(getattr(self, key), bool):
+                raise ValueError(f"{key!r} is {getattr(self, key)!r}, not True or False")
+        if self.z_model_covariate is not None and self.z_model_covariate not in names:
+            raise ValueError(f"'z_model_covariate' is {self.z_model_covariate!r}, "
+                             f"not among covariates {self.covariate_names}")
 
     @property
     def n_covariates(self) -> int:

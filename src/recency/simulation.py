@@ -8,16 +8,17 @@ S1  single standard-normal covariate; time gaps from one Gamma law,
 S2  two covariates from a bivariate normal; the intercept is solved per
     draw so the recent fraction hits a target; adds a third equal-size
     split (a contingency-table arm for external consumers).
-S5  S1 plus reporting error on every respondent's reported history,
-    train and test halves alike: uniform jitter on the time gap and
-    random flips of the reported test result.  The test half keeps the
-    mask of subjects whose *true* history leaves the status latent, so
-    Type-2 AUC scores the same population as in S1.
+S5  S1 plus reporting error (``noise``, honoured in any scenario) on
+    every respondent's reported history: uniform jitter on the time gap
+    and random flips of the reported test result.  The test half keeps
+    the mask of subjects whose *true* history leaves the status latent,
+    so Type-2 AUC scores the same population as in S1.
 S6  time gaps from two Gamma laws sharing a shape, conditional on the
     recency status; the implied density ratio is exactly the
     exponential tilt with psi0 = shape*log(rate1/rate0),
     psi1 = rate0 - rate1.
-S7  S1 with the first covariate leaking into both test-result expits.
+S7  S1 with the odn covariate leaking into both test-result expits
+    (``odn_in_z_coeff``, honoured in any scenario).
 
 Each replicate derives its RNG stream from the config seed via
 SeedSequence.spawn, so results are bit-identical regardless of how many
@@ -39,7 +40,7 @@ from scipy.optimize import brentq
 
 from .estimation import fit
 from .glm import fit_weighted_logistic
-from .model import ModelSpec, SubjectArrays, logistic, pi_recent
+from .model import ModelSpec, SubjectArrays, Theta, check_theta_spec, logistic, pi_recent
 from .prediction import _type2_vector, recency_rate
 
 __all__ = [
@@ -71,8 +72,8 @@ class ScenarioConfig:
     cov_mean: tuple[float, float] | None = None         # S2
     cov_cov: tuple[tuple[float, float], ...] | None = None
     target_mean_y: float | None = None                  # S2: solve intercept for this
-    noise: tuple[float, float] = (0.0, 0.0)             # (s jitter half-width, z flip rate)
-    odn_in_z_coeff: float = 0.0                         # S7
+    noise: tuple[float, float] = (0.0, 0.0)   # (s jitter half-width, z flip rate); S5 default
+    odn_in_z_coeff: float = 0.0               # odn's leak into both test-result expits; S7 default
     seed: int = 0
 
     def __post_init__(self):
@@ -80,7 +81,7 @@ class ScenarioConfig:
             raise ValueError(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
         if self.n_total <= 0:
             raise ValueError(f"n_total must be positive, got {self.n_total}")
-        n_beta = 3 if self.scenario == "S2" else 2
+        n_beta = len(self.covariate_names) + 1
         if len(self.beta_true) != n_beta:
             raise ValueError(f"beta_true must have {n_beta} entries for {self.scenario}, the "
                              f"intercept and one slope per covariate; got {len(self.beta_true)}")
@@ -90,10 +91,15 @@ class ScenarioConfig:
         if len(self.noise) != 2:
             raise ValueError("noise must have 2 entries, (s jitter half-width, z flip rate); "
                              f"got {len(self.noise)}")
+        for name in ("beta_true", "eta_true", "s_gamma", "noise", "odn_in_z_coeff"):
+            if not np.isfinite(getattr(self, name)).all():   # a nan passes every bound below
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.n_total % 2 != 0:
             raise ValueError("n_total must be even (half train, half test)")
         if self.scenario == "S2" and self.n_total % 3 != 0:
             raise ValueError("S2 splits into three equal groups; n_total must be divisible by 3")
+        if self.noise[0] < 0.0:
+            raise ValueError(f"s jitter half-width must be >= 0, got {self.noise[0]}")
         if not 0.0 <= self.noise[1] < 1.0:
             raise ValueError("z flip rate must be in [0, 1)")
         if any(g <= 0 for g in self.s_gamma):
@@ -101,6 +107,11 @@ class ScenarioConfig:
         if len(self.s_gamma) != (3 if self.scenario == "S6" else 2):
             gamma = "(shape, rate0, rate1)" if self.scenario == "S6" else "(shape, rate)"
             raise ValueError(f"{self.scenario} needs s_gamma = {gamma}, got {self.s_gamma}")
+
+    @property
+    def covariate_names(self) -> tuple[str, ...]:
+        """The scenario's covariates, in the columns of its ``x``."""
+        return ("logvl", "odn") if self.scenario == "S2" else ("odn",)
 
     @property
     def psi_true(self) -> tuple[float, float] | None:
@@ -203,10 +214,6 @@ def _misreport(rng, noise, s, z):
     return s, z
 
 
-def _arrays(x, s, z) -> SubjectArrays:
-    return SubjectArrays(x=x, s=s, z=z, w=np.ones(s.size))
-
-
 def generate(config: ScenarioConfig, rng: np.random.Generator | None = None) -> GeneratedData:
     """Draw one dataset; equal sampling weights throughout."""
     if rng is None:
@@ -246,8 +253,8 @@ def generate(config: ScenarioConfig, rng: np.random.Generator | None = None) -> 
     q0 = eta[0] + eta[1] * (s - 1.0)
     q1 = eta[2] + eta[3] * (s - 1.0)
     if config.odn_in_z_coeff:
-        q0 = q0 + config.odn_in_z_coeff * x[:, 0]
-        q1 = q1 + config.odn_in_z_coeff * x[:, 0]
+        leak = config.odn_in_z_coeff * x[:, config.covariate_names.index("odn")]
+        q0, q1 = q0 + leak, q1 + leak
     z = _draw_z(rng, y, s, q0, q1)
 
     perm = rng.permutation(n)
@@ -258,25 +265,24 @@ def generate(config: ScenarioConfig, rng: np.random.Generator | None = None) -> 
         half = n // 2
         idx_ct, idx_tr, idx_te = None, perm[:half], perm[half:]
 
-    s_tr, z_tr = s[idx_tr], z[idx_tr]
-    s_te, z_te = s[idx_te], z[idx_te]
-    # latent: the true history is a cell of unknown label, (s <= 1, z = 1) or (s > 1, z = 0)
-    test_latent = (s_te <= 1.0) == (z_te == 1)
-    if config.scenario == "S5":
-        # the train half draws first, so its reports never depend on the test half
-        s_tr, z_tr = _misreport(rng, config.noise, s_tr, z_tr)
-        s_te, z_te = _misreport(rng, config.noise, s_te, z_te)
+    def reported(idx):
+        """The subjects at ``idx`` as they report their history, equally weighted."""
+        s_rep, z_rep = _misreport(rng, config.noise, s[idx], z[idx])
+        return SubjectArrays(x=x[idx], s=s_rep, z=z_rep, w=np.ones(idx.size))
 
     data = GeneratedData(
-        train_arrays=_arrays(x[idx_tr], s_tr, z_tr),
+        # the train half draws its reporting error first, so its reports
+        # never depend on the test half; zero noise draws nothing
+        train_arrays=reported(idx_tr),
         y_train=y[idx_tr],
-        test_arrays=_arrays(x[idx_te], s_te, z_te),
+        test_arrays=reported(idx_te),
         y_test=y[idx_te],
-        test_latent=test_latent,
+        # latent: the true history is a cell of unknown label, (s <= 1, z = 1) or (s > 1, z = 0)
+        test_latent=(s[idx_te] <= 1.0) == (z[idx_te] == 1),
         solved_beta0=solved_beta0,
     )
     if idx_ct is not None:
-        data.contingency_arrays = _arrays(x[idx_ct], s[idx_ct], z[idx_ct])
+        data.contingency_arrays = reported(idx_ct)
         data.y_contingency = y[idx_ct]
     return data
 
@@ -330,18 +336,13 @@ class ReplicateSummary:
 
 
 def _truth_map(config: ScenarioConfig, spec: ModelSpec, solved_beta0=None) -> dict[str, float]:
-    beta = list(config.beta_true)
-    if solved_beta0 is not None:
-        beta[0] = solved_beta0
-    names = ["beta0"] + [f"beta_{c}" for c in spec.covariate_names]
-    truth = dict(zip(names, beta))
-    for name, val in zip(("eta00", "eta01", "eta10", "eta11"), config.eta_true):
-        truth[name] = val
-    truth["eta_x"] = config.odn_in_z_coeff
-    psi = config.psi_true
-    truth["psi0"] = psi[0] if psi else 0.0
-    truth["psi1"] = psi[1] if psi else 0.0
-    return truth
+    """The true value of each of ``spec``'s parameters, by name; zero tilt outside S6."""
+    beta = config.beta_true if solved_beta0 is None else (solved_beta0, *config.beta_true[1:])
+    truth = Theta(beta=beta, eta=config.eta_true,
+                  psi=(config.psi_true or (0.0, 0.0)) if spec.extended else None,
+                  eta_x=None if spec.z_model_covariate is None else config.odn_in_z_coeff)
+    check_theta_spec(truth, spec)
+    return dict(zip(spec.param_names, truth.pack().tolist()))
 
 
 def _one_replicate(args):
@@ -379,8 +380,7 @@ def _one_replicate(args):
         try:
             lr = fit_weighted_logistic(train.x[labeled], recent[labeled].astype(int),
                                        train.w[labeled])
-            lr_names = ["beta0"] + [f"beta_{c}" for c in spec.covariate_names]
-            for j, name in enumerate(lr_names):
+            for j, name in enumerate(spec.param_names[:spec.n_beta]):
                 lr_row[name] = {
                     "estimate": float(lr.beta[j]),
                     "se": float(lr.se[j]),
@@ -454,8 +454,8 @@ def run_replicates(config: ScenarioConfig, n_reps: int, spec: ModelSpec,
 
     ok = [r for r in rows if r["converged"]]
     params = _aggregate([r["params"] for r in ok], spec.free_names())
-    lr_names = ["beta0"] + [f"beta_{c}" for c in spec.covariate_names]
-    lr_params = _aggregate([r["lr_params"] for r in ok if r["lr_params"]], lr_names)
+    lr_params = _aggregate([r["lr_params"] for r in ok if r["lr_params"]],
+                           spec.param_names[:spec.n_beta])
 
     def nanmean(key):
         vals = np.array([r[key] for r in ok], dtype=float)

@@ -54,6 +54,16 @@ class TestFitCommand:
         assert list(doc["se"]) == ["beta0", "beta_odn", "eta11"]
         assert "eta00" not in doc["eta"] and "eta01" not in doc["eta"]
 
+    @pytest.mark.parametrize("flag", ["--fix-eta00", "--fix-eta10"])
+    def test_non_finite_pin_exit_1_names_field(self, data_csv, tmp_path, capsys, flag):
+        # a nan pin fitted to a nan likelihood and a non-converged result
+        out = tmp_path / "nan_pin"
+        assert main(["fit", "--data", str(data_csv), "--covariates", "odn", flag, "nan",
+                     "--out", str(out)]) == 1
+        field = flag[2:].replace("-", "_")
+        assert f"error: '{field}' is nan, not a finite number or None" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_conflicting_flags_usage_error(self, data_csv, tmp_path):
         code = main(["fit", "--data", str(data_csv), "--covariates", "odn",
                      "--p0-one", "--fix-eta00", "7", "--out", str(tmp_path / "x")])
@@ -205,6 +215,14 @@ class TestSimulateCommand:
         assert main(args + ["--out", str(b)]) == 0
         assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
         assert (a / "replicates.csv").read_bytes() == (b / "replicates.csv").read_bytes()
+
+    def test_noise_is_honoured_outside_scenario_five(self, tmp_path):
+        # scenario 1 wrote byte-identical replicates with and without --noise
+        args = ["simulate", "--scenario", "1", "--reps", "2", "--n", "400", "--seed", "5"]
+        clean, noisy = tmp_path / "clean", tmp_path / "noisy"
+        assert main(args + ["--out", str(clean)]) == 0
+        assert main(args + ["--noise", "0.2,0.05", "--out", str(noisy)]) == 0
+        assert (clean / "replicates.csv").read_bytes() != (noisy / "replicates.csv").read_bytes()
 
     def test_unknown_scenario_usage_error(self, tmp_path):
         code = main(["simulate", "--scenario", "9", "--reps", "1",

@@ -310,6 +310,22 @@ class TestPreprocess:
         assert 0.0 <= math.expm1(resolved["b"]) < 20.0
         assert math.expm1(resolved["c"]) == pytest.approx(1e7, rel=1e-6)
 
+    @pytest.mark.parametrize("text", ["less than 1_000", "less than 2 000", "more than 1 2"])
+    def test_ambiguous_categorical_viral_load_refused(self, tmp_path, text):
+        # the first digit run was the bound: 1 or 2 where the survey meant 1000 or 2000
+        rows = standard_rows()
+        rows[1][HEADER.index("vl")] = text
+        path = write_csv(tmp_path / "d.csv", HEADER, rows)
+        with pytest.raises(DataError, match=f"^record b: unrecognized categorical viral "
+                                            f"load '{text}'$"):
+            preprocess(load(path, phia_vl=True), covariates=("logvl",))
+
+    @pytest.mark.parametrize("text, bound", [("less than 40 copies/ml", 40.0),
+                                             ("less than 1,000", 1000.0)])
+    def test_one_number_bounds_a_categorical_viral_load(self, text, bound):
+        drawn = dataio._resolve_vl(text, "a", np.random.default_rng(4))
+        assert drawn == np.random.default_rng(4).uniform(0.0, bound)
+
     def test_absent_covariate_named(self, tmp_path):
         header = [c for c in HEADER if c not in ("age", "cd4")]
         rows = [[v for c, v in zip(HEADER, r) if c not in ("age", "cd4")] for r in standard_rows()]

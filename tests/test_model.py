@@ -372,5 +372,31 @@ class TestThetaAndSpec:
             replace(ModelSpec(covariate_names=("odn",)), covariate_names=names)
 
     def test_z_model_covariate_must_exist(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^'z_model_covariate' is 'age', not among"):
             ModelSpec(covariate_names=("odn",), z_model_covariate="age")
+
+    @pytest.mark.parametrize("kwargs, field", [
+        # a bare string was split into the covariates o, d and n
+        ({"covariate_names": "odn"}, "covariate_names"),
+        ({"covariate_names": ("odn", 1)}, "covariate_names"),
+        ({"covariate_names": None}, "covariate_names"),
+        ({"fix_eta00": "7"}, "fix_eta00"),
+        ({"fix_eta00": True}, "fix_eta00"),
+        ({"fix_eta00": math.nan}, "fix_eta00"),
+        ({"fix_eta10": -math.inf}, "fix_eta10"),
+        ({"fix_eta10": [-7.0]}, "fix_eta10"),
+        ({"p0_identically_one": "yes"}, "p0_identically_one"),
+        ({"extended": 1}, "extended"),
+    ], ids=lambda v: v if isinstance(v, str) else repr(next(iter(v.values()))))
+    def test_wrongly_typed_field_named(self, kwargs, field):
+        spec = {"covariate_names": ("odn",), **kwargs}
+        with pytest.raises(ValueError, match=f"^'{field}' is "):
+            ModelSpec(**spec)
+
+    @pytest.mark.parametrize("value", [np.float64(7.0), np.int64(7), 7],
+                             ids=["float64", "int64", "int"])
+    def test_numpy_and_integer_pins_are_numbers(self, value):
+        spec = ModelSpec(covariate_names=["odn"], fix_eta00=value, fix_eta10=value)
+        assert spec.covariate_names == ("odn",)
+        assert type(spec.fix_eta00) is float and spec.fix_eta00 == 7.0
+        assert type(spec.fix_eta10) is float and spec.fix_eta10 == 7.0

@@ -121,6 +121,30 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(scenario="S5", noise=(0.1, 1.0))
 
+    def test_negative_jitter_rejected(self):
+        # _misreport skipped a negative jitter: the setting was ignored
+        with pytest.raises(ValueError, match=r"^s jitter half-width must be >= 0, got -0.1$"):
+            default_config("1", noise=(-0.1, 0.0))
+
+    @pytest.mark.parametrize("field, value", [
+        ("beta_true", (0.95, math.nan)), ("eta_true", (7.0, -0.62, math.inf, -5.71)),
+        ("s_gamma", (math.nan, 0.19)), ("noise", (math.nan, 0.02)), ("odn_in_z_coeff", math.nan),
+    ])
+    def test_non_finite_setting_rejected(self, field, value):
+        # without an error, a nan jitter drew nothing and a nan leak made every random z 0
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
+            default_config("1", **{field: value})
+
+    @pytest.mark.parametrize("scenario, names", [
+        ("1", ("odn",)), ("2", ("logvl", "odn")), ("5", ("odn",)), ("6", ("odn",)),
+        ("7", ("odn",)),
+    ])
+    def test_covariate_names(self, scenario, names):
+        cfg = default_config(scenario)
+        assert cfg.covariate_names == names
+        assert len(cfg.beta_true) == len(names) + 1
+        assert generate(default_config(scenario, n_total=600)).train_arrays.x.shape[1] == len(names)
+
 
 class TestGenerate:
     def test_seed_reproducibility(self):
@@ -207,6 +231,32 @@ class TestGenerate:
         np.testing.assert_array_equal(a.y_test, b.y_test)
         np.testing.assert_array_equal(a.test_latent, b.test_latent)
 
+    @pytest.mark.parametrize("scenario", ["1", "2"])
+    def test_noise_misreports_in_any_scenario(self, scenario):
+        # S1 with --noise simulated clean reports: only S5 honoured the setting
+        clean = generate(default_config(scenario, n_total=1200, seed=16))
+        noisy = generate(default_config(scenario, n_total=1200, seed=16, noise=(0.2, 0.05)))
+        halves = ["train_arrays", "test_arrays"] + (["contingency_arrays"] if scenario == "2"
+                                                    else [])
+        for half in halves:
+            a, b = getattr(clean, half), getattr(noisy, half)
+            assert (a.s != b.s).any() and (a.z != b.z).any()
+            np.testing.assert_array_equal(a.x, b.x)
+        for truth in ("y_train", "y_test", "test_latent"):
+            np.testing.assert_array_equal(getattr(clean, truth), getattr(noisy, truth))
+
+    def test_s2_leak_takes_the_odn_column(self):
+        # column 0 of S2 is logvl; the leak took it in every scenario
+        clean = generate(default_config("2", n_total=30000, seed=17))
+        leaky = generate(default_config("2", n_total=30000, seed=17, odn_in_z_coeff=0.5))
+        for half in ("train_arrays", "test_arrays", "contingency_arrays"):
+            a, b = getattr(clean, half), getattr(leaky, half)
+            np.testing.assert_array_equal(a.s, b.s)
+            moved = a.z != b.z
+            assert moved.sum() > 10
+            # the same uniforms: z rises where odn > 0 and falls where odn < 0
+            np.testing.assert_array_equal(np.sign(b.x[moved, 1]), (b.z - a.z)[moved])
+
     def test_s6_log_density_ratio_is_linear_tilt(self):
         cfg = default_config("6", n_total=200_000, seed=12)
         gen = generate(cfg)
@@ -255,6 +305,28 @@ class TestGenerate:
         assert abs(y_all.mean() - 0.5) < 0.03
         assert gen.train_arrays.x.shape[1] == 2
         assert gen.solved_beta0 is not None
+
+
+@pytest.mark.parametrize("scenario, spec", [
+    ("1", SPEC), ("2", ModelSpec(("logvl", "odn"))), ("6", ModelSpec(("odn",), extended=True)),
+    ("7", ModelSpec(("odn",), z_model_covariate="odn", fix_eta00=None)),
+])
+def test_truth_map_names_the_spec_parameters(scenario, spec):
+    cfg = default_config(scenario)
+    truth = simulation._truth_map(cfg, spec, solved_beta0=-1.5)
+    assert tuple(truth) == spec.param_names
+    assert [truth["beta0"], *(truth[f"beta_{c}"] for c in spec.covariate_names)] == \
+        [-1.5, *cfg.beta_true[1:]]
+    assert [truth[name] for name in ("eta00", "eta01", "eta10", "eta11")] == list(cfg.eta_true)
+    if spec.extended:
+        assert (truth["psi0"], truth["psi1"]) == cfg.psi_true
+    if spec.z_model_covariate:
+        assert truth["eta_x"] == cfg.odn_in_z_coeff == 0.5
+
+
+def test_truth_map_refuses_a_spec_of_other_covariates():
+    with pytest.raises(ValueError, match="beta has 3 entries but spec expects 2"):
+        simulation._truth_map(default_config("2"), SPEC)
 
 
 @pytest.fixture(scope="module")
