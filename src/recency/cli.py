@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -94,6 +95,22 @@ def _column_map(args) -> ColumnMap:
         if val is not None:
             overrides[f.name] = val or None
     return dataclasses.replace(ColumnMap(), **overrides)
+
+
+# argparse takes a value such as "-0.5,0.2" for an option (only a lone
+# negative number passes), so a list flag is joined to a value that starts
+# with a negative number: "--beta -0.5,0.2" parses as "--beta=-0.5,0.2".
+LIST_FLAGS = frozenset({"--beta", "--eta", "--s-gamma", "--noise"})
+
+
+def _join_negative_lists(argv) -> list[str]:
+    out = []
+    for token in argv:
+        if out and out[-1] in LIST_FLAGS and re.match(r"-\.?\d", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 COVARIATES_HELP = f"comma-separated covariate names ({','.join(KNOWN_COVARIATES)})"
@@ -317,7 +334,7 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_lists(sys.argv[1:] if argv is None else argv))
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -41,9 +41,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 
 from .estimation import FitResult, MAX_ITER, SCORE_TOL, _maximize, _newton_polish, _prepare, _sandwich
+from .estimation import minimize
 from .likelihood import (
     _case_hessian,
     _case_pass,
@@ -140,6 +140,7 @@ def solve_mu(psi, data) -> TiltSolution:
     g_lo, g_hi = g(lo_in), g(hi_in)
     if not (g_lo > 0.0 > g_hi):
         return _solution(0.0, w, n, d, feasible_extra=False)
+    from scipy.optimize import brentq
     mu = brentq(g, lo_in, hi_in, xtol=1e-15, rtol=8.9e-16, maxiter=200)
     return _solution(mu, w, n, d)
 

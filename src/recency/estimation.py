@@ -16,7 +16,8 @@ reject.  An unsettled attempt restarts further down that side
 (eta01 = -1, then -2).  The density-ratio fit runs the same attempt
 loop (:func:`_maximize`) on its profile objective from its own starts.
 Non-convergence is flagged on the result, never raised, so replicate
-harnesses can count failures.
+harnesses can count failures.  scipy's optimizer is imported by the first
+call of :func:`minimize`, so importing the package loads no scipy module.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .likelihood import _case_hessian, _case_pass, _case_scores, _exact_colsum, _exact_sum
 from .likelihood import hessian, log_pseudo_likelihood, score
@@ -56,6 +56,13 @@ NEAR_SINGULAR_RTOL = 1e-10
 # the optimum then sits at (or runs toward) an infinite parameter value
 FLATNESS_DELTA = 5.0
 FLATNESS_TOL = 1e-2
+
+
+def minimize(fun, x0, **kwargs):
+    """``scipy.optimize.minimize``, imported here on the first call: it is
+    most of the package's import time, and only a fit needs it."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(fun, x0, **kwargs)
 
 
 def select_candidate(candidates):

@@ -31,12 +31,10 @@ import csv
 import math
 import os
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .estimation import fit
 from .glm import fit_weighted_logistic
@@ -232,6 +230,7 @@ def generate(config: ScenarioConfig, rng: np.random.Generator | None = None) -> 
         def mean_y(b0):
             return float(np.mean(logistic(b0 + lin))) - config.target_mean_y
 
+        from scipy.optimize import brentq
         solved_beta0 = brentq(mean_y, -30.0, 30.0, xtol=1e-12)
         beta = np.concatenate([[solved_beta0], slopes])
     else:
@@ -447,6 +446,10 @@ def run_replicates(config: ScenarioConfig, n_reps: int, spec: ModelSpec,
     seeds = np.random.SeedSequence(config.seed).spawn(n_reps)
     tasks = [(config, spec, r, seeds[r]) for r in range(n_reps)]
     if n_jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # loaded once before the pool forks, so no worker imports it again
+        import scipy.optimize  # noqa: F401
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             rows = list(pool.map(_one_replicate, tasks, chunksize=max(1, n_reps // (4 * n_jobs))))
     else:

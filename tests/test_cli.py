@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -266,6 +270,35 @@ class TestSimulateCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert {"psi0", "psi1"} <= set(summary["params"])
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--beta", "-0.5,0.2", None),
+        ("--eta", "-0.5,-0.62,-7,-5.71", None),
+        ("--s-gamma", "-0.6,0.19", "gamma parameters must be positive"),
+        ("--noise", "-0.1,0.02", "s jitter half-width must be >= 0, got -0.1"),
+    ], ids=["beta", "eta", "s-gamma", "noise"])
+    def test_list_value_may_start_with_minus(self, tmp_path, capsys, flag, value, message):
+        # argparse took "-0.5,0.2" for an option: "expected one argument"
+        args = ["simulate", "--scenario", "1", "--reps", "1", "--n", "200", "--seed", "4"]
+        spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+        code = main(args + [flag, value, "--out", str(spaced)])
+        err = capsys.readouterr().err
+        assert main(args + [f"{flag}={value}", "--out", str(joined)]) == code
+        assert capsys.readouterr().err == err
+        if message is None:
+            assert code == 0 and err == ""
+            assert ((spaced / "replicates.csv").read_bytes()
+                    == (joined / "replicates.csv").read_bytes())
+        else:
+            assert code == 1 and err == f"error: {message}\n"
+
+    def test_only_list_flags_join_a_negative_value(self, capsys):
+        argv = ["simulate", "--seed", "-3", "--beta", "-.5,1", "--out", "-1,2", "--noise", "0,0"]
+        assert cli._join_negative_lists(argv) == [
+            "simulate", "--seed", "-3", "--beta=-.5,1", "--out", "-1,2", "--noise", "0,0"]
+        assert main(["simulate", "--scenario", "1", "--reps", "1", "--beta", "--eta",
+                     "1,2,3,4", "--out", "x"]) == 1
+        assert "argument --beta: expected one argument" in capsys.readouterr().err
+
     def test_scenario_seven_override(self, tmp_path):
         out = tmp_path / "s7"
         code = main(["simulate", "--scenario", "7", "--reps", "2", "--n", "400",
@@ -450,3 +483,28 @@ class TestEntryPoint:
                               capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
+
+    @staticmethod
+    def _child_main(argv) -> list:
+        """``[exit code, scipy.optimize loaded]`` of ``cli.main(argv)`` in a
+        fresh interpreter on this source tree."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        code = ("import json, sys; from recency import cli; rc = cli.main(sys.argv[1:]); "
+                "print(json.dumps([rc, 'scipy.optimize' in sys.modules]))")
+        proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
+                              capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": path})
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_predict_loads_no_optimizer(self, data_csv, tmp_path):
+        fit_dir = tmp_path / "fit"
+        assert main(["fit", "--data", str(data_csv), "--covariates", "odn",
+                     "--out", str(fit_dir)]) == 0
+        assert self._child_main(["predict", "--fit", fit_dir / "fit.json", "--data", data_csv,
+                                 "--out", tmp_path / "pred", "--p-hiv", "0.1",
+                                 "--p-art", "0.5"]) == [0, False]
+
+    def test_fit_loads_the_optimizer(self, data_csv, tmp_path):
+        assert self._child_main(["fit", "--data", data_csv, "--covariates", "odn",
+                                 "--out", tmp_path / "fit"]) == [0, True]

@@ -68,6 +68,17 @@ class TestAuc:
                              check=True, env={**os.environ, "PYTHONPATH": path})
         assert out.stdout.strip() == "False"
 
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # the optimizer (and scipy.linalg under it) loads at the first fit or
+        # root-find; tests/test_cli.py checks predict and fit in a child too
+        src = str(Path(simulation.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        code = ("import sys, recency, recency.cli; "
+                "print([m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules])")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": path})
+        assert out.stdout.strip() == "[]"
+
 
 class TestScenarioConfig:
     def test_unknown_scenario(self):
