@@ -20,7 +20,6 @@ from .estimation import (
     StepwiseResult,
     VariantFit,
     backward_stepwise,
-    best_variant,
     compare_eta_variants,
     fit,
     fit_report,
@@ -59,7 +58,7 @@ __all__ = [
     "ModelSpec", "SubjectArrays", "Theta", "initial_theta", "logistic", "pi_recent",
     "log_pseudo_likelihood", "score", "score_contributions",
     "FitResult", "StepwiseResult", "VariantFit", "backward_stepwise",
-    "best_variant", "compare_eta_variants", "fit", "fit_report", "load_fit",
+    "compare_eta_variants", "fit", "fit_report", "load_fit",
     "sandwich_covariance",
     "TiltSolution", "fit_extended", "profile_log_likelihood", "solve_mu", "tilt",
     "export_predictions", "incidence", "recency_rate",

@@ -51,6 +51,7 @@ from .likelihood import (
     _case_terms,
     _exact_colsum,
     _exact_sum,
+    _weighted_total,
 )
 from .model import ModelSpec, Theta, as_arrays, check_theta_spec
 
@@ -78,56 +79,55 @@ def tilt(s, psi):
 
 @dataclass(frozen=True)
 class TiltSolution:
-    """Multiplier and nonparametric jumps for one psi."""
+    """Multiplier and nonparametric jumps for one psi, with the tilt
+    e = tilt(s, psi), d = e - 1 and 1 + mu d they were solved with.
+    Where the tilt overflows float64, psi is infeasible and every array
+    is NaN."""
 
     mu: float
     jumps: np.ndarray
     feasible: bool
     residual_sum: float    # sum(jumps) - 1
     residual_tilt: float   # sum(jumps * (e - 1))
+    e: np.ndarray
+    d: np.ndarray
+    denom: np.ndarray
 
 
-def _solution(mu, w, n, d, feasible_extra=True):
+def _solution(mu, w, n, e, d, feasible=True):
+    """The jumps at ``mu``: feasible where every 1 + mu d is positive and both
+    constraints hold, so the jumps are positive, sum to 1 and none exceeds 1."""
     denom = 1.0 + mu * d
     jumps = w / (n * denom)
     r_sum = _exact_sum(jumps) - 1.0
     r_tilt = _exact_sum(jumps * d)
-    feasible = (
-        feasible_extra
-        and np.all(denom > 0.0)
-        and np.all(jumps <= 1.0 + 1e-12)
-        and np.all(jumps >= 0.0)
-        and abs(r_sum) <= SUM_TOL
-        and abs(r_tilt) <= TILT_CONSTRAINT_TOL
-    )
-    if feasible and d.any():
-        nz = d != 0.0
-        u = (w[nz] - n) / (n * d[nz])
-        neg = u[u < 0.0]
-        pos = u[u > 0.0]
-        lo = neg.max() if neg.size else -math.inf
-        hi = pos.min() if pos.size else math.inf
-        feasible = (lo - 1e-12) <= mu <= (hi + 1e-12)
+    feasible = (feasible and np.all(denom > 0.0)
+                and abs(r_sum) <= SUM_TOL and abs(r_tilt) <= TILT_CONSTRAINT_TOL)
     return TiltSolution(mu=float(mu), jumps=jumps, feasible=bool(feasible),
-                        residual_sum=r_sum, residual_tilt=r_tilt)
+                        residual_sum=r_sum, residual_tilt=r_tilt, e=e, d=d, denom=denom)
 
 
 def solve_mu(psi, data) -> TiltSolution:
-    """Root-find the multiplier for given psi; infeasibility is a result,
-    not an exception."""
+    """Root-find the multiplier for given psi.  The one judge of whether
+    psi is usable: an infeasible psi, one whose tilt overflows included,
+    is a result with ``feasible`` False, not an exception."""
     arrs = as_arrays(data)
     w = arrs.w
     n = arrs.n
-    e = tilt(arrs.s, psi)
+    try:
+        e = tilt(arrs.s, psi)
+    except OverflowError:
+        nan = np.full(n, math.nan)
+        return TiltSolution(0.0, nan, False, math.nan, math.nan, nan, nan, nan)
     d = e - 1.0
     if np.max(np.abs(d)) < 1e-10:
         # degenerate tilt: empirical weights are already the solution
-        return _solution(0.0, w, n, d)
+        return _solution(0.0, w, n, e, d)
     dmax = d.max()
     dmin = d.min()
     if dmax <= 0.0 or dmin >= 0.0:
         # g keeps one sign on the whole feasible interval: no root
-        return _solution(0.0, w, n, d, feasible_extra=False)
+        return _solution(0.0, w, n, e, d, feasible=False)
 
     def g(mu):
         # pairwise numpy sum: called ~60x per root-find, an exact sum is too slow here
@@ -139,36 +139,39 @@ def solve_mu(psi, data) -> TiltSolution:
     lo_in, hi_in = lo + pad, hi - pad
     g_lo, g_hi = g(lo_in), g(hi_in)
     if not (g_lo > 0.0 > g_hi):
-        return _solution(0.0, w, n, d, feasible_extra=False)
+        return _solution(0.0, w, n, e, d, feasible=False)
     from scipy.optimize import brentq
     mu = brentq(g, lo_in, hi_in, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    return _solution(mu, w, n, d)
+    return _solution(mu, w, n, e, d)
+
+
+def _profile_terms(sol, terms):
+    """Per-subject profile terms at a feasible psi: the case terms less
+    log(1 + mu d)."""
+    return terms - np.log1p(sol.mu * sol.d)
 
 
 def _profile_pieces(arrs, theta, spec):
-    """Per-subject profile contributions and the tilt solution, or None."""
+    """Weighted per-subject profile terms and the tilt solution, or None."""
     sol = solve_mu(theta.psi, arrs)
     if not sol.feasible:
         return None, sol
-    d = tilt(arrs.s, theta.psi) - 1.0
-    return _profile_contrib(arrs, d, sol, _case_terms(arrs, theta, spec)), sol
-
-
-def _profile_contrib(arrs, d, sol, terms):
-    return arrs.w * (-np.log1p(sol.mu * d) + terms)
+    return arrs.w * _profile_terms(sol, _case_terms(arrs, theta, spec)), sol
 
 
 def profile_log_likelihood(data, theta: Theta, spec: ModelSpec) -> float:
-    """Profile objective over (beta, eta, psi); -inf when psi makes the
-    jump constraints infeasible."""
+    """Profile objective over (beta, eta, psi); -inf where :func:`solve_mu`
+    finds psi infeasible, an overflowing tilt included.  Its terms follow
+    :func:`log_pseudo_likelihood`'s rule: a -inf term makes the total -inf,
+    and a NaN one raises FloatingPointError."""
     if not spec.extended:
         raise ValueError("profile likelihood requires an extended spec")
     check_theta_spec(theta, spec)
     arrs = as_arrays(data)
-    contrib, _ = _profile_pieces(arrs, theta, spec)
-    if contrib is None or np.isneginf(contrib).any():
+    sol = solve_mu(theta.psi, arrs)
+    if not sol.feasible:
         return -math.inf
-    return _exact_sum(contrib)
+    return _weighted_total(arrs.w, _profile_terms(sol, _case_terms(arrs, theta, spec)))
 
 
 class _ProfileObjective:
@@ -200,11 +203,7 @@ class _ProfileObjective:
 
     def value(self, free):
         theta = self.template.with_free(free, self.spec)
-        try:
-            contrib, sol = _profile_pieces(self.arrs, theta, self.spec)
-        except (OverflowError, FloatingPointError):
-            contrib = sol = None
-        return self._negated_total(contrib, sol)
+        return self._negated_total(*_profile_pieces(self.arrs, theta, self.spec))
 
     def value_and_gradient(self, free):
         """Trust-exact objective (value, -gradient) from the cached pass;
@@ -213,7 +212,7 @@ class _ProfileObjective:
             sol, cp, mp = self._feasible_pass(free)
         except FloatingPointError:
             return self._negated_total(None, None), np.full(free.size, np.nan)
-        contrib = _profile_contrib(self.arrs, mp[1], sol, cp.terms)
+        contrib = self.arrs.w * _profile_terms(sol, cp.terms)
         try:
             grad = -_exact_colsum(self._profile_scores(sol, cp, mp))
         except FloatingPointError:
@@ -237,16 +236,12 @@ class _ProfileObjective:
     def _feasible_pass(self, free):
         """Tilt solution, kernel pass and multiplier pieces at ``free``,
         kept for the last distinct point; raises FloatingPointError where
-        psi is infeasible or its tilt overflows."""
+        psi is infeasible."""
         if self._x is None or not np.array_equal(free, self._x):
             theta = self.template.with_free(free, self.spec)
-            try:
-                sol = solve_mu(theta.psi, self.arrs)
-            except OverflowError:
-                sol = None
-            feasible = sol is not None and sol.feasible
+            sol = solve_mu(theta.psi, self.arrs)
             pieces = (sol, _case_pass(self.arrs, theta, self.spec),
-                      self._multiplier_pieces(theta.psi, sol)) if feasible else None
+                      self._multiplier_pieces(sol)) if sol.feasible else None
             self._x, self._pieces = np.array(free, dtype=float), pieces
         if self._pieces is None:
             raise FloatingPointError("profile derivatives requested at infeasible psi")
@@ -263,16 +258,13 @@ class _ProfileObjective:
         """Per-subject profile scores m_i; (n, k)."""
         return self._profile_scores(*self._feasible_pass(free))
 
-    def _multiplier_pieces(self, psi, sol):
-        """e, d = e - 1, 1 + mu d, d(e)/d(psi0, psi1), g_mu and g_psi."""
+    def _multiplier_pieces(self, sol):
+        """d(e)/d(psi0, psi1), g_mu and g_psi at the solution's tilt."""
         arrs = self.arrs
-        e = tilt(arrs.s, psi)
-        d = e - 1.0
-        denom = 1.0 + sol.mu * d
-        de = np.column_stack([e, e * arrs.s])
-        g_mu = -_exact_sum(arrs.w * d * d / denom**2)
-        g_psi = _exact_colsum((arrs.w / denom**2)[:, None] * de)
-        return e, d, denom, de, g_mu, g_psi
+        de = np.column_stack([sol.e, sol.e * arrs.s])
+        g_mu = -_exact_sum(arrs.w * sol.d * sol.d / sol.denom**2)
+        g_psi = _exact_colsum((arrs.w / sol.denom**2)[:, None] * de)
+        return de, g_mu, g_psi
 
     def _profile_scores(self, sol, cp, mp):
         """Profile scores from the kernel pass cp and the multiplier
@@ -286,9 +278,9 @@ class _ProfileObjective:
         """
         arrs = self.arrs
         m = _case_scores(arrs, self.spec, cp)
-        _, d, denom, de, g_mu, g_psi = mp
+        de, g_mu, g_psi = mp
         dmu = -g_psi / g_mu
-        m[:, self.psi_cols] -= (arrs.w / denom)[:, None] * (sol.mu * de + d[:, None] * dmu)
+        m[:, self.psi_cols] -= (arrs.w / sol.denom)[:, None] * (sol.mu * de + sol.d[:, None] * dmu)
         if not np.isfinite(m).all():
             raise FloatingPointError("non-finite profile score")
         return m
@@ -299,9 +291,9 @@ class _ProfileObjective:
         The case-term Hessian plus the psi-block correction of the module
         docstring; raises FloatingPointError where psi is infeasible.
         """
-        sol, cp, (e, _, denom, _, g_mu, g_psi) = self._feasible_pass(free)
+        sol, cp, (_, g_mu, g_psi) = self._feasible_pass(free)
         s = self.arrs.s
-        q = self.arrs.w * sol.mu * (1.0 - sol.mu) * e / denom**2
+        q = self.arrs.w * sol.mu * (1.0 - sol.mu) * sol.e / sol.denom**2
         c00, c01, c11 = _exact_colsum(np.column_stack([q, q * s, q * s * s]))
         hess = _case_hessian(self.arrs, self.spec, cp)
         hess[np.ix_(self.psi_cols, self.psi_cols)] += (

@@ -408,7 +408,7 @@ def compare_eta_variants(data, covariates) -> list[VariantFit]:
     """Fit the four eta-structure variants and report LL/BIC for each.
 
     A failing variant is reported with its error instead of aborting the
-    others.  Use :func:`best_variant` for the tie-broken winner.
+    others.
     """
     out = []
     for name, kw in ETA_VARIANTS:
@@ -418,14 +418,6 @@ def compare_eta_variants(data, covariates) -> list[VariantFit]:
         except Exception as exc:  # structural failures only; fit never raises statistically
             out.append(VariantFit(name=name, spec=spec, fit=None, error=str(exc)))
     return out
-
-
-def best_variant(variants: list[VariantFit]) -> VariantFit:
-    """Lowest BIC; ties (within 1e-9) go to the variant with fewer free parameters."""
-    ok = [v for v in variants if v.fit is not None]
-    if not ok:
-        raise ValueError("every variant failed to fit")
-    return min(ok, key=lambda v: (round(v.fit.bic / 1e-9) * 1e-9, v.fit.n_free))
 
 
 @dataclass

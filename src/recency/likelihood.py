@@ -122,13 +122,18 @@ def log_pseudo_likelihood(data, theta: Theta, spec: ModelSpec) -> float:
     """
     check_theta_spec(theta, spec)
     arrs = as_arrays(data)
-    terms = _case_terms(arrs, theta, spec)
+    return _weighted_total(arrs.w, _case_terms(arrs, theta, spec))
+
+
+def _weighted_total(w, terms) -> float:
+    """sum(w * terms): -inf if a term is -inf, and a FloatingPointError
+    naming the first subject whose term is otherwise non-finite."""
     if np.isneginf(terms).any():
         return -math.inf
     if not np.isfinite(terms).all():
         bad = int(np.flatnonzero(~np.isfinite(terms))[0])
         raise FloatingPointError(f"non-finite likelihood term at subject index {bad}")
-    return _exact_sum(arrs.w * terms)
+    return _exact_sum(w * terms)
 
 
 def score_contributions(data, theta: Theta, spec: ModelSpec) -> np.ndarray:

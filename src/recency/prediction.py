@@ -96,7 +96,8 @@ def export_predictions(path, data, theta_hat: Theta, spec: ModelSpec, ids=None) 
     """Write the prediction CSV: id, s, z, label, type1, type2.
 
     The bytes are csv.writer's: CRLF line ends, floats as repr and ids
-    quoted where they must be.  Each column's text is built once, and the
+    quoted where they must be.  A wrong id count is refused before the
+    file is opened.  Each column's text is built once, and the
     s and Type-2 columns, which repeat many values, format each distinct
     value once.
     """
@@ -104,6 +105,8 @@ def export_predictions(path, data, theta_hat: Theta, spec: ModelSpec, ids=None) 
     t2 = _type2_vector(arrs, theta_hat, spec)   # first: it checks x against the spec
     t1 = np.atleast_1d(pi_recent(arrs.x, theta_hat.beta))
     ids = list(map(str, range(arrs.n) if ids is None else ids))
+    if len(ids) != arrs.n:
+        raise ValueError(f"{len(ids)} ids for {arrs.n} rows")
     if _NEEDS_QUOTES.search("".join(ids)):
         ids = list(map(_csv_field, ids))
     recent, longterm, _, _ = arrs.case_masks()

@@ -458,6 +458,25 @@ class TestPredictCommand:
                      "--out", str(tmp_path / "p")]) == 1
         assert "odn" in capsys.readouterr().err
 
+    def test_extended_fit_round_trips_through_predict(self, tmp_path):
+        # the stored psi scores the fitted sample as the fit itself did
+        arrs = generate(default_config("6", n_total=2000, seed=3)).train_arrays
+        path = tmp_path / "s6.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["id", "weight", "s", "z", "odn"])
+            for i in range(arrs.n):
+                writer.writerow([f"p{i}", 1.0, repr(float(arrs.s[i])), int(arrs.z[i]),
+                                 repr(float(arrs.x[i, 0]))])
+        fit_out, pred_out = tmp_path / "fit", tmp_path / "pred"
+        assert main(["fit", "--data", str(path), "--covariates", "odn", "--extended",
+                     "--out", str(fit_out)]) == 0
+        assert "psi0" in json.loads((fit_out / "fit.json").read_text())["se"]
+        assert main(["predict", "--fit", str(fit_out / "fit.json"), "--data", str(path),
+                     "--out", str(pred_out)]) == 0
+        assert ((pred_out / "predictions.csv").read_bytes()
+                == (fit_out / "predictions.csv").read_bytes())
+
     def test_covariate_mismatch_lists_missing(self, fit_dir, tmp_path, capsys):
         path = tmp_path / "thin.csv"
         path.write_text("id,weight,s,z,age\na,1.0,0.5,0,30\nb,1.0,2.5,1,40\n")

@@ -122,6 +122,11 @@ class TestSolveMu:
         sol = solve_mu((0.2, 0.1), subs)  # exponent positive for every s > 0
         assert not sol.feasible
 
+    def test_overflowing_tilt_is_infeasible_not_an_error(self):
+        rng = np.random.default_rng(44)
+        subs = random_subjects(rng, 20)
+        assert solve_mu((1000.0, 0.0), subs).feasible is False
+
 
 class TestProfile:
     def test_reduces_to_basic_at_zero_psi(self):
@@ -157,6 +162,26 @@ class TestProfile:
         theta = initial_theta(SPEC_EXT).with_free(
             np.array([0.3, -0.4, -0.5, -4.0, 0.3, 0.2]), SPEC_EXT)
         assert profile_log_likelihood(subs, theta, SPEC_EXT) == -math.inf
+
+    def test_overflowing_tilt_is_minus_inf(self):
+        rng = np.random.default_rng(47)
+        subs = random_subjects(rng, 20)
+        theta = initial_theta(SPEC_EXT).with_free(
+            np.array([0.3, -0.4, -0.5, -4.0, 1000.0, 0.0]), SPEC_EXT)
+        assert profile_log_likelihood(subs, theta, SPEC_EXT) == -math.inf
+
+    @pytest.mark.parametrize("loglik", [profile_log_likelihood, log_pseudo_likelihood],
+                             ids=["profile", "pseudo"])
+    def test_nan_term_is_named(self, loglik):
+        # both likelihoods share one rule for a non-finite term; numpy's own
+        # warning on the NaN input is silenced so that the rule is reached
+        rng = np.random.default_rng(49)
+        subs = random_subjects(rng, 10)
+        theta = initial_theta(SPEC_EXT).with_free(
+            np.array([math.nan, -0.4, -0.5, -4.0, 0.0, 0.0]), SPEC_EXT)
+        with np.errstate(invalid="ignore"), pytest.raises(
+                FloatingPointError, match=r"^non-finite likelihood term at subject index 0$"):
+            loglik(subs, theta, SPEC_EXT)
 
     def test_requires_extended_spec(self):
         rng = np.random.default_rng(48)
@@ -292,6 +317,18 @@ class TestOnePassObjective:
         fit_extended(generate(default_config("6", n_total=1000, seed=5)).train_arrays, SPEC_EXT)
         assert len(per_point) > 5 and set(per_point.values()) == {1}
         assert asked["hess"] == asked["value_and_gradient"]
+
+    def test_one_tilt_per_root_find(self, monkeypatch):
+        # the objective reads e, d and 1 + mu d off the tilt solution
+        calls = {"tilt": 0, "solve_mu": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(densityratio, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(densityratio, name, counted)
+        fit_extended(generate(default_config("6", n_total=1000, seed=5)).train_arrays, SPEC_EXT)
+        assert calls["solve_mu"] > 5 and calls["tilt"] == calls["solve_mu"]
 
 
 def _case_term(x, s, z, theta):

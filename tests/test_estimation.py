@@ -11,7 +11,6 @@ from recency import estimation, likelihood
 from recency.estimation import (
     _NegObjective,
     backward_stepwise,
-    best_variant,
     compare_eta_variants,
     fit,
     fit_report,
@@ -320,25 +319,6 @@ class TestEtaVariants:
         full_ll = table[0].fit.log_pl
         for v in table[1:]:
             assert full_ll >= v.fit.log_pl - 1e-6
-
-    def test_p0_one_truth_selects_p0_one(self):
-        # generate with p0 == 1 (eta00 huge): the p0-free variant should win BIC
-        wins = 0
-        for seed in range(5):
-            subs = sim_train(seed + 200, n_total=2000,
-                             eta_true=(30.0, 0.0, -7.0, -5.71))
-            table = compare_eta_variants(subs, ("odn",))
-            if best_variant(table).name == "p0_one_fix_eta10":
-                wins += 1
-        assert wins >= 4
-
-    def test_tie_breaks_toward_fewer_parameters(self):
-        subs = sim_train(13, n_total=1200)
-        table = compare_eta_variants(subs, ("odn",))
-        b = best_variant(table)
-        same_bic = [v for v in table if v.fit is not None
-                    and abs(v.fit.bic - b.fit.bic) < 1e-9]
-        assert all(b.fit.n_free <= v.fit.n_free for v in same_bic)
 
 
 class TestBackwardStepwise:

@@ -219,6 +219,13 @@ class TestExport:
         assert [float(row["type1"]) for row in rows] == pi_recent(subs.x, THETA.beta).tolist()
         assert [float(row["type2"]) for row in rows] == type2_risk(subs, THETA, SPEC).tolist()
 
+    def test_id_count_is_checked_before_the_file_opens(self, tmp_path):
+        subs = subjects([[0.2], [-0.1], [0.0], [1.0]], [0.5, 0.5, 4.0, 4.0], [0, 1, 0, 1])
+        path = tmp_path / "pred.csv"
+        with pytest.raises(ValueError, match=r"^3 ids for 4 rows$"):
+            export_predictions(path, subs, THETA, SPEC, ["a", "b", "c"])
+        assert not path.exists()
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.one_of(
         st.floats(),
