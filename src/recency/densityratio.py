@@ -42,8 +42,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimation import FitResult, MAX_ITER, SCORE_TOL, _maximize, _newton_polish, _prepare, _sandwich
-from .estimation import minimize
+from .estimation import FitResult, _check_weight_sum, _maximize, _newton_polish, _prepare, _sandwich
+from .estimation import brentq, minimize
 from .likelihood import (
     _case_hessian,
     _case_pass,
@@ -110,8 +110,11 @@ def _solution(mu, w, n, e, d, feasible=True):
 def solve_mu(psi, data) -> TiltSolution:
     """Root-find the multiplier for given psi.  The one judge of whether
     psi is usable: an infeasible psi, one whose tilt overflows included,
-    is a result with ``feasible`` False, not an exception."""
+    is a result with ``feasible`` False, not an exception.  Weights that
+    do not sum to the subject count raise the fit's ValueError, since no
+    psi is feasible then."""
     arrs = as_arrays(data)
+    _check_weight_sum(arrs)
     w = arrs.w
     n = arrs.n
     try:
@@ -140,7 +143,6 @@ def solve_mu(psi, data) -> TiltSolution:
     g_lo, g_hi = g(lo_in), g(hi_in)
     if not (g_lo > 0.0 > g_hi):
         return _solution(0.0, w, n, e, d, feasible=False)
-    from scipy.optimize import brentq
     mu = brentq(g, lo_in, hi_in, xtol=1e-15, rtol=8.9e-16, maxiter=200)
     return _solution(mu, w, n, e, d)
 
@@ -163,7 +165,8 @@ def profile_log_likelihood(data, theta: Theta, spec: ModelSpec) -> float:
     """Profile objective over (beta, eta, psi); -inf where :func:`solve_mu`
     finds psi infeasible, an overflowing tilt included.  Its terms follow
     :func:`log_pseudo_likelihood`'s rule: a -inf term makes the total -inf,
-    and a NaN one raises FloatingPointError."""
+    and a NaN one raises FloatingPointError.  Weights that do not sum to
+    the subject count raise :func:`solve_mu`'s ValueError."""
     if not spec.extended:
         raise ValueError("profile likelihood requires an extended spec")
     check_theta_spec(theta, spec)
@@ -177,10 +180,11 @@ def profile_log_likelihood(data, theta: Theta, spec: ModelSpec) -> float:
 class _ProfileObjective:
     """The extended fit's objective for :func:`estimation._maximize`:
     the profile likelihood, its analytic gradient, Hessian and sandwich,
-    and trust-exact runs on its negation with rejection counting.  One
-    cached root-find, kernel pass and set of multiplier pieces per distinct
-    point serves every method but ``value``: trust-exact asks for the
-    value, gradient and Hessian at each trial point, the Hessian first."""
+    and :func:`estimation.minimize` runs on its negation with rejection
+    counting.  One cached root-find, kernel pass and set of multiplier
+    pieces per distinct point serves every method but ``value``: the loop
+    asks for the value and gradient at each trial point and for the
+    Hessian at each accepted one."""
 
     def __init__(self, arrs, template, spec):
         self.arrs = arrs
@@ -206,7 +210,7 @@ class _ProfileObjective:
         return self._negated_total(*_profile_pieces(self.arrs, theta, self.spec))
 
     def value_and_gradient(self, free):
-        """Trust-exact objective (value, -gradient) from the cached pass;
+        """The loop's objective (value, -gradient) from the cached pass;
         (inf, NaNs) where psi is infeasible."""
         try:
             sol, cp, mp = self._feasible_pass(free)
@@ -220,18 +224,13 @@ class _ProfileObjective:
         return self._negated_total(contrib, sol), grad
 
     def hess(self, free):
-        """-hessian for trust-exact.  Zeros where psi is not usable: the
-        Hessian is asked for before the value, which is inf there, so the
-        step is rejected anyway, and scipy raises on a non-finite one."""
-        try:
-            return -self.hessian(free)
-        except FloatingPointError:
-            return np.zeros((free.size, free.size))
+        """-hessian for :func:`estimation.minimize`, which asks for it only
+        at accepted points, where psi is feasible."""
+        return -self.hessian(free)
 
     def run(self, start):
-        """One trust-exact run from ``start``."""
-        return minimize(self.value_and_gradient, start, jac=True, hess=self.hess,
-                        method="trust-exact", options={"gtol": SCORE_TOL, "maxiter": MAX_ITER})
+        """One :func:`estimation.minimize` run from ``start``."""
+        return minimize(self.value_and_gradient, start, self.hess)
 
     def _feasible_pass(self, free):
         """Tilt solution, kernel pass and multiplier pieces at ``free``,
@@ -315,8 +314,8 @@ class _ProfileObjective:
         return -self.value(free)
 
     def newton_polish(self, free, ll):
-        """Push the gradient below tolerance once trust-exact stalls on value
-        noise, with the shared :func:`estimation._newton_polish` loop on the
+        """Push the gradient below tolerance after a run that ends short of
+        it, with the shared :func:`estimation._newton_polish` loop on the
         analytic profile gradient and Hessian."""
         return _newton_polish(self, free, ll)
 
@@ -331,12 +330,12 @@ def fit_extended(data, spec: ModelSpec) -> FitResult:
     """Maximize the profile likelihood over (beta, free eta, psi0, psi1).
 
     The basic fit's attempt loop (:func:`estimation._maximize`) runs
-    trust-exact on the analytic profile gradient and Hessian from one
-    start inside each sign-compatible tilt cone, the other parameters at
-    the basic fit's default start, and stops at the first settled
-    attempt.  The result also carries the multiplier at the optimum, the
-    worst constraint residuals seen over accepted evaluations, and the
-    number of infeasible-psi rejections.
+    :func:`estimation.minimize` on the analytic profile gradient and
+    Hessian from one start inside each sign-compatible tilt cone, the
+    other parameters at the basic fit's default start, and stops at the
+    first settled attempt.  The result also carries the multiplier at the
+    optimum, the worst constraint residuals seen over accepted
+    evaluations, and the number of infeasible-psi rejections.
     """
     if not spec.extended:
         raise ValueError("fit_extended requires spec.extended")

@@ -1,11 +1,16 @@
 """Pseudo-likelihood maximization, sandwich covariance, and model selection.
 
-The optimizer takes exact trust-region Newton steps (More & Sorensen
-1983; scipy's ``trust-exact``) on the analytic score and Hessian of the
-negative log pseudo-likelihood, stopping when the score's norm drops
-below 1e-6 or after 500 iterations.  Near the optimum of a large sample
-the trust region can no longer tell objective values apart and stops
-with a score near 1e-5; plain Newton steps then finish the last decades.
+The optimizer is the package's own trust-region Newton loop
+(:func:`minimize`; More & Sorensen 1983) on the analytic score and
+Hessian of the negative log pseudo-likelihood.  It forms the Hessian only
+at accepted iterates, takes the exact subproblem step from its
+eigendecomposition, and stops once the score's norm is below 1e-6 (one
+step later, unless it is also below 1e-8), or after 500 steps.  Near
+the optimum of a large sample the values can no longer tell a step's
+gain from rounding, so there the score decides; plain Newton steps
+(:func:`_newton_polish`) still finish a run that ends short of the
+tolerance.  :func:`brentq` is Brent's root-finder for the density-ratio
+multiplier and the S2 intercept, so no fit or draw needs scipy.
 
 The likelihood has a plateau: as eta01 -> +inf, p0 -> 1 for every s > 1,
 and a walk started at eta01 = 0 can run out to it.  So the default start
@@ -16,8 +21,7 @@ reject.  An unsettled attempt restarts further down that side
 (eta01 = -1, then -2).  The density-ratio fit runs the same attempt
 loop (:func:`_maximize`) on its profile objective from its own starts.
 Non-convergence is flagged on the result, never raised, so replicate
-harnesses can count failures.  scipy's optimizer is imported by the first
-call of :func:`minimize`, so importing the package loads no scipy module.
+harnesses can count failures.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ __all__ = [
 
 SCORE_TOL = 1e-6
 MAX_ITER = 500
-POLISH_STEPS = 5      # Newton steps after the trust region stalls
+POLISH_STEPS = 5      # Newton steps after a run that ends short of SCORE_TOL
 START_ETA00 = 7.0
 START_ETA01 = -0.5
 RESTART_ETA01 = (-1.0, -2.0)
@@ -58,11 +62,197 @@ FLATNESS_DELTA = 5.0
 FLATNESS_TOL = 1e-2
 
 
-def minimize(fun, x0, **kwargs):
-    """``scipy.optimize.minimize``, imported here on the first call: it is
-    most of the package's import time, and only a fit needs it."""
-    from scipy.optimize import minimize as scipy_minimize
-    return scipy_minimize(fun, x0, **kwargs)
+# the trust region's initial and largest radius and its acceptance ratio,
+# as in scipy's trust-exact
+TRUST_RADIUS = 1.0
+MAX_TRUST_RADIUS = 1000.0
+ACCEPT_RATIO = 0.15
+# relative rounding noise of an objective value: below it, a predicted
+# decrease cannot be checked against the values
+VALUE_RTOL = 1e-12
+BRENT_RTOL = 4 * np.finfo(float).eps
+
+
+@dataclass
+class MinimizeResult:
+    """Where one :func:`minimize` run ended and why.  ``nit`` counts the
+    steps tried, ``nfev`` the objective evaluations and ``nhev`` the
+    Hessians formed: one per accepted iterate."""
+
+    x: np.ndarray
+    fun: float
+    nit: int
+    nfev: int
+    nhev: int
+    success: bool
+    message: str
+
+
+def minimize(fun, x0, hess, gtol=SCORE_TOL, maxiter=MAX_ITER) -> MinimizeResult:
+    """Trust-region Newton minimization (More & Sorensen 1983; Nocedal &
+    Wright 2006, section 4.3).
+
+    ``fun(x)`` returns the value and gradient at x; a value of inf (or a
+    gradient that is not finite) marks a point the step must not reach.
+    ``hess(x)`` is asked for only at accepted iterates, right after
+    ``fun(x)``, so an objective that keeps its last pass serves both, and
+    a rejected step re-solves with the same Hessian.  Each step is the
+    exact minimizer of the quadratic model inside the radius
+    (:func:`_trust_step`); the ratio test accepts it and resizes the
+    radius as scipy's ``trust-exact`` does.  Where the predicted decrease
+    is below the rounding noise of the values, a step that keeps the value
+    within that noise is accepted when it shrinks the gradient.
+
+    The run succeeds when the gradient's 2-norm is below ``gtol``.  The
+    first point that meets it, unless it meets ``gtol / 100`` too, takes
+    one more step, so a run ends well inside the tolerance rather than
+    just below it.  Otherwise the run stops at ``maxiter`` steps, at a
+    non-finite start or Hessian, or when the model predicts no decrease.
+    """
+    x = np.array(x0, dtype=float)
+    f, g = fun(x)
+    nfev, nhev, nit, radius, h = 1, 0, 0, TRUST_RADIUS, None
+    stop = None if math.isfinite(f) and np.isfinite(g).all() else "start is not finite"
+    finishing = False
+    while stop is None:
+        gnorm = np.linalg.norm(g)
+        if gnorm < gtol:
+            if finishing or gnorm < gtol / 100:
+                break
+            finishing = True
+        if nit == maxiter:
+            stop = "maximum number of iterations reached"
+            break
+        if h is None:
+            try:
+                h = hess(x)
+            except FloatingPointError:
+                stop = "Hessian is not finite"
+                break
+            nhev += 1
+        step, on_boundary = _trust_step(g, h, radius)
+        predicted = -(g @ step + 0.5 * (step @ h @ step))
+        if not predicted > 0.0:
+            stop = "the model predicts no decrease"
+            break
+        nit += 1
+        f_new, g_new = fun(x + step)
+        nfev += 1
+        if math.isnan(f_new) or not np.isfinite(g_new).all():
+            f_new = math.inf
+        rho = (f - f_new) / predicted
+        noise = VALUE_RTOL * (1.0 + abs(f))
+        if predicted < noise and f_new - f < noise and np.linalg.norm(g_new) < np.linalg.norm(g):
+            rho = 1.0   # the values agree to rounding, so the score decides
+        if rho < 0.25:
+            radius *= 0.25
+        elif rho > 0.75 and on_boundary:
+            radius = min(2.0 * radius, MAX_TRUST_RADIUS)
+        if rho > ACCEPT_RATIO:
+            x, f, g, h = x + step, f_new, g_new, None
+    success = stop is None or finishing and bool(np.linalg.norm(g) < gtol)
+    return MinimizeResult(x=x, fun=f, nit=nit, nfev=nfev, nhev=nhev, success=success,
+                          message="gradient norm below gtol" if success else stop)
+
+
+def _trust_step(g, h, radius):
+    """The minimizer of g.p + p.h.p / 2 over |p| <= radius, and whether it
+    lies on the boundary, from the eigendecomposition h = V diag(lam) V^T.
+
+    Inside the radius it is the Newton step.  On the boundary it is
+    p(sigma) = -(h + sigma I)^-1 g with sigma >= max(0, -lam_min) and
+    |p(sigma)| = radius, found by :func:`brentq` on 1/radius - 1/|p|.  In
+    the hard case g has no component along the lowest eigenvectors (to
+    rounding) and |p(-lam_min)| < radius, so no such sigma exists; the
+    step is then p(-lam_min) plus the move along the lowest eigenvector
+    that reaches the boundary.
+    """
+    lam, v = np.linalg.eigh(h)
+    gam = v.T @ g
+    if lam[0] > 0.0:
+        newton = -gam / lam
+        if np.linalg.norm(newton) <= radius:
+            return v @ newton, False
+    # t = sigma - max(0, -lam_min) >= 0, so lam + sigma = d + t with d >= 0
+    d = lam + max(0.0, -lam[0])
+    gnorm = np.linalg.norm(g)
+
+    def slack(t):
+        den = d + t
+        if np.any((den == 0.0) & (gam != 0.0)):
+            return 1.0 / radius   # |p| is infinite at a pole
+        return 1.0 / radius - 1.0 / np.linalg.norm(
+            np.divide(gam, den, out=np.zeros_like(gam), where=den != 0.0))
+
+    # the lowest eigenvalues, to rounding, and p(0) without their directions
+    lowest = d <= lam.size * np.finfo(float).eps * np.max(np.abs(lam))
+    rest = -np.divide(gam, d, out=np.zeros_like(gam), where=~lowest)
+    rest_norm = np.linalg.norm(rest)
+    if (rest_norm <= radius and np.all(np.abs(gam[lowest]) <= 1e-12 * gnorm)
+            or slack(0.0) <= 0.0):
+        rest[0] += math.copysign(math.sqrt(radius**2 - rest_norm**2), -gam[0])
+        return v @ rest, True
+    # every |p(t)| <= |g| / t, so the root lies in (0, 2 |g| / radius]
+    t = brentq(slack, 0.0, 2.0 * gnorm / radius, xtol=1e-15 * gnorm / radius)
+    return v @ (-gam / (d + t)), True
+
+
+def brentq(f, a, b, xtol=2e-12, rtol=BRENT_RTOL, maxiter=100) -> float:
+    """A root of ``f`` in [a, b], where f(a) and f(b) differ in sign, to
+    within xtol + rtol |root|: Brent's method (Brent 1973, *Algorithms for
+    Minimization without Derivatives*, ch. 4), step for step as
+    ``scipy.optimize.brentq`` takes it.  Raises ValueError on an unsigned
+    bracket, a NaN value or rtol < 4 eps, and RuntimeError after
+    ``maxiter`` steps.
+    """
+    if not rtol >= BRENT_RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {BRENT_RTOL:g})")
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x:.6g} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf   # a bisection unless interpolation gives a short step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:   # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:              # inverse quadratic interpolation
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"brentq did not converge after {maxiter} iterations, value is {xcur}")
 
 
 def select_candidate(candidates):
@@ -110,10 +300,10 @@ class FitResult:
 
 
 class _NegObjective:
-    """The basic fit's objective for :func:`_maximize`.  Trust-exact gets
-    -log_pseudo_likelihood, -score and -hessian from one kernel pass per
-    distinct point (it asks for all three at every trial point, the
-    Hessian first); the other methods call the public kernel functions."""
+    """The basic fit's objective for :func:`_maximize`.  :func:`minimize`
+    gets -log_pseudo_likelihood and -score at each trial point, and
+    -hessian at each accepted one, from one kernel pass per distinct
+    point; the other methods call the public kernel functions."""
 
     def __init__(self, arrs, template, spec):
         self.arrs, self.template, self.spec = arrs, template, spec
@@ -143,11 +333,10 @@ class _NegObjective:
         return -_case_hessian(self.arrs, self.spec, self._pass(free))
 
     def run(self, start):
-        """One trust-exact run from ``start``.  The cached pass is dropped
-        on return, so no later stage holds it."""
+        """One :func:`minimize` run from ``start``.  The cached pass is
+        dropped on return, so no later stage holds it."""
         try:
-            return minimize(self, start, jac=True, hess=self.hess, method="trust-exact",
-                            options={"gtol": SCORE_TOL, "maxiter": MAX_ITER})
+            return minimize(self, start, self.hess)
         finally:
             self._x = self._cp = None
 
@@ -191,16 +380,26 @@ def _starts(x0: np.ndarray, names):
             yield start
 
 
-def _prepare(data, spec: ModelSpec):
-    """Arrays and :func:`_default_start` of either fit.  Weights must sum
-    to the subject count: the rescale sets the sandwich and BIC scale."""
-    arrs = as_arrays(data)
+def _check_weight_sum(arrs) -> None:
+    """Raise ValueError unless the weights sum to the subject count: the
+    rescale sets the sandwich and BIC scale, and the density-ratio jumps
+    sum to 1 only then.  np.sum's rounding error is far below the
+    tolerance, so the correctly rounded total is needed only near it."""
+    if abs(np.sum(arrs.w) - arrs.n) <= 0.5 * WEIGHT_SUM_TOL:
+        return
     total = _exact_sum(arrs.w)
     if abs(total - arrs.n) > WEIGHT_SUM_TOL:
         raise ValueError(
             f"weights sum to {total:.6f} but must equal the subject count {arrs.n}; "
             "rescale them (w *= n / w.sum()) before fitting"
         )
+
+
+def _prepare(data, spec: ModelSpec):
+    """Arrays and :func:`_default_start` of either fit, whose weights
+    must pass :func:`_check_weight_sum`."""
+    arrs = as_arrays(data)
+    _check_weight_sum(arrs)
     return arrs, _default_start(spec)
 
 
@@ -208,7 +407,7 @@ def _maximize(obj, starts) -> FitResult:
     """The attempt loop both fits share, ending in their :class:`FitResult`.
 
     ``obj`` (:class:`_NegObjective` or the profile objective) gives
-    ``run(start)``, one trust-exact run, and the (positive) objective's
+    ``run(start)``, one :func:`minimize` run, and the (positive) objective's
     ``loglik``, ``gradient``, ``hessian``, ``newton_polish`` and
     ``covariance`` over the free parameters.  For each start in turn: run
     it, polish the end point when its score is above SCORE_TOL, and apply
@@ -281,12 +480,13 @@ def _sup_norm(g: np.ndarray) -> float:
 
 
 def _newton_polish(obj, free: np.ndarray, ll: float):
-    """Newton steps from a stalled optimizer point until the score
-    sup-norm is below SCORE_TOL, at most POLISH_STEPS of them.
+    """Newton steps from a run's end point until the score sup-norm is
+    below SCORE_TOL, at most POLISH_STEPS of them.
 
-    The trust region compares near-equal objective values and stalls
-    near a 1e-5 score; a Newton step needs only ``obj.gradient`` and its
-    Jacobian ``obj.hessian``, so it finishes the last decades.  Each step is
+    A run that stops short of the tolerance (at its step limit, or where
+    its model predicts no decrease) leaves the last decades to these
+    steps; they need only ``obj.gradient`` and its Jacobian
+    ``obj.hessian``.  Each step is
     halved up to 8 times until the log-likelihood does not fall by more
     than value noise (1e-8).  Returns the final point and its
     log-likelihood; a failed solve or line search stops early.

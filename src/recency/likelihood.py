@@ -249,15 +249,15 @@ def score(data, theta: Theta, spec: ModelSpec) -> np.ndarray:
 
 
 class _PairProducts:
-    """The Hessian's summands w col_j h col_i, one column per pair j <= i
-    in row-major upper-triangle order, as a matrix that
-    :func:`_exact_colsum` reads a row block at a time: no (n, k(k+1)/2)
-    array is held.  Each product is formed as (w col_j h) col_i."""
+    """The Hessian's summands w col_j h col_i, one column per pair (j, i),
+    as a matrix that :func:`_exact_colsum` reads a row block at a time:
+    no (n, pairs) array is held.  Each product is formed as
+    (w col_j h) col_i."""
 
-    def __init__(self, w, design, h):
+    def __init__(self, w, design, h, j, i):
         self.w = w
         self.cols = [col for _, col in design]
-        self.j, self.i = np.triu_indices(len(design))
+        self.j, self.i = j, i
         keys = ["".join(sorted(design[j][0] + design[i][0])) for j, i in zip(self.j, self.i)]
         used = list(dict.fromkeys(keys))
         self.h = [h[key] for key in used]
@@ -273,6 +273,10 @@ class _PairProducts:
         return out
 
 
+# the side of s = 1 on which each gated eta column is nonzero
+_WINDOW_SIDE = {"eta00": "outside", "eta01": "outside", "eta10": "inside", "eta11": "inside"}
+
+
 def _case_hessian(arrs: SubjectArrays, spec: ModelSpec, cp: _CasePass) -> np.ndarray:
     """Hessian of the weighted case terms over the free parameters; (k, k).
 
@@ -282,7 +286,9 @@ def _case_hessian(arrs: SubjectArrays, spec: ModelSpec, cp: _CasePass) -> np.nda
     recent branch r inside the window and the long-term branch l outside
     it.  Since v is 1 in cell I and 0 in cell II, one formula covers all
     four cells.  Each pair's sum is correctly rounded, hence exactly
-    permutation invariant, and no (n, k, k) array exists.
+    permutation invariant, and no (n, k, k) array exists.  An eta acting
+    outside the window (eta00, eta01) and one acting inside it (eta10,
+    eta11) share no subject, so their entry is +0.0 without a sum.
     """
     log_pi, _, log_p, _, _, inside = cp.pieces
     pi = np.exp(log_pi)
@@ -300,10 +306,11 @@ def _case_hessian(arrs: SubjectArrays, spec: ModelSpec, cp: _CasePass) -> np.nda
         "tt": ab,
     }
     design = _design(arrs, spec)
-    k = len(design)
-    hess = np.empty((k, k))
-    upper = np.triu_indices(k)
-    hess[upper] = hess.T[upper] = _exact_colsum(_PairProducts(arrs.w, design, h))
+    side = [_WINDOW_SIDE.get(name) for name in spec.free_names()]
+    j, i = np.array([(a, b) for a, b in zip(*np.triu_indices(len(design)))
+                     if None in (side[a], side[b]) or side[a] == side[b]]).T
+    hess = np.zeros((len(design), len(design)))
+    hess[j, i] = hess[i, j] = _exact_colsum(_PairProducts(arrs.w, design, h, j, i))
     if not np.isfinite(hess).all():
         raise FloatingPointError("non-finite Hessian entry")
     return hess

@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimation import fit
+from .estimation import brentq, fit
 from .glm import fit_weighted_logistic
 from .model import ModelSpec, SubjectArrays, Theta, check_theta_spec, logistic, pi_recent
 from .prediction import _type2_vector, recency_rate
@@ -230,7 +230,6 @@ def generate(config: ScenarioConfig, rng: np.random.Generator | None = None) -> 
         def mean_y(b0):
             return float(np.mean(logistic(b0 + lin))) - config.target_mean_y
 
-        from scipy.optimize import brentq
         solved_beta0 = brentq(mean_y, -30.0, 30.0, xtol=1e-12)
         beta = np.concatenate([[solved_beta0], slopes])
     else:
@@ -448,8 +447,6 @@ def run_replicates(config: ScenarioConfig, n_reps: int, spec: ModelSpec,
     if n_jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        # loaded once before the pool forks, so no worker imports it again
-        import scipy.optimize  # noqa: F401
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             rows = list(pool.map(_one_replicate, tasks, chunksize=max(1, n_reps // (4 * n_jobs))))
     else:

@@ -504,14 +504,17 @@ class TestEntryPoint:
         assert proc.returncode == 0
 
     @staticmethod
-    def _child_main(argv) -> list:
-        """``[exit code, scipy.optimize loaded]`` of ``cli.main(argv)`` in a
-        fresh interpreter on this source tree."""
+    def _child_main(*argvs) -> list:
+        """``[exit codes, scipy modules loaded]`` of ``cli.main`` on each
+        argv in turn, in one fresh interpreter on this source tree."""
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        code = ("import json, sys; from recency import cli; rc = cli.main(sys.argv[1:]); "
-                "print(json.dumps([rc, 'scipy.optimize' in sys.modules]))")
-        proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
+        code = ("import json, sys; from recency import cli; "
+                "rcs = [cli.main(argv) for argv in json.loads(sys.argv[1])]; "
+                "print(json.dumps([rcs, sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy')]))")
+        argvs = json.dumps([list(map(str, argv)) for argv in argvs])
+        proc = subprocess.run([sys.executable, "-c", code, argvs],
                               capture_output=True, text=True, check=True,
                               env={**os.environ, "PYTHONPATH": path})
         return json.loads(proc.stdout.splitlines()[-1])
@@ -522,8 +525,18 @@ class TestEntryPoint:
                      "--out", str(fit_dir)]) == 0
         assert self._child_main(["predict", "--fit", fit_dir / "fit.json", "--data", data_csv,
                                  "--out", tmp_path / "pred", "--p-hiv", "0.1",
-                                 "--p-art", "0.5"]) == [0, False]
+                                 "--p-art", "0.5"]) == [[0], []]
 
     def test_fit_loads_the_optimizer(self, data_csv, tmp_path):
+        # the fits' optimizer and root-finder are the package's own: a fit
+        # loads no scipy module
         assert self._child_main(["fit", "--data", data_csv, "--covariates", "odn",
-                                 "--out", tmp_path / "fit"]) == [0, True]
+                                 "--out", tmp_path / "fit"]) == [[0], []]
+
+    def test_extended_fit_and_s2_draw_load_no_scipy(self, tmp_path):
+        # the multiplier root-find and the S2 intercept solve use brentq
+        assert self._child_main(
+            ["simulate", "--scenario", "6", "--extended", "--reps", "1", "--n", "1000",
+             "--out", tmp_path / "s6"],
+            ["simulate", "--scenario", "2", "--reps", "1", "--n", "600",
+             "--out", tmp_path / "s2"]) == [[0, 0], []]

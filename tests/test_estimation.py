@@ -114,8 +114,8 @@ class TestFit:
 
 
 class TestBfgsObjective:
-    """The fit's one-pass objective (now driving trust-exact) against the
-    separate value, score and Hessian."""
+    """The fit's one-pass objective (now driving :func:`estimation.minimize`)
+    against the separate value, score and Hessian."""
 
     def test_matches_value_and_score_exactly(self):
         rng = np.random.default_rng(19)
@@ -149,8 +149,8 @@ class TestBfgsObjective:
 
     def test_one_kernel_pass_per_evaluation(self, monkeypatch):
         # one _linear_pieces pass per distinct point the trust region
-        # visits: the value, score and Hessian there share it, whichever
-        # of them is asked for first
+        # visits: the value, score and (at an accepted point) the Hessian
+        # there share it
         passes, seen = [], {}
         pieces = likelihood._linear_pieces
 
@@ -177,7 +177,7 @@ class TestBfgsObjective:
         assert fit(sim_train(20, n_total=600), SPEC).converged
         assert len(seen) > 3
         assert [calls["passes"] for calls in seen.values()] == [1] * len(seen)
-        assert all(calls["kinds"] == {"value", "hess"} for calls in seen.values())
+        assert all("value" in calls["kinds"] for calls in seen.values())
 
 
 class TestStalledStart:
@@ -230,11 +230,15 @@ class TestStarts:
     """The default start and the plateau guard."""
 
     @staticmethod
-    def recorded_starts(monkeypatch):
+    def recorded_starts(monkeypatch, first=None):
+        """The start of each minimize run; ``first``, when given, replaces
+        the first run's start."""
         starts = []
         real = estimation.minimize
 
         def recording(fun, x0, *args, **kwargs):
+            if first is not None and not starts:
+                x0 = first
             starts.append(np.array(x0, dtype=float))
             return real(fun, x0, *args, **kwargs)
 
@@ -250,11 +254,13 @@ class TestStarts:
         np.testing.assert_array_equal(starts[1], [0.0, 0.0, 7.0, -0.5, -5.0])
 
     def test_plateau_guard_restarts_from_shallow_local_maximum(self, monkeypatch):
-        # replicate 24 of the criterion-3 fixture: from eta01 = -0.5 the
-        # trust region stops at a shallow local maximum (eta01 near +0.7,
-        # flat in eta01) whose score meets the tolerance; the guard
-        # restarts from eta01 = -1 and reaches the optimum
-        starts = self.recorded_starts(monkeypatch)
+        # replicate 24 of the criterion-3 fixture has a shallow local
+        # maximum (eta01 near +0.66, flat in eta01) whose score meets the
+        # tolerance: scipy's trust-exact stopped there from eta01 = -0.5.
+        # An attempt started there must not settle; the guard restarts
+        # from eta01 = -1 and reaches the optimum
+        shallow = [0.8843480034065995, -0.6224591639343868, 0.6579423027175805, -5.872254678438176]
+        starts = self.recorded_starts(monkeypatch, first=np.array(shallow))
         config = default_config("5", n_total=2000, seed=777)
         seed = np.random.SeedSequence(777).spawn(300)[24]
         train = generate(config, np.random.default_rng(seed)).train_arrays

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fd_oracle import central_differences
+from recency import likelihood
 from recency.likelihood import (
     _SUM_BLOCK,
     _case_pass,
@@ -291,6 +292,25 @@ class TestHessian:
                                      h_rel=1e-5)
             assert an.shape == (free.size, free.size)
             assert np.max(np.abs(an - fd) / (1.0 + np.abs(an))) < 1e-6
+
+
+class TestHessianWindowPairs:
+    @pytest.mark.parametrize("variant", ["full_eta", "extended"])
+    def test_skipped_pairs_leave_the_hessian_bit_identical(self, variant, monkeypatch):
+        # an outside-window and an inside-window eta share no subject:
+        # writing +0.0 for their entry gives the all-pairs sum bit for bit
+        spec = replace(HESSIAN_SPECS[variant], fix_eta10=None)
+        assert {"eta00", "eta01", "eta10", "eta11"} <= set(spec.free_names())
+        rng = np.random.default_rng(61)
+        subs = random_subjects(rng, 300, n_cov=2)
+        template = initial_theta(spec)
+        thetas = [template.with_free(template.free_values(spec)
+                                     + rng.normal(scale=0.7, size=len(spec.free_names())), spec)
+                  for _ in range(5)]
+        skipped = [hessian(subs, theta, spec) for theta in thetas]
+        monkeypatch.setattr(likelihood, "_WINDOW_SIDE", {})
+        for theta, h in zip(thetas, skipped):
+            assert h.tobytes() == hessian(subs, theta, spec).tobytes()
 
 
 @st.composite

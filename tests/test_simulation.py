@@ -69,8 +69,8 @@ class TestAuc:
         assert out.stdout.strip() == "False"
 
     def test_import_leaves_scipy_optimize_unloaded(self):
-        # the optimizer (and scipy.linalg under it) loads at the first fit or
-        # root-find; tests/test_cli.py checks predict and fit in a child too
+        # no runtime path loads scipy; tests/test_cli.py checks fits,
+        # predict and simulate in a child too
         src = str(Path(simulation.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         code = ("import sys, recency, recency.cli; "
