@@ -37,6 +37,7 @@ mu-derivative -g vanishes at the root, no d^2 mu / d psi^2 term appears
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -51,6 +52,8 @@ from .likelihood import (
     _case_terms,
     _exact_colsum,
     _exact_sum,
+    _KernelData,
+    _TrialTerms,
     _weighted_total,
 )
 from .model import ModelSpec, Theta, as_arrays, check_theta_spec
@@ -147,10 +150,10 @@ def solve_mu(psi, data) -> TiltSolution:
     return _solution(mu, w, n, e, d)
 
 
-def _profile_terms(sol, terms):
-    """Per-subject profile terms at a feasible psi: the case terms less
-    log(1 + mu d)."""
-    return terms - np.log1p(sol.mu * sol.d)
+def _log_denominators(sol):
+    """log(1 + mu d), by which the profile terms fall short of the case
+    terms at a feasible psi."""
+    return np.log1p(sol.mu * sol.d)
 
 
 def _profile_pieces(arrs, theta, spec):
@@ -158,7 +161,8 @@ def _profile_pieces(arrs, theta, spec):
     sol = solve_mu(theta.psi, arrs)
     if not sol.feasible:
         return None, sol
-    return arrs.w * _profile_terms(sol, _case_terms(arrs, theta, spec)), sol
+    terms = _case_terms(_KernelData(arrs, spec), theta) - _log_denominators(sol)
+    return arrs.w * terms, sol
 
 
 def profile_log_likelihood(data, theta: Theta, spec: ModelSpec) -> float:
@@ -174,7 +178,8 @@ def profile_log_likelihood(data, theta: Theta, spec: ModelSpec) -> float:
     sol = solve_mu(theta.psi, arrs)
     if not sol.feasible:
         return -math.inf
-    return _weighted_total(arrs.w, _profile_terms(sol, _case_terms(arrs, theta, spec)))
+    terms = _case_terms(_KernelData(arrs, spec), theta) - _log_denominators(sol)
+    return _weighted_total(arrs.w, terms)
 
 
 class _ProfileObjective:
@@ -184,12 +189,14 @@ class _ProfileObjective:
     counting.  One cached root-find, kernel pass and set of multiplier
     pieces per distinct point serves every method but ``value``: the loop
     asks for the value and gradient at each trial point and for the
-    Hessian at each accepted one."""
+    Hessian at each accepted one.  The flatness probe's trial points come
+    from one batched pass (:meth:`trial_logliks`)."""
 
     def __init__(self, arrs, template, spec):
         self.arrs = arrs
         self.template = template
         self.spec = spec
+        self.kd = _KernelData(arrs, spec)
         names = spec.free_names()
         self.psi_cols = [names.index("psi0"), names.index("psi1")]
         self.rejections = 0
@@ -201,9 +208,12 @@ class _ProfileObjective:
         if contrib is None or not np.isfinite(contrib).all():
             self.rejections += 1
             return math.inf
+        self._note_residuals(sol)
+        return -_exact_sum(contrib)
+
+    def _note_residuals(self, sol):
         self.max_residuals[0] = max(self.max_residuals[0], abs(sol.residual_sum))
         self.max_residuals[1] = max(self.max_residuals[1], abs(sol.residual_tilt))
-        return -_exact_sum(contrib)
 
     def value(self, free):
         theta = self.template.with_free(free, self.spec)
@@ -216,7 +226,7 @@ class _ProfileObjective:
             sol, cp, mp = self._feasible_pass(free)
         except FloatingPointError:
             return self._negated_total(None, None), np.full(free.size, np.nan)
-        contrib = self.arrs.w * _profile_terms(sol, cp.terms)
+        contrib = self.arrs.w * (cp.terms - _log_denominators(sol))
         try:
             grad = -_exact_colsum(self._profile_scores(sol, cp, mp))
         except FloatingPointError:
@@ -232,6 +242,38 @@ class _ProfileObjective:
         """One :func:`estimation.minimize` run from ``start``."""
         return minimize(self.value_and_gradient, start, self.hess)
 
+    def trial_logliks(self, free, trials):
+        """:meth:`loglik` at each trial point, a (j, point) pair whose point
+        moves ``free``'s entry j, from one :class:`likelihood._TrialTerms`
+        pass over ``free``'s cached pieces: one callable per trial that
+        returns that value and does its rejection or residual bookkeeping.
+        A trial that moves a beta or an eta keeps psi, and with it
+        ``free``'s tilt solution; a psi trial solves for its own."""
+        sol, cp, _ = self._feasible_pass(free)
+        base = _log_denominators(sol)
+        columns, outcomes = [], []
+        for j, point in trials:
+            theta = self.template.with_free(point, self.spec)
+            pred = self.kd.predictors[j]
+            trial_sol = solve_mu(theta.psi, self.arrs) if pred == "t" else sol
+            if not trial_sol.feasible:
+                outcomes.append((point, None, None))
+                continue
+            outcomes.append((point, trial_sol, len(columns)))
+            columns.append((theta, pred, _log_denominators(trial_sol) if pred == "t" else base))
+        summands = _TrialTerms(self.kd, cp.pieces, columns)
+        totals = _exact_colsum(summands)
+
+        def loglik(point, trial_sol, column):
+            if trial_sol is None:
+                return -self._negated_total(None, None)
+            if summands.direct[column]:
+                return self.loglik(point)
+            self._note_residuals(trial_sol)
+            return float(totals[column])
+
+        return [functools.partial(loglik, *outcome) for outcome in outcomes]
+
     def _feasible_pass(self, free):
         """Tilt solution, kernel pass and multiplier pieces at ``free``,
         kept for the last distinct point; raises FloatingPointError where
@@ -239,7 +281,7 @@ class _ProfileObjective:
         if self._x is None or not np.array_equal(free, self._x):
             theta = self.template.with_free(free, self.spec)
             sol = solve_mu(theta.psi, self.arrs)
-            pieces = (sol, _case_pass(self.arrs, theta, self.spec),
+            pieces = (sol, _case_pass(self.kd, theta),
                       self._multiplier_pieces(sol)) if sol.feasible else None
             self._x, self._pieces = np.array(free, dtype=float), pieces
         if self._pieces is None:
@@ -276,7 +318,7 @@ class _ProfileObjective:
         up to the envelope gradient.
         """
         arrs = self.arrs
-        m = _case_scores(arrs, self.spec, cp)
+        m = _case_scores(self.kd, cp)
         de, g_mu, g_psi = mp
         dmu = -g_psi / g_mu
         m[:, self.psi_cols] -= (arrs.w / sol.denom)[:, None] * (sol.mu * de + sol.d[:, None] * dmu)
@@ -294,7 +336,7 @@ class _ProfileObjective:
         s = self.arrs.s
         q = self.arrs.w * sol.mu * (1.0 - sol.mu) * sol.e / sol.denom**2
         c00, c01, c11 = _exact_colsum(np.column_stack([q, q * s, q * s * s]))
-        hess = _case_hessian(self.arrs, self.spec, cp)
+        hess = _case_hessian(self.kd, cp)
         hess[np.ix_(self.psi_cols, self.psi_cols)] += (
             np.outer(g_psi, g_psi) / g_mu - np.array([[c00, c01], [c01, c11]]))
         if not np.isfinite(hess).all():

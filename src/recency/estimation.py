@@ -18,7 +18,11 @@ puts eta01 on the decreasing side (-0.5, and eta00 at 7 when it is
 free), and an attempt counts as settled only when its score meets the
 tolerance and the flatness probe finds no direction the data cannot
 reject.  An unsettled attempt restarts further down that side
-(eta01 = -1, then -2).  The density-ratio fit runs the same attempt
+(eta01 = -1, then -2).  That flatness probe evaluates its 2k trial
+points (+-5 along each free parameter) in one batched pass that reuses
+the end point's pieces; every trial value is bit for bit a single-point
+pass's, and the flags are decided in trial order as before, so no
+decision changes.  The density-ratio fit runs the same attempt
 loop (:func:`_maximize`) on its profile objective from its own starts.
 Non-convergence is flagged on the result, never raised, so replicate
 harnesses can count failures.
@@ -26,6 +30,7 @@ harnesses can count failures.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -33,6 +38,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .likelihood import _case_hessian, _case_pass, _case_scores, _exact_colsum, _exact_sum
+from .likelihood import _KernelData, _linear_pieces, _TrialTerms
 from .likelihood import hessian, log_pseudo_likelihood, score
 from .model import ETA_NAMES, ModelSpec, Theta, _is_number, as_arrays, check_theta_spec, initial_theta
 
@@ -303,10 +309,13 @@ class _NegObjective:
     """The basic fit's objective for :func:`_maximize`.  :func:`minimize`
     gets -log_pseudo_likelihood and -score at each trial point, and
     -hessian at each accepted one, from one kernel pass per distinct
-    point; the other methods call the public kernel functions."""
+    point; the flatness probe gets its trial points from one batched pass
+    (:meth:`trial_logliks`); the other methods call the public kernel
+    functions."""
 
     def __init__(self, arrs, template, spec):
         self.arrs, self.template, self.spec = arrs, template, spec
+        self.kd = _KernelData(arrs, spec)
         self._x = self._cp = None
 
     def _theta(self, free):
@@ -314,23 +323,39 @@ class _NegObjective:
 
     def _pass(self, free):
         if self._x is None or not np.array_equal(free, self._x):
-            self._cp = _case_pass(self.arrs, self._theta(free), self.spec)
+            self._cp = _case_pass(self.kd, self._theta(free))
             self._x = np.array(free, dtype=float)
         return self._cp
 
     def __call__(self, free):
-        """(value, gradient); inf where a term is not finite, NaNs where a
-        score is not."""
+        """(value, gradient), both from one exact column sum; inf where a
+        term is not finite, NaNs where a score is not."""
         cp = self._pass(free)
-        terms = cp.terms
-        value = -_exact_sum(self.arrs.w * terms) if np.isfinite(terms).all() else math.inf
+        finite = np.isfinite(cp.terms).all()
         try:
-            return value, -_exact_colsum(_case_scores(self.arrs, self.spec, cp))
+            m = _case_scores(self.kd, cp)
         except FloatingPointError:
+            value = -_exact_sum(self.arrs.w * cp.terms) if finite else math.inf
             return value, np.full(free.size, np.nan)
+        if not finite:
+            return math.inf, -_exact_colsum(m)
+        sums = _exact_colsum(np.column_stack([self.arrs.w * cp.terms, m]))
+        return -float(sums[0]), -sums[1:]
 
     def hess(self, free):
-        return -_case_hessian(self.arrs, self.spec, self._pass(free))
+        return -_case_hessian(self.kd, self._pass(free))
+
+    def trial_logliks(self, free, trials):
+        """:meth:`loglik` at each trial point, a (j, point) pair whose point
+        moves ``free``'s entry j, from one :class:`likelihood._TrialTerms`
+        pass that reuses ``free``'s pieces: one callable per trial that
+        returns that value, or raises what :meth:`loglik` raises there."""
+        columns = _TrialTerms(self.kd, _linear_pieces(self.kd, self._theta(free)),
+                              [(self._theta(point), self.kd.predictors[j], None)
+                               for j, point in trials])
+        totals = _exact_colsum(columns)
+        return [functools.partial(self.loglik, point) if direct else functools.partial(float, total)
+                for (_, point), direct, total in zip(trials, columns.direct, totals)]
 
     def run(self, start):
         """One :func:`minimize` run from ``start``.  The cached pass is
@@ -407,9 +432,10 @@ def _maximize(obj, starts) -> FitResult:
     """The attempt loop both fits share, ending in their :class:`FitResult`.
 
     ``obj`` (:class:`_NegObjective` or the profile objective) gives
-    ``run(start)``, one :func:`minimize` run, and the (positive) objective's
+    ``run(start)``, one :func:`minimize` run, the (positive) objective's
     ``loglik``, ``gradient``, ``hessian``, ``newton_polish`` and
-    ``covariance`` over the free parameters.  For each start in turn: run
+    ``covariance`` over the free parameters, and the probe's batched
+    ``trial_logliks`` (:func:`_flat_directions`).  For each start in turn: run
     it, polish the end point when its score is above SCORE_TOL, and apply
     the plateau guard (a stationary point with a direction the data
     cannot reject is the plateau or a shallow local maximum beside it);
@@ -434,7 +460,7 @@ def _maximize(obj, starts) -> FitResult:
                 sup = _sup_norm(obj.gradient(x))
         except FloatingPointError:
             continue
-        settled = sup < SCORE_TOL and not _flat_directions(obj.loglik, x, ll)
+        settled = sup < SCORE_TOL and not _flat_directions(obj, x, ll)
         candidates.append((x, ll, sup, settled))
         if settled:
             break
@@ -520,18 +546,28 @@ def _newton_polish(obj, free: np.ndarray, ll: float):
     return x, ll
 
 
-def _flat_directions(loglik_fn, free: np.ndarray, ll_hat: float) -> list[int]:
+def _flat_directions(obj, free: np.ndarray, ll_hat: float) -> list[int]:
     """Indices of free parameters whose +-FLATNESS_DELTA move the data
     cannot reject (log-likelihood loss < FLATNESS_TOL); such a direction
-    has its supremum at infinity rather than an interior optimum."""
-    flat = []
+    has its supremum at infinity rather than an interior optimum.
+
+    ``obj.trial_logliks`` evaluates all 2k trial points in one batched
+    pass and gives, per trial, a callable that returns its log-likelihood
+    as ``obj.loglik`` there would, with the same side effects.  They are
+    called in trial order, and a parameter's -delta trial only when its
+    +delta trial is rejected, so every flag is what evaluating the trials
+    one at a time decides.
+    """
+    trials = []
     for j in range(free.size):
         for sign in (1.0, -1.0):
-            trial = free.copy()
-            trial[j] += sign * FLATNESS_DELTA
-            if loglik_fn(trial) > ll_hat - FLATNESS_TOL:
-                flat.append(j)
-                break
+            point = free.copy()
+            point[j] += sign * FLATNESS_DELTA
+            trials.append((j, point))
+    flat = []
+    for (j, _), loglik in zip(trials, obj.trial_logliks(free, trials)):
+        if j not in flat and loglik() > ll_hat - FLATNESS_TOL:
+            flat.append(j)
     return flat
 
 
@@ -568,16 +604,16 @@ def sandwich_covariance(data, theta_hat: Theta, spec: ModelSpec) -> np.ndarray:
     parameter when I is numerically singular.
     """
     check_theta_spec(theta_hat, spec)
-    arrs = as_arrays(data)
-    cp = _case_pass(arrs, theta_hat, spec)
-    m = _case_scores(arrs, spec, cp)
+    kd = _KernelData(as_arrays(data), spec)
+    cp = _case_pass(kd, theta_hat)
+    m = _case_scores(kd, cp)
     sup = _sup_norm(m.sum(axis=0))
     if sup >= 1e-4:
         warnings.warn(
             f"sandwich evaluated away from a stationary point (score sup-norm {sup:.2e})",
             stacklevel=2,
         )
-    return _sandwich(m, _case_hessian(arrs, spec, cp), spec.free_names())
+    return _sandwich(m, _case_hessian(kd, cp), spec.free_names())
 
 
 @dataclass

@@ -18,9 +18,11 @@ out one branch in two of the four (s, z) cells:
 
 so cell I (s <= 1, z = 0) is recent and cell II (s > 1, z = 1) long-term,
 while cells III and IV stay mixtures.  Each branch is summed in log
-space and the term is their logaddexp, so an impossible branch is -inf
-and extreme parameter values degrade to -inf instead of producing NaN
-from catastrophic cancellation.  Sampling weights enter as exponents on
+space, so an impossible branch is -inf and extreme parameter values
+degrade to -inf instead of producing NaN from catastrophic cancellation.
+The term is the logaddexp of the two branches, formed only in the
+mixture cells; in cells I and II it is the one finite branch, which is
+what logaddexp returns there.  Sampling weights enter as exponents on
 the per-subject factors, so in log space each term is scaled by its
 weight.
 
@@ -30,18 +32,27 @@ scores need, so an optimizer step costs one pass.  v = d(term)/d(tilt
 exponent) is 1 in cell I, 0 in II and the Bayes posterior of recency in
 III and IV.  That is the Type-2 risk, which prediction reads from the
 same pass.  The same pass gives the Hessian (the negated observed
-information) that the Newton finish and the sandwich use.
+information) that the Newton finish and the sandwich use.  Each pair
+log sigmoid(t), log(1 - sigmoid(t)) comes from one logaddexp
+(:func:`_log_sigmoid_pair`), and what depends on the data alone (the
+cell masks, s - 1, the design columns, the Hessian's pairs) is built once
+per data set and spec (:class:`_KernelData`).  :class:`_TrialTerms`
+evaluates the same terms at several points that each move one linear
+predictor, a row block at a time.
 
 Every reduction over subjects is correctly rounded: :func:`_exact_colsum`
 returns what math.fsum returns, from exact exponent-bucket totals that
 numpy forms a row block at a time.  So each total is exactly invariant
-under subject permutation.
+under subject permutation, and a column's total does not depend on the
+columns summed beside it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -61,30 +72,129 @@ __all__ = [
 ]
 
 
-def _linear_pieces(arrs: SubjectArrays, theta: Theta, spec: ModelSpec):
-    """Per-subject log pi, log(1 - pi), log p, log(1 - p) of the one
-    test-result predictor q, the tilt exponent and the inside-window mask."""
-    if arrs.x.shape[1] != spec.n_covariates:
-        raise ValueError(f"x has {arrs.x.shape[1]} covariate column(s) but the spec has "
-                         f"{spec.n_covariates}: {spec.covariate_names}")
-    lb = theta.beta[0] + arrs.x @ theta.beta[1:]
-    inside = arrs.s <= 1.0
-    sm1 = arrs.s - 1.0
-    q = np.where(inside, theta.eta[2] + theta.eta[3] * sm1, theta.eta[0] + theta.eta[1] * sm1)
-    if spec.z_model_covariate is not None:
-        q = q + theta.eta_x * arrs.x[:, spec.z_model_covariate_index]
-    log_pi = -np.logaddexp(0.0, -lb)
-    log_1m_pi = -np.logaddexp(0.0, lb)
-    log_p = -np.logaddexp(0.0, -q)
-    log_1m_p = -np.logaddexp(0.0, q)
-    if spec.p0_identically_one:
-        log_p = np.where(inside, log_p, 0.0)
-        log_1m_p = np.where(inside, log_1m_p, -np.inf)
-    if spec.extended:
-        tilt_exp = theta.psi[0] + theta.psi[1] * arrs.s
-    else:
-        tilt_exp = np.zeros_like(arrs.s)
-    return log_pi, log_1m_pi, log_p, log_1m_p, tilt_exp, inside
+def _log_sigmoid_pair(t):
+    """(log sigmoid(t), log(1 - sigmoid(t))) from one a = logaddexp(0, -|t|).
+
+    log sigmoid(t) is -a for t >= 0 and t - a otherwise; log(1 - sigmoid(t))
+    is -a - t for t >= 0 and -a otherwise.  np.logaddexp forms
+    x + log1p(exp(-|x - y|)) in scalar libm, so these are bit for bit
+    -logaddexp(0, -t) and -logaddexp(0, t), signed zeros, infinities and
+    NaN included.
+    """
+    a = np.logaddexp(0.0, -np.abs(t))
+    up = t >= 0.0
+    neg_a = -a
+    return np.where(up, neg_a, t - a), np.where(up, neg_a - t, neg_a)
+
+
+class _KernelData:
+    """What the kernel reads of one data set under one spec, built once.
+
+    The cell masks, s - 1 and the branch factors the cells fix (0 or -inf)
+    are formed here; the design columns and the Hessian's pair index on
+    their first use.  :meth:`rows` gives the per-subject pieces of a row
+    slice, which the kernel functions read as they read the whole.
+    """
+
+    _ROW_FIELDS = ("s", "w", "inside", "pos", "mixture", "sm1", "long_in", "recent_out", "zx")
+
+    def __init__(self, arrs: SubjectArrays, spec: ModelSpec):
+        if arrs.x.shape[1] != spec.n_covariates:
+            raise ValueError(f"x has {arrs.x.shape[1]} covariate column(s) but the spec has "
+                             f"{spec.n_covariates}: {spec.covariate_names}")
+        self.spec, self.n = spec, arrs.n
+        self.x, self.s, self.z, self.w = arrs.x, arrs.s, arrs.z, arrs.w
+        self.inside = arrs.s <= 1.0
+        self.pos = arrs.z == 1
+        self.mixture = self.inside == self.pos     # cells III and IV
+        self.sm1 = arrs.s - 1.0
+        # log L inside the window and log R outside it: log z and log(1 - z)
+        self.long_in = np.where(self.pos, 0.0, -np.inf)
+        self.recent_out = np.where(self.pos, -np.inf, 0.0)
+        self.zx = (None if spec.z_model_covariate is None
+                   else arrs.x[:, spec.z_model_covariate_index])
+        # the linear predictor each free parameter enters, in free order:
+        # a = logit pi for a beta, q for an eta, t = the tilt exponent for a psi
+        self.predictors = [{"b": "a", "e": "q", "p": "t"}[name[0]] for name in spec.free_names()]
+
+    def rows(self, rows):
+        return SimpleNamespace(spec=self.spec, **{
+            name: None if getattr(self, name) is None else getattr(self, name)[rows]
+            for name in self._ROW_FIELDS})
+
+    @functools.cached_property
+    def design(self) -> list:
+        """Design rows D_i, one (predictor, column) pair per free parameter in
+        free order: the linear predictor the parameter enters and
+        d(predictor)/d(parameter).  The eta columns carry the window gating:
+        eta00 and eta01 act on q only outside it, eta10 and eta11 only
+        inside."""
+        ones = np.ones(self.n)
+        inside = self.inside.astype(float)
+        outside = 1.0 - inside
+        cols = [ones] + [self.x[:, j] for j in range(self.x.shape[1])]
+        cols += [outside, outside * self.sm1, inside, inside * self.sm1]
+        if self.zx is not None:
+            cols.append(self.zx)
+        if self.spec.extended:
+            cols += [ones, self.s]
+        free = [col for col, fixed in zip(cols, self.spec.fixed_mask()) if not fixed]
+        return list(zip(self.predictors, free))
+
+    @functools.cached_property
+    def pairs(self):
+        """The (j, i) index of the Hessian entries that are summed: j <= i,
+        less the eta pairs on opposite sides of s = 1."""
+        side = [_WINDOW_SIDE.get(name) for name in self.spec.free_names()]
+        return np.array([(a, b) for a, b in zip(*np.triu_indices(len(side)))
+                         if None in (side[a], side[b]) or side[a] == side[b]]).T
+
+
+def _q_pieces(part, theta: Theta):
+    """log p and log(1 - p) of the test-result predictor q."""
+    eta = theta.eta
+    q = np.where(part.inside, eta[2] + eta[3] * part.sm1, eta[0] + eta[1] * part.sm1)
+    if part.zx is not None:
+        q = q + theta.eta_x * part.zx
+    log_p, log_1m_p = _log_sigmoid_pair(q)
+    if part.spec.p0_identically_one:
+        log_p = np.where(part.inside, log_p, 0.0)
+        log_1m_p = np.where(part.inside, log_1m_p, -np.inf)
+    return log_p, log_1m_p
+
+
+def _tilt_exponent(part, theta: Theta):
+    """psi0 + psi1 * s under an extended spec; None (no tilt) otherwise."""
+    return theta.psi[0] + theta.psi[1] * part.s if part.spec.extended else None
+
+
+def _linear_pieces(kd: _KernelData, theta: Theta):
+    """Per-subject log pi, log(1 - pi), log p, log(1 - p) and the tilt
+    exponent (None without a tilt)."""
+    log_pi, log_1m_pi = _log_sigmoid_pair(theta.beta[0] + kd.x @ theta.beta[1:])
+    return (log_pi, log_1m_pi, *_q_pieces(kd, theta), _tilt_exponent(kd, theta))
+
+
+def _q_branches(part, log_p, log_1m_p):
+    """The parts of the long-term and recent branches that q sets: log L and
+    log R of the module docstring."""
+    log_pz = np.where(part.pos, log_p, log_1m_p)             # log P(z | q)
+    log_l = np.where(part.inside, part.long_in, log_pz)
+    return log_l, np.where(part.inside, log_pz, part.recent_out)
+
+
+def _terms(part, log_pi, log_1m_pi, q_branches, tilt_exp):
+    """Each subject's long-term and recent branch and its term."""
+    log_l, log_r = q_branches
+    long = log_1m_pi + log_l
+    recent = (log_pi if tilt_exp is None else log_pi + tilt_exp) + log_r
+    # in cells I and II the other branch is -inf (NaN where the kept one's
+    # pi or tilt is not finite): logaddexp returns the larger branch plus
+    # log1p(exp(-inf)) = 0.0, or NaN
+    terms = np.maximum(long, recent)
+    terms += 0.0
+    np.logaddexp(long, recent, out=terms, where=part.mixture)
+    return long, recent, terms
 
 
 # v = d(term)/d(tilt exponent) and a: the recent and long-term branches'
@@ -92,16 +202,13 @@ def _linear_pieces(arrs: SubjectArrays, theta: Theta, spec: ModelSpec):
 _CasePass = namedtuple("_CasePass", "pieces terms v a")
 
 
-def _case_pass(arrs: SubjectArrays, theta: Theta, spec: ModelSpec) -> _CasePass:
+def _case_pass(kd: _KernelData, theta: Theta) -> _CasePass:
     """Every subject's term logaddexp(long, recent) and its branch shares
     from one :func:`_linear_pieces` pass."""
-    pieces = _linear_pieces(arrs, theta, spec)
-    log_pi, log_1m_pi, log_p, log_1m_p, tilt_exp, inside = pieces
-    pos = arrs.z == 1
-    log_pz = np.where(pos, log_p, log_1m_p)             # log P(z | q)
-    long = log_1m_pi + np.where(inside, np.where(pos, 0.0, -np.inf), log_pz)
-    recent = log_pi + tilt_exp + np.where(inside, log_pz, np.where(pos, -np.inf, 0.0))
-    terms = np.logaddexp(long, recent)
+    pieces = _linear_pieces(kd, theta)
+    log_pi, log_1m_pi, log_p, log_1m_p, tilt_exp = pieces
+    long, recent, terms = _terms(kd, log_pi, log_1m_pi, _q_branches(kd, log_p, log_1m_p),
+                                 tilt_exp)
     # an impossible term has -inf in both branches: v and a are NaN there,
     # and the term's -inf is what the callers report
     with np.errstate(invalid="ignore"):
@@ -110,8 +217,8 @@ def _case_pass(arrs: SubjectArrays, theta: Theta, spec: ModelSpec) -> _CasePass:
     return _CasePass(pieces, terms, v, a)
 
 
-def _case_terms(arrs: SubjectArrays, theta: Theta, spec: ModelSpec) -> np.ndarray:
-    return _case_pass(arrs, theta, spec).terms
+def _case_terms(kd: _KernelData, theta: Theta) -> np.ndarray:
+    return _case_pass(kd, theta).terms
 
 
 def log_pseudo_likelihood(data, theta: Theta, spec: ModelSpec) -> float:
@@ -122,7 +229,7 @@ def log_pseudo_likelihood(data, theta: Theta, spec: ModelSpec) -> float:
     """
     check_theta_spec(theta, spec)
     arrs = as_arrays(data)
-    return _weighted_total(arrs.w, _case_terms(arrs, theta, spec))
+    return _weighted_total(arrs.w, _case_terms(_KernelData(arrs, spec), theta))
 
 
 def _weighted_total(w, terms) -> float:
@@ -136,6 +243,59 @@ def _weighted_total(w, terms) -> float:
     return _exact_sum(w * terms)
 
 
+class _TrialTerms:
+    """The summands w (term - adjust) at several trial points, one column
+    per trial, as a matrix that :func:`_exact_colsum` reads a row block at
+    a time: no (n, trials) array is held.
+
+    Each trial moves the parameters of one linear predictor away from a
+    base point whose :func:`_linear_pieces` are given.  Its column
+    recomputes that predictor's pieces (the a-pieces of a beta trial, the
+    q-pieces of an eta trial, the tilt exponent of a psi trial) and reuses
+    the base's others, through the one term formula, :func:`_terms`.  A
+    beta trial's x @ beta is formed over the whole of x, as a single pass
+    forms it.  ``adjust`` (None for none) is a whole-data vector.  So every
+    summand is bit for bit the one a single pass at the trial gives, and
+    each column's correctly rounded total is that pass's total.
+
+    A column with a non-finite summand, or one too large for the exact
+    bucket sums, is summed as zeros and marked in ``direct``: its value is
+    for a single evaluation at the trial to give.
+    """
+
+    def __init__(self, kd: _KernelData, pieces, trials):
+        """``trials``: (theta, predictor, adjust) per column."""
+        self.kd, self.pieces = kd, pieces
+        self.trials = [(theta, pred, adjust,
+                        theta.beta[0] + kd.x @ theta.beta[1:] if pred == "a" else None)
+                       for theta, pred, adjust in trials]
+        self.shape = (kd.n, len(trials))
+        self.direct = np.zeros(len(trials), dtype=bool)
+        # below this every column's bucket sums stay exact (see _exact_colsum)
+        self._limit = 2.0 ** (1022 - kd.n.bit_length())
+
+    def __getitem__(self, rows):
+        part = self.kd.rows(rows)
+        log_pi, log_1m_pi, log_p, log_1m_p, tilt = (
+            None if piece is None else piece[rows] for piece in self.pieces)
+        base_q = _q_branches(part, log_p, log_1m_p)
+        cols = []
+        for theta, pred, adjust, lb in self.trials:
+            a_pieces = _log_sigmoid_pair(lb[rows]) if pred == "a" else (log_pi, log_1m_pi)
+            q_branches = _q_branches(part, *_q_pieces(part, theta)) if pred == "q" else base_q
+            tilt_exp = _tilt_exponent(part, theta) if pred == "t" else tilt
+            terms = _terms(part, *a_pieces, q_branches, tilt_exp)[2]
+            cols.append(terms if adjust is None else terms - adjust[rows])
+        block = np.column_stack(cols)
+        block *= part.w[:, None]
+        with np.errstate(invalid="ignore"):
+            bad = ~(np.abs(block) < self._limit).all(axis=0)
+        if bad.any():
+            self.direct |= bad
+            block[:, bad] = 0.0
+        return block
+
+
 def score_contributions(data, theta: Theta, spec: ModelSpec) -> np.ndarray:
     """Per-subject weighted score vectors m_i over the FREE parameters.
 
@@ -143,41 +303,22 @@ def score_contributions(data, theta: Theta, spec: ModelSpec) -> np.ndarray:
     any intermediate is non-finite, naming the offending subject.
     """
     check_theta_spec(theta, spec)
-    arrs = as_arrays(data)
-    return _case_scores(arrs, spec, _case_pass(arrs, theta, spec))
+    kd = _KernelData(as_arrays(data), spec)
+    return _case_scores(kd, _case_pass(kd, theta))
 
 
-def _design(arrs: SubjectArrays, spec: ModelSpec) -> list:
-    """Design rows D_i, one (predictor, column) pair per free parameter in
-    free order: the linear predictor the parameter enters (a = logit pi,
-    q, t = tilt exponent) and d(predictor)/d(parameter).  The eta columns
-    carry the window gating: eta00 and eta01 act on q only outside it,
-    eta10 and eta11 only inside."""
-    ones = np.ones(arrs.n)
-    inside = (arrs.s <= 1.0).astype(float)
-    outside = 1.0 - inside
-    sm1 = arrs.s - 1.0
-    cols = [("a", ones)] + [("a", arrs.x[:, j]) for j in range(arrs.x.shape[1])]
-    cols += [("q", outside), ("q", outside * sm1), ("q", inside), ("q", inside * sm1)]
-    if spec.z_model_covariate is not None:
-        cols.append(("q", arrs.x[:, spec.z_model_covariate_index]))
-    if spec.extended:
-        cols += [("t", ones), ("t", arrs.s)]
-    return [col for col, fixed in zip(cols, spec.fixed_mask()) if not fixed]
-
-
-def _case_scores(arrs: SubjectArrays, spec: ModelSpec, cp: _CasePass) -> np.ndarray:
+def _case_scores(kd: _KernelData, cp: _CasePass) -> np.ndarray:
     """Weighted per-subject derivatives of the case terms; (n, free).
 
     d(term)/d(a) = (1 - pi) v - pi a, d(term)/d(t) = v, and q enters one
     branch, whose share times (z - p) is d(term)/d(q).
     """
-    log_pi, _, log_p, _, _, inside = cp.pieces
+    log_pi, _, log_p, _, _ = cp.pieces
     pi = np.exp(log_pi)
     u = {"a": (1.0 - pi) * cp.v - pi * cp.a,
-         "q": np.where(inside, cp.v, cp.a) * (arrs.z - np.exp(log_p)),
+         "q": np.where(kd.inside, cp.v, cp.a) * (kd.z - np.exp(log_p)),
          "t": cp.v}
-    m = np.column_stack([u[pred] * col for pred, col in _design(arrs, spec)]) * arrs.w[:, None]
+    m = np.column_stack([u[pred] * col for pred, col in kd.design]) * kd.w[:, None]
     if not np.isfinite(m).all():
         bad = int(np.flatnonzero(~np.isfinite(m).all(axis=1))[0])
         raise FloatingPointError(f"non-finite score contribution at subject index {bad}")
@@ -277,7 +418,7 @@ class _PairProducts:
 _WINDOW_SIDE = {"eta00": "outside", "eta01": "outside", "eta10": "inside", "eta11": "inside"}
 
 
-def _case_hessian(arrs: SubjectArrays, spec: ModelSpec, cp: _CasePass) -> np.ndarray:
+def _case_hessian(kd: _KernelData, cp: _CasePass) -> np.ndarray:
     """Hessian of the weighted case terms over the free parameters; (k, k).
 
     It is sum_i w_i D_i^T h_i D_i, with h_i the subject's curvature in its
@@ -290,7 +431,8 @@ def _case_hessian(arrs: SubjectArrays, spec: ModelSpec, cp: _CasePass) -> np.nda
     outside the window (eta00, eta01) and one acting inside it (eta10,
     eta11) share no subject, so their entry is +0.0 without a sum.
     """
-    log_pi, _, log_p, _, _, inside = cp.pieces
+    log_pi, _, log_p, _, _ = cp.pieces
+    inside = kd.inside
     pi = np.exp(log_pi)
     p = np.exp(log_p)
     v = cp.v
@@ -305,12 +447,10 @@ def _case_hessian(arrs: SubjectArrays, spec: ModelSpec, cp: _CasePass) -> np.nda
         "qt": abd,
         "tt": ab,
     }
-    design = _design(arrs, spec)
-    side = [_WINDOW_SIDE.get(name) for name in spec.free_names()]
-    j, i = np.array([(a, b) for a, b in zip(*np.triu_indices(len(design)))
-                     if None in (side[a], side[b]) or side[a] == side[b]]).T
+    design = kd.design
+    j, i = kd.pairs
     hess = np.zeros((len(design), len(design)))
-    hess[j, i] = hess[i, j] = _exact_colsum(_PairProducts(arrs.w, design, h, j, i))
+    hess[j, i] = hess[i, j] = _exact_colsum(_PairProducts(kd.w, design, h, j, i))
     if not np.isfinite(hess).all():
         raise FloatingPointError("non-finite Hessian entry")
     return hess
@@ -323,5 +463,5 @@ def hessian(data, theta: Theta, spec: ModelSpec) -> np.ndarray:
     information.
     """
     check_theta_spec(theta, spec)
-    arrs = as_arrays(data)
-    return _case_hessian(arrs, spec, _case_pass(arrs, theta, spec))
+    kd = _KernelData(as_arrays(data), spec)
+    return _case_hessian(kd, _case_pass(kd, theta))

@@ -15,7 +15,7 @@ import re
 
 import numpy as np
 
-from .likelihood import _case_pass, _exact_sum
+from .likelihood import _case_pass, _exact_sum, _KernelData
 from .model import ModelSpec, SubjectArrays, Theta, as_arrays, check_theta_spec, pi_recent
 
 __all__ = [
@@ -31,7 +31,7 @@ _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 def _type2_vector(arrs: SubjectArrays, theta: Theta, spec: ModelSpec) -> np.ndarray:
     check_theta_spec(theta, spec)
-    return _case_pass(arrs, theta, spec).v
+    return _case_pass(_KernelData(arrs, spec), theta).v
 
 
 def type2_risk(data: SubjectArrays, theta_hat: Theta, spec: ModelSpec) -> np.ndarray:

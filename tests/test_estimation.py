@@ -403,3 +403,99 @@ class TestFitReport:
         loaded_spec, theta = load_fit(json.loads(json.dumps(fit_report(res))))
         assert loaded_spec == res.spec
         assert theta.pack().tobytes() == res.theta_hat.pack().tobytes()
+
+
+def sequential_probe(loglik, free, ll_hat):
+    """The flatness probe one trial point at a time, as it ran before it
+    was batched: the reference the batched probe must reproduce."""
+    flat = []
+    for j in range(free.size):
+        for sign in (1.0, -1.0):
+            trial = free.copy()
+            trial[j] += sign * estimation.FLATNESS_DELTA
+            if loglik(trial) > ll_hat - estimation.FLATNESS_TOL:
+                flat.append(j)
+                break
+    return flat
+
+
+class TestBatchedProbe:
+    """The batched flatness probe against the sequential one at every probe
+    a fit runs: each trial value bit for bit a full single-point pass, and
+    the same flags, rejection count and constraint residuals."""
+
+    @staticmethod
+    def checked_probe(monkeypatch):
+        """Patch ``estimation._flat_directions`` to check each call against
+        the reference; returns the list of (flat, rejections) per call."""
+        from recency.densityratio import profile_log_likelihood
+
+        batched = estimation._flat_directions
+        calls = []
+
+        def bookkeeping(obj):
+            return getattr(obj, "rejections", None), list(getattr(obj, "max_residuals", []))
+
+        def restore(obj, state):
+            if state[0] is not None:
+                obj.rejections, obj.max_residuals = state[0], list(state[1])
+
+        def checked(obj, free, ll_hat):
+            before = bookkeeping(obj)
+            single = profile_log_likelihood if obj.spec.extended else log_pseudo_likelihood
+            trials = []
+            for j in range(free.size):
+                for sign in (1.0, -1.0):
+                    trials.append((j, free.copy()))
+                    trials[-1][1][j] += sign * estimation.FLATNESS_DELTA
+            for (j, point), loglik in zip(trials, obj.trial_logliks(free, trials)):
+                want = single(obj.arrs, obj.template.with_free(point, obj.spec), obj.spec)
+                assert np.float64(loglik()).tobytes() == np.float64(want).tobytes(), (j, point)
+            restore(obj, before)
+            want_flat = sequential_probe(obj.loglik, free, ll_hat)
+            want_after = bookkeeping(obj)
+            restore(obj, before)
+            flat = batched(obj, free, ll_hat)
+            assert flat == want_flat
+            assert bookkeeping(obj) == want_after
+            calls.append((flat, None if before[0] is None else want_after[0] - before[0]))
+            return flat
+
+        monkeypatch.setattr(estimation, "_flat_directions", checked)
+        return calls
+
+    def test_s1_pool(self, monkeypatch):
+        calls = self.checked_probe(monkeypatch)
+        free00 = ModelSpec(covariate_names=("odn",), fix_eta00=None)
+        flagged = set()
+        for seed in range(30):
+            arrs = sim_train(seed)
+            fit(arrs, SPEC)
+            before = len(calls)
+            if not fit(arrs, free00).converged:
+                flagged.add(seed)
+            assert any(flat for flat, _ in calls[before:]) == (seed in flagged)
+        assert flagged == {0, 2, 24, 27}
+        fit(sim_train(32), SPEC)
+        assert len(calls) > 60
+
+    def test_shallow_local_maximum(self, monkeypatch):
+        # the probe at S5 replicate 24's shallow maximum flags eta01 on its
+        # +delta trial, so its -delta trial is never evaluated
+        calls = self.checked_probe(monkeypatch)
+        shallow = [0.8843480034065995, -0.6224591639343868, 0.6579423027175805, -5.872254678438176]
+        TestStarts.recorded_starts(monkeypatch, first=np.array(shallow))
+        seed = np.random.SeedSequence(777).spawn(300)[24]
+        train = generate(default_config("5", n_total=2000, seed=777),
+                         np.random.default_rng(seed)).train_arrays
+        assert fit(train, SPEC).converged
+        assert calls[0][0] == [2] and calls[-1][0] == []
+
+    def test_extended_fit_with_infeasible_psi_trials(self, monkeypatch):
+        calls = self.checked_probe(monkeypatch)
+        seed = np.random.SeedSequence(3).spawn(1)[0]
+        train = generate(default_config("6", n_total=4000, seed=3),
+                         np.random.default_rng(seed)).train_arrays
+        res = fit(train, ModelSpec(covariate_names=("odn",), extended=True))
+        assert res.converged
+        assert [rejected for _, rejected in calls] == [3]

@@ -14,12 +14,16 @@ from recency.likelihood import (
     _SUM_BLOCK,
     _case_pass,
     _exact_colsum,
+    _KernelData,
+    _linear_pieces,
+    _log_sigmoid_pair,
+    _TrialTerms,
     hessian,
     log_pseudo_likelihood,
     score,
     score_contributions,
 )
-from recency.model import ModelSpec, initial_theta, logistic
+from recency.model import ModelSpec, SubjectArrays, initial_theta, logistic
 from subjects import rows, subjects
 
 SPEC = ModelSpec(covariate_names=("odn",))
@@ -50,7 +54,114 @@ def brute_force_term(x, s, z, theta, spec):
 def case_terms(arrs, theta, spec):
     """(case I-IV of each subject, unweighted terms) from the kernel pass."""
     cases = np.select(arrs.case_masks(), ["I", "II", "III", "IV"], default="")
-    return cases.tolist(), _case_pass(arrs, theta, spec).terms
+    return cases.tolist(), _case_pass(_KernelData(arrs, spec), theta).terms
+
+
+# every float64 class: zeros of both signs, infinities, NaN, subnormals,
+# |t| past 745 (where exp(-|t|) underflows) and ordinary values
+FLOAT64 = st.one_of(
+    st.floats(width=64),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                     745.0, -745.0, 746.0, -746.0, 1e308, -1e308]),
+    st.floats(min_value=-800.0, max_value=800.0),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+)
+
+
+class TestLogSigmoidPair:
+    """The kernel's one-logaddexp pair against the two logaddexps it
+    replaces, bit for bit."""
+
+    @staticmethod
+    def assert_pair(t):
+        with np.errstate(invalid="ignore"):   # logaddexp flags a NaN input
+            log_s, log_c = _log_sigmoid_pair(t)
+        nan = np.isnan(t)
+        assert np.isnan(log_s[nan]).all() and np.isnan(log_c[nan]).all()
+        assert log_s[~nan].tobytes() == (-np.logaddexp(0.0, -t[~nan])).tobytes()
+        assert log_c[~nan].tobytes() == (-np.logaddexp(0.0, t[~nan])).tobytes()
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(FLOAT64, min_size=1, max_size=40))
+    def test_every_float_class(self, values):
+        self.assert_pair(np.array(values))
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(7)
+        bits = rng.integers(0, 2**64, size=200_000, dtype=np.uint64, endpoint=False)
+        self.assert_pair(bits.view(np.float64))
+        self.assert_pair(rng.normal(scale=40.0, size=200_000))
+
+
+def reference_pass(arrs, theta, spec):
+    """Terms and branch shares as the pass formed them with four
+    log-sigmoid logaddexps and the term's logaddexp over every cell: the
+    reference the lean pass must match bit for bit."""
+    lb = theta.beta[0] + arrs.x @ theta.beta[1:]
+    inside = arrs.s <= 1.0
+    sm1 = arrs.s - 1.0
+    q = np.where(inside, theta.eta[2] + theta.eta[3] * sm1, theta.eta[0] + theta.eta[1] * sm1)
+    if spec.z_model_covariate is not None:
+        q = q + theta.eta_x * arrs.x[:, spec.z_model_covariate_index]
+    log_pi, log_1m_pi = -np.logaddexp(0.0, -lb), -np.logaddexp(0.0, lb)
+    log_p, log_1m_p = -np.logaddexp(0.0, -q), -np.logaddexp(0.0, q)
+    if spec.p0_identically_one:
+        log_p = np.where(inside, log_p, 0.0)
+        log_1m_p = np.where(inside, log_1m_p, -np.inf)
+    tilt = theta.psi[0] + theta.psi[1] * arrs.s if spec.extended else np.zeros_like(arrs.s)
+    pos = arrs.z == 1
+    log_pz = np.where(pos, log_p, log_1m_p)
+    long = log_1m_pi + np.where(inside, np.where(pos, 0.0, -np.inf), log_pz)
+    recent = log_pi + tilt + np.where(inside, log_pz, np.where(pos, -np.inf, 0.0))
+    terms = np.logaddexp(long, recent)
+    return terms, np.exp(recent - terms), np.exp(long - terms)
+
+
+class TestLeanPass:
+    """The pass with one logaddexp per log-sigmoid pair and the term's
+    logaddexp on the mixture cells only, against the reference pass."""
+
+    SPECS = [ModelSpec(covariate_names=("odn", "age"), fix_eta00=None, fix_eta10=None),
+             ModelSpec(covariate_names=("odn", "age"), p0_identically_one=True, fix_eta00=None),
+             ModelSpec(covariate_names=("odn", "age"), z_model_covariate="age"),
+             ModelSpec(covariate_names=("odn", "age"), extended=True, fix_eta00=None)]
+
+    @staticmethod
+    def assert_same(arrs, theta, spec):
+        with np.errstate(invalid="ignore", over="ignore"):
+            cp = _case_pass(_KernelData(arrs, spec), theta)
+            want = reference_pass(arrs, theta, spec)
+        for got, ref in zip((cp.terms, cp.v, cp.a), want):
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["free_eta", "p0_one", "z_model", "extended"])
+    def test_random_and_extreme_points(self, spec):
+        rng = np.random.default_rng(31)
+        k = len(initial_theta(spec).pack())
+        for _ in range(60):
+            n = int(rng.integers(1, 200))
+            s = np.where(rng.random(n) < 0.1, 1.0, rng.gamma(0.8, 2.5, n) + 1e-9)
+            arrs = SubjectArrays(x=rng.normal(size=(n, 2)), s=s, z=rng.integers(0, 2, n),
+                                 w=rng.uniform(0.5, 2.0, n))
+            packed = rng.normal(size=k) * rng.choice([0.5, 5.0, 50.0, 1000.0])
+            packed[rng.integers(k)] = rng.choice([0.0, -0.0, 800.0, -800.0, math.inf])
+            self.assert_same(arrs, initial_theta(spec).with_packed(packed), spec)
+
+    @pytest.mark.parametrize("case", ["I", "II"])
+    def test_labeled_cell_term_of_signed_zero_branches(self, case):
+        # pi = 1 and p1 = 0 in cell I, pi = 0 and p0 = 1 in cell II: the
+        # finite branch is -0.0 + -0.0, and logaddexp's term is +0.0
+        spec = self.SPECS[3]
+        sign = 1.0 if case == "I" else -1.0
+        packed = [800.0 * sign, 0.0, 0.0, 800.0, 0.0, -800.0, 0.0, -0.0, -0.0]
+        arrs = subjects(np.zeros((1, 2)), 0.5 if case == "I" else 2.0, int(case == "II"))
+        self.assert_same(arrs, initial_theta(spec).with_packed(np.array(packed)), spec)
+        assert _case_terms_of(arrs, packed, spec).tobytes() == np.zeros(1).tobytes()
+
+
+def _case_terms_of(arrs, packed, spec):
+    theta = initial_theta(spec).with_packed(np.array(packed))
+    return _case_pass(_KernelData(arrs, spec), theta).terms
 
 
 class TestCaseContribution:
@@ -97,7 +208,7 @@ class TestWindowBoundary:
     @pytest.mark.parametrize("s", [1.0, float(np.nextafter(1.0, 2.0))])
     def test_term_and_recent_share(self, s, z):
         arrs = subjects(0.3, s, z)
-        cp = _case_pass(arrs, self.THETA, self.SPEC_EXT)
+        cp = _case_pass(_KernelData(arrs, self.SPEC_EXT), self.THETA)
         assert cp.terms[0] == pytest.approx(
             brute_force_term(arrs.x[0], s, z, self.THETA, self.SPEC_EXT), rel=1e-12)
         if (s, z) == (1.0, 0):
@@ -412,3 +523,47 @@ class TestExactColsum:
     def test_fsum_errors_raised(self, col, error):
         with pytest.raises(error):
             _exact_colsum(np.array(col)[:, None])
+
+
+class TestTrialTerms:
+    """The probe's batched columns against one single-point pass per trial,
+    over several row blocks."""
+
+    @pytest.mark.parametrize("spec", [
+        ModelSpec(covariate_names=("odn", "age")),
+        ModelSpec(covariate_names=("odn", "age"), p0_identically_one=True, fix_eta00=None),
+        ModelSpec(covariate_names=("odn", "age"), fix_eta00=None, z_model_covariate="odn"),
+        ModelSpec(covariate_names=("odn", "age"), extended=True),
+    ], ids=["default", "p0_one", "z_model", "extended"])
+    def test_columns_are_single_pass_totals(self, spec):
+        rng = np.random.default_rng(12)
+        n = 5000
+        s = np.where(rng.random(n) < 0.05, 1.0, rng.gamma(0.8, 2.5, n) + 1e-6)
+        x = rng.normal(size=(n, 2))
+        z = rng.integers(0, 2, n)
+        # beta_age + 5 makes row 7 (cell II) a summand of -5e305, too large to bucket
+        x[7, 1], s[7], z[7] = 1e305, 3.0, 1
+        arrs = SubjectArrays(x=x, s=s, z=z, w=rng.uniform(0.5, 1.5, n))
+        kd = _KernelData(arrs, spec)
+        template = initial_theta(spec)
+        free = template.free_values(spec) + rng.normal(scale=0.3, size=len(kd.predictors))
+        age = spec.free_names().index("beta_age")
+        free[age] = 0.0
+        points = []
+        for j in range(free.size):
+            for delta in (5.0, -5.0, math.inf):
+                points.append(free.copy())
+                points[-1][j] += delta
+        trials = [(template.with_free(p, spec), kd.predictors[j // 3], None)
+                  for j, p in enumerate(points)]
+        with np.errstate(invalid="ignore", over="ignore"):
+            columns = _TrialTerms(kd, _linear_pieces(kd, template.with_free(free, spec)), trials)
+            totals = _exact_colsum(columns)
+            for c, (theta, _, _) in enumerate(trials):
+                summands = arrs.w * _case_pass(kd, theta).terms
+                if columns.direct[c]:
+                    assert not (np.abs(summands) < 2.0**1000).all()
+                else:
+                    assert totals[c].tobytes() == _exact_colsum(summands[:, None]).tobytes()
+        assert columns.direct[3 * age] and not columns.direct[3 * age + 1]
+        assert (~columns.direct).sum() > len(trials) // 2

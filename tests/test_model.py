@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recency.estimation import fit
-from recency.likelihood import _linear_pieces, log_pseudo_likelihood
+from recency.likelihood import _KernelData, _linear_pieces, log_pseudo_likelihood
 from recency.model import (
     ModelSpec,
     SubjectArrays,
@@ -85,7 +85,7 @@ def p_positive(s, eta, p0_one=False):
                      p0_identically_one=p0_one)
     arrs = SubjectArrays(x=np.zeros((s.size, 0)), s=s, z=np.zeros(s.size, dtype=int),
                          w=np.ones(s.size))
-    return np.exp(_linear_pieces(arrs, Theta(beta=np.zeros(1), eta=eta), spec)[2])
+    return np.exp(_linear_pieces(_KernelData(arrs, spec), Theta(beta=np.zeros(1), eta=eta))[2])
 
 
 class TestP0P1:
