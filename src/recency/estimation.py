@@ -331,14 +331,14 @@ class _NegObjective:
         """(value, gradient), both from one exact column sum; inf where a
         term is not finite, NaNs where a score is not."""
         cp = self._pass(free)
-        finite = np.isfinite(cp.terms).all()
         try:
             m = _case_scores(self.kd, cp)
         except FloatingPointError:
-            value = -_exact_sum(self.arrs.w * cp.terms) if finite else math.inf
+            terms = cp.terms
+            value = -_exact_sum(self.arrs.w * terms) if np.isfinite(terms).all() else math.inf
             return value, np.full(free.size, np.nan)
-        if not finite:
-            return math.inf, -_exact_colsum(m)
+        # finite scores imply finite terms: a term that is not finite makes
+        # its v NaN, and beta0, whose score reads v, is always free
         sums = _exact_colsum(np.column_stack([self.arrs.w * cp.terms, m]))
         return -float(sums[0]), -sums[1:]
 
