@@ -102,8 +102,8 @@ def _solution(mu, w, n, e, d, feasible=True):
     constraints hold, so the jumps are positive, sum to 1 and none exceeds 1."""
     denom = 1.0 + mu * d
     jumps = w / (n * denom)
-    r_sum = _exact_sum(jumps) - 1.0
-    r_tilt = _exact_sum(jumps * d)
+    total, r_tilt = _exact_colsum(np.column_stack([jumps, jumps * d])).tolist()
+    r_sum = total - 1.0
     feasible = (feasible and np.all(denom > 0.0)
                 and abs(r_sum) <= SUM_TOL and abs(r_tilt) <= TILT_CONSTRAINT_TOL)
     return TiltSolution(mu=float(mu), jumps=jumps, feasible=bool(feasible),
@@ -228,10 +228,16 @@ class _ProfileObjective:
             return self._negated_total(None, None), np.full(free.size, np.nan)
         contrib = self.arrs.w * (cp.terms - _log_denominators(sol))
         try:
-            grad = -_exact_colsum(self._profile_scores(sol, cp, mp))
+            m = self._profile_scores(sol, cp, mp)
         except FloatingPointError:
-            grad = np.full(free.size, np.nan)
-        return self._negated_total(contrib, sol), grad
+            return self._negated_total(contrib, sol), np.full(free.size, np.nan)
+        if not np.isfinite(contrib).all():
+            grad = -_exact_colsum(m)
+            return self._negated_total(contrib, sol), grad
+        # the value and the scores from one exact column sum
+        self._note_residuals(sol)
+        sums = _exact_colsum(np.column_stack([contrib, m]))
+        return -float(sums[0]), -sums[1:]
 
     def hess(self, free):
         """-hessian for :func:`estimation.minimize`, which asks for it only
@@ -303,9 +309,9 @@ class _ProfileObjective:
         """d(e)/d(psi0, psi1), g_mu and g_psi at the solution's tilt."""
         arrs = self.arrs
         de = np.column_stack([sol.e, sol.e * arrs.s])
-        g_mu = -_exact_sum(arrs.w * sol.d * sol.d / sol.denom**2)
-        g_psi = _exact_colsum((arrs.w / sol.denom**2)[:, None] * de)
-        return de, g_mu, g_psi
+        sums = _exact_colsum(np.column_stack([arrs.w * sol.d * sol.d / sol.denom**2,
+                                              (arrs.w / sol.denom**2)[:, None] * de]))
+        return de, -float(sums[0]), sums[1:]
 
     def _profile_scores(self, sol, cp, mp):
         """Profile scores from the kernel pass cp and the multiplier

@@ -35,16 +35,22 @@ same pass.  The same pass gives the Hessian (the negated observed
 information) that the Newton finish and the sandwich use.  Each pair
 log sigmoid(t), log(1 - sigmoid(t)) comes from one logaddexp
 (:func:`_log_sigmoid_pair`), and what depends on the data alone (the
-cell masks, s - 1, the design columns, the Hessian's pairs) is built once
-per data set and spec (:class:`_KernelData`).  :class:`_TrialTerms`
-evaluates the same terms at several points that each move one linear
-predictor, a row block at a time.
+cell masks, s - 1, the design matrix D and w D, the Hessian's pairs) is
+built once per data set and spec (:class:`_KernelData`).
+:class:`_TrialTerms` evaluates the same terms at several points that
+each move one linear predictor, a row block at a time.
 
 Every reduction over subjects is correctly rounded: :func:`_exact_colsum`
-returns what math.fsum returns, from exact exponent-bucket totals that
-numpy forms a row block at a time.  So each total is exactly invariant
-under subject permutation, and a column's total does not depend on the
-columns summed beside it.
+returns what math.fsum returns, a row block at a time, by error-free
+extraction.  With every |b| of a block of fewer than 2**bits rows below
+2**e, and sigma = 2**(e + bits), q = (b + sigma) - sigma and b - q are
+exact, and each q is a multiple of 2**-53 sigma no larger than 2**e.  So
+any partial sum of q is a multiple of 2**-53 sigma smaller than sigma: a
+float, formed without rounding in whatever order numpy or BLAS adds.  A
+few passes leave nothing behind, and fsum rounds the exact partial sums
+once.  So each total is exactly invariant under subject permutation and
+BLAS thread count, and a column's total does not depend on the columns
+summed beside it.
 """
 
 from __future__ import annotations
@@ -91,9 +97,9 @@ class _KernelData:
     """What the kernel reads of one data set under one spec, built once.
 
     The cell masks, s - 1 and the branch factors the cells fix (0 or -inf)
-    are formed here; the design columns and the Hessian's pair index on
-    their first use.  :meth:`rows` gives the per-subject pieces of a row
-    slice, which the kernel functions read as they read the whole.
+    are formed here; the design matrix, w times it and the Hessian's pair
+    index on their first use.  :meth:`rows` gives the per-subject pieces of
+    a row slice, which the kernel functions read as they read the whole.
     """
 
     _ROW_FIELDS = ("s", "w", "inside", "pos", "mixture", "sm1", "long_in", "recent_out", "zx")
@@ -123,12 +129,12 @@ class _KernelData:
             for name in self._ROW_FIELDS})
 
     @functools.cached_property
-    def design(self) -> list:
-        """Design rows D_i, one (predictor, column) pair per free parameter in
-        free order: the linear predictor the parameter enters and
-        d(predictor)/d(parameter).  The eta columns carry the window gating:
-        eta00 and eta01 act on q only outside it, eta10 and eta11 only
-        inside."""
+    def design(self) -> np.ndarray:
+        """Design rows D_i as an (n, free) matrix, one column per free
+        parameter in free order: d(predictor)/d(parameter) for the linear
+        predictor the parameter enters (:attr:`predictors`).  The eta
+        columns carry the window gating: eta00 and eta01 act on q only
+        outside it, eta10 and eta11 only inside."""
         ones = np.ones(self.n)
         inside = self.inside.astype(float)
         outside = 1.0 - inside
@@ -138,8 +144,13 @@ class _KernelData:
             cols.append(self.zx)
         if self.spec.extended:
             cols += [ones, self.s]
-        free = [col for col, fixed in zip(cols, self.spec.fixed_mask()) if not fixed]
-        return list(zip(self.predictors, free))
+        return np.column_stack([col for col, fixed in zip(cols, self.spec.fixed_mask())
+                                if not fixed])
+
+    @functools.cached_property
+    def weighted_design(self) -> np.ndarray:
+        """w_i D_i, the first factor of every Hessian summand."""
+        return self.w[:, None] * self.design
 
     @functools.cached_property
     def pairs(self):
@@ -258,9 +269,9 @@ class _TrialTerms:
     summand is bit for bit the one a single pass at the trial gives, and
     each column's correctly rounded total is that pass's total.
 
-    A column with a non-finite summand, or one too large for the exact
-    bucket sums, is summed as zeros and marked in ``direct``: its value is
-    for a single evaluation at the trial to give.
+    A column with a non-finite summand, or one past the exact sums'
+    overflow bound, is summed as zeros and marked in ``direct``: its value
+    is for a single evaluation at the trial to give.
     """
 
     def __init__(self, kd: _KernelData, pieces, trials):
@@ -271,7 +282,8 @@ class _TrialTerms:
                        for theta, pred, adjust in trials]
         self.shape = (kd.n, len(trials))
         self.direct = np.zeros(len(trials), dtype=bool)
-        # below this every column's bucket sums stay exact (see _exact_colsum)
+        # a column at or above this would send _exact_colsum to its fsum
+        # fallback: the extraction's overflow bound
         self._limit = 2.0 ** (1022 - kd.n.bit_length())
 
     def __getitem__(self, rows):
@@ -318,7 +330,9 @@ def _case_scores(kd: _KernelData, cp: _CasePass) -> np.ndarray:
     u = {"a": (1.0 - pi) * cp.v - pi * cp.a,
          "q": np.where(kd.inside, cp.v, cp.a) * (kd.z - np.exp(log_p)),
          "t": cp.v}
-    m = np.column_stack([u[pred] * col for pred, col in kd.design]) * kd.w[:, None]
+    m = np.column_stack([u[pred] for pred in kd.predictors])
+    m *= kd.design
+    m *= kd.w[:, None]
     if not np.isfinite(m).all():
         bad = int(np.flatnonzero(~np.isfinite(m).all(axis=1))[0])
         raise FloatingPointError(f"non-finite score contribution at subject index {bad}")
@@ -326,56 +340,55 @@ def _case_scores(kd: _KernelData, cp: _CasePass) -> np.ndarray:
 
 
 # _exact_colsum reads about this many values per pass, so each of its
-# temporaries stays near 128 kB; its bucket totals stay exact up to
-# _EXACT_ROWS rows in all
+# temporaries stays near 128 kB
 _SUM_BLOCK = 16384
-_EXACT_ROWS = 1 << 26
 
 
 def _exact_colsum(m) -> np.ndarray:
     """math.fsum of each column of ``m``, an (n, k) array or an object with
     ``shape`` whose row slices ``m[a:b]`` are the array's rows.
 
-    np.frexp writes each value as mant * 2**e.  The integer and fraction
-    parts of mant * 2**27 are added up per (column, e) by np.bincount, one
-    block of about _SUM_BLOCK values at a time.  Up to 2**26 rows every
-    such total is exact: the integer parts stay below 2**53 and the
-    fraction parts are multiples of 2**-26 below 2**27.  So math.fsum over
-    a column's scaled totals is the correctly rounded sum of the column,
-    which is fsum's own result (Neal 2015, arXiv:1505.05571).  Where fsum
-    could overflow or meets a non-finite value, or past 2**26 rows, fsum
+    Each block of about _SUM_BLOCK values, with rows < 2**bits, is split by
+    error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31(1),
+    2008).  math.frexp of the block's largest |b| gives e with every |b| <
+    2**e.  With sigma = 2**(e + bits), q = (b + sigma) - sigma and b - q
+    are exact, and every q is a multiple of 2**-53 sigma with |q| <= 2**e.
+    Fewer than 2**bits such q sum to less than sigma in magnitude, so every
+    partial sum on the way is a multiple of 2**-53 sigma below sigma: a
+    float.  The column sums of q are therefore exact in any order, and a
+    BLAS product forms them.  The remainder b - q is at most 2**-53 sigma,
+    and the next pass extracts it, until it is all zero; real summands
+    take two or three passes.  math.fsum over a column's exact partial sums
+    is then the correctly rounded sum of the column, which is fsum's own
+    result.  Where fsum could overflow or meets a non-finite value, fsum
     sums the column itself, so every result and exception matches it.  An
     empty or all-zero column gives +0.0.
     """
     n, k = m.shape
-    if n == 0:
-        return np.zeros(k)
-    blocks = []
     rows = max(1, _SUM_BLOCK // k)
+    bits = min(rows, n).bit_length()
+    ones = np.ones(min(rows, n))
+    # past the check below every value is under 2**limit, so fsum's running
+    # sums stay under 2**1022
+    limit = 1022 - n.bit_length()
+    partials = []
     for start in range(0, n, rows):
-        frac, e = np.frexp(m[start:start + rows])
-        frac *= 2.0**27
-        whole = np.trunc(frac)
-        with np.errstate(invalid="ignore"):   # inf - inf: a non-finite total, handled below
-            frac -= whole
-        e0, e1 = int(e.min()), int(e.max())
-        width = e1 - e0 + 1
-        # column j's exponents go to buckets j * width + (e - e0)
-        bucket = np.add(e, np.arange(-e0, k * width - e0, width), dtype=np.intp).ravel()
-        del e
-        sums = [np.bincount(bucket, part.ravel(), k * width) for part in (whole, frac)]
-        blocks.append((e0, e1, np.stack(sums)))
-    lo, hi = min(b[0] for b in blocks), max(b[1] for b in blocks)
-    if len(blocks) == 1:
-        totals = blocks[0][2]
+        b = m[start:start + rows]
+        top, bottom = b.max(), b.min()
+        if not (math.isfinite(top) and math.isfinite(bottom)):
+            break
+        largest = max(top, -bottom)
+        if math.frexp(largest)[1] > limit:
+            break
+        while largest:
+            sigma = math.ldexp(1.0, math.frexp(largest)[1] + bits)
+            q = b + sigma
+            q -= sigma
+            partials.append(ones[:len(q)] @ q)
+            b = b - q
+            largest = max(b.max(), -b.min())
     else:
-        totals = np.zeros((2, k * (hi - lo + 1)))
-        for e0, e1, sums in blocks:
-            totals.reshape(2, k, -1)[:, :, e0 - lo:e1 - lo + 1] += sums.reshape(2, k, -1)
-    # every value is below 2**hi, so fsum's running sums stay below 2**1022
-    if n < _EXACT_ROWS and hi + n.bit_length() <= 1022 and np.isfinite(totals).all():
-        parts = np.ldexp(totals.reshape(2, k, -1), np.arange(lo - 27, hi - 26)).transpose(1, 0, 2)
-        return np.array([math.fsum(col) for col in parts.reshape(k, -1).tolist()])
+        return np.array([math.fsum(col) for col in np.reshape(partials, (-1, k)).T.tolist()])
     return np.array([math.fsum(col) for col in np.asarray(m[0:n]).T.tolist()])
 
 
@@ -390,27 +403,25 @@ def score(data, theta: Theta, spec: ModelSpec) -> np.ndarray:
 
 
 class _PairProducts:
-    """The Hessian's summands w col_j h col_i, one column per pair (j, i),
-    as a matrix that :func:`_exact_colsum` reads a row block at a time:
-    no (n, pairs) array is held.  Each product is formed as
-    (w col_j h) col_i."""
+    """The Hessian's summands w d_j h d_i, one column per pair (j, i) of
+    design columns, as a matrix that :func:`_exact_colsum` reads a row block
+    at a time: no (n, pairs) array is held.  Each product is formed as
+    ((w d_j) h) d_i, from the data-only w D and D of :class:`_KernelData`."""
 
-    def __init__(self, w, design, h, j, i):
-        self.w = w
-        self.cols = [col for _, col in design]
+    def __init__(self, kd: _KernelData, h, j, i):
+        self.wd, self.d = kd.weighted_design, kd.design
         self.j, self.i = j, i
-        keys = ["".join(sorted(design[j][0] + design[i][0])) for j, i in zip(self.j, self.i)]
+        keys = ["".join(sorted(kd.predictors[j] + kd.predictors[i])) for j, i in zip(j, i)]
         used = list(dict.fromkeys(keys))
         self.h = [h[key] for key in used]
         self.h_col = [used.index(key) for key in keys]
-        self.shape = (w.size, len(keys))
+        self.shape = (kd.n, len(keys))
 
     def __getitem__(self, rows):
-        d = np.column_stack([col[rows] for col in self.cols])
         h = np.column_stack([h[rows] for h in self.h])
-        out = (self.w[rows, None] * d)[:, self.j]
+        out = self.wd[rows][:, self.j]
         out *= h[:, self.h_col]
-        out *= d[:, self.i]
+        out *= self.d[rows][:, self.i]
         return out
 
 
@@ -447,10 +458,10 @@ def _case_hessian(kd: _KernelData, cp: _CasePass) -> np.ndarray:
         "qt": abd,
         "tt": ab,
     }
-    design = kd.design
+    k = len(kd.predictors)
     j, i = kd.pairs
-    hess = np.zeros((len(design), len(design)))
-    hess[j, i] = hess[i, j] = _exact_colsum(_PairProducts(kd.w, design, h, j, i))
+    hess = np.zeros((k, k))
+    hess[j, i] = hess[i, j] = _exact_colsum(_PairProducts(kd, h, j, i))
     if not np.isfinite(hess).all():
         raise FloatingPointError("non-finite Hessian entry")
     return hess

@@ -17,6 +17,7 @@ from recency.likelihood import (
     _KernelData,
     _linear_pieces,
     _log_sigmoid_pair,
+    _PairProducts,
     _TrialTerms,
     hessian,
     log_pseudo_likelihood,
@@ -476,9 +477,10 @@ def column_fsums(m):
 
 @st.composite
 def summands(draw):
-    """(n, k) matrices at the block edges and at 1e5 rows: values over
-    1e-300..1e300, subnormals, signed zeros, or pairs that cancel."""
-    k = draw(st.integers(1, 4))
+    """(n, k) matrices at the block edges and at 1e5 rows, k up to the S6
+    Hessian's 20 pairs: values over 1e-300..1e300, subnormals, signed
+    zeros, or pairs that cancel."""
+    k = draw(st.integers(1, 20))
     rows = _SUM_BLOCK // k   # rows per block
     n = draw(st.sampled_from([0, 1, rows - 1, rows, rows + 1, 100_000]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -513,6 +515,26 @@ class TestExactColsum:
         got = _exact_colsum(m)
         assert got.tobytes() == want.tobytes()   # +0.0 where fsum gives +0.0
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+    @pytest.mark.parametrize("over", [0, 1], ids=["extracted", "fsum_fallback"])
+    @pytest.mark.parametrize("n", [2**13 - 1, 2**13, 2**14 - 1, 2**14])
+    def test_block_at_the_extraction_bound(self, n, over, sign):
+        """One block of 2**bits - 1 or 2**bits rows whose values sit just
+        under 2**e, at the largest e the extraction takes (e +
+        n.bit_length() = 1022, so sigma = 2**1022) and one past it.  Every
+        first-pass q is 2**e, so the exact partial sum comes as close to
+        sigma as the bound allows (below sigma, where sigma + b < sigma,
+        these sums are the finest); a few tiny values need later passes."""
+        e = 1022 - n.bit_length() + over
+        rng = np.random.default_rng(n)
+        # 2**e less a few units of 2**(e - 53 + g), g up to bits: some first
+        # passes round, some take the value whole
+        g = rng.integers(0, n.bit_length() + 1, n)
+        col = math.ldexp(1.0, e) - np.ldexp(rng.integers(1, 2**10, n).astype(float), e - 53 + g)
+        col[rng.integers(0, n, 5)] = rng.standard_normal(5) * math.ldexp(1.0, e - 300)
+        m = sign * col[:, None]
+        assert _exact_colsum(m).tobytes() == column_fsums(m).tobytes()
+
     @pytest.mark.parametrize("col", [[math.inf, 1.0], [math.nan, 1.0], [-math.inf, 2.0, 3.0]])
     def test_non_finite_as_fsum(self, col):
         m = np.array(col)[:, None]
@@ -523,6 +545,31 @@ class TestExactColsum:
     def test_fsum_errors_raised(self, col, error):
         with pytest.raises(error):
             _exact_colsum(np.array(col)[:, None])
+
+
+class TestPairProducts:
+    def test_blocks_are_weighted_design_products(self):
+        """Each row block of the Hessian's summands is bit for bit
+        ((w d_j) h) d_i formed from the design columns."""
+        rng = np.random.default_rng(4)
+        n = 3000
+        arrs = SubjectArrays(x=rng.normal(size=(n, 2)), s=rng.gamma(0.8, 2.5, n) + 1e-6,
+                             z=rng.integers(0, 2, n), w=rng.uniform(0.5, 1.5, n))
+        spec = ModelSpec(covariate_names=("odn", "age"), fix_eta00=None,
+                         z_model_covariate="odn", extended=True)
+        kd = _KernelData(arrs, spec)
+        h = {key: rng.standard_normal(n) * 10.0 ** rng.uniform(-5, 5, n)
+             for key in ("aa", "aq", "at", "qq", "qt", "tt")}
+        j, i = kd.pairs
+        products = _PairProducts(kd, h, j, i)
+        assert products.shape == (n, len(j))
+        cols = kd.design.T
+        for rows in (slice(0, 1000), slice(1000, 2999), slice(2999, 3000)):
+            block = products[rows]
+            for c, (a, b) in enumerate(zip(j, i)):
+                key = "".join(sorted(kd.predictors[a] + kd.predictors[b]))
+                want = ((arrs.w[rows] * cols[a][rows]) * h[key][rows]) * cols[b][rows]
+                assert block[:, c].tobytes() == want.tobytes()
 
 
 class TestTrialTerms:
