@@ -521,10 +521,12 @@ class TestExactColsum:
     def test_block_at_the_extraction_bound(self, n, over, sign):
         """One block of 2**bits - 1 or 2**bits rows whose values sit just
         under 2**e, at the largest e the extraction takes (e +
-        n.bit_length() = 1022, so sigma = 2**1022) and one past it.  Every
-        first-pass q is 2**e, so the exact partial sum comes as close to
-        sigma as the bound allows (below sigma, where sigma + b < sigma,
-        these sums are the finest); a few tiny values need later passes."""
+        n.bit_length() = 1022, so sigma = 2**1022), and at one past it,
+        which fsum sums.  Every first-pass q is near 2**e, so the exact
+        partial sums come as close to sigma as the bound allows; negative
+        values put them on the finer grid below sigma, where a block one
+        row too long for its bits would round.  A few tiny values need
+        later passes."""
         e = 1022 - n.bit_length() + over
         rng = np.random.default_rng(n)
         # 2**e less a few units of 2**(e - 53 + g), g up to bits: some first
