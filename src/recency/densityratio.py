@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimation import FitResult, _check_weight_sum, _maximize, _newton_polish, _prepare, _sandwich
+from .estimation import POLISH_STEPS, FitResult, _check_weight_sum, _maximize, _prepare, _sandwich
 from .estimation import brentq, minimize
 from .likelihood import (
     _case_hessian,
@@ -156,13 +156,13 @@ def _log_denominators(sol):
     return np.log1p(sol.mu * sol.d)
 
 
-def _profile_pieces(arrs, theta, spec):
-    """Weighted per-subject profile terms and the tilt solution, or None."""
+def _profile_terms(kd, arrs, theta):
+    """Per-subject profile terms, the case terms less log(1 + mu d), and
+    the tilt solution; the terms are None where psi is infeasible."""
     sol = solve_mu(theta.psi, arrs)
     if not sol.feasible:
         return None, sol
-    terms = _case_terms(_KernelData(arrs, spec), theta) - _log_denominators(sol)
-    return arrs.w * terms, sol
+    return _case_terms(kd, theta) - _log_denominators(sol), sol
 
 
 def profile_log_likelihood(data, theta: Theta, spec: ModelSpec) -> float:
@@ -175,11 +175,8 @@ def profile_log_likelihood(data, theta: Theta, spec: ModelSpec) -> float:
         raise ValueError("profile likelihood requires an extended spec")
     check_theta_spec(theta, spec)
     arrs = as_arrays(data)
-    sol = solve_mu(theta.psi, arrs)
-    if not sol.feasible:
-        return -math.inf
-    terms = _case_terms(_KernelData(arrs, spec), theta) - _log_denominators(sol)
-    return _weighted_total(arrs.w, terms)
+    terms, _ = _profile_terms(_KernelData(arrs, spec), arrs, theta)
+    return -math.inf if terms is None else _weighted_total(arrs.w, terms)
 
 
 class _ProfileObjective:
@@ -216,8 +213,8 @@ class _ProfileObjective:
         self.max_residuals[1] = max(self.max_residuals[1], abs(sol.residual_tilt))
 
     def value(self, free):
-        theta = self.template.with_free(free, self.spec)
-        return self._negated_total(*_profile_pieces(self.arrs, theta, self.spec))
+        terms, sol = _profile_terms(self.kd, self.arrs, self.template.with_free(free, self.spec))
+        return self._negated_total(None if terms is None else self.arrs.w * terms, sol)
 
     def value_and_gradient(self, free):
         """The loop's objective (value, -gradient) from the cached pass;
@@ -244,9 +241,10 @@ class _ProfileObjective:
         at accepted points, where psi is feasible."""
         return -self.hessian(free)
 
-    def run(self, start):
-        """One :func:`estimation.minimize` run from ``start``."""
-        return minimize(self.value_and_gradient, start, self.hess)
+    def run(self, start, maxiter):
+        """One :func:`estimation.minimize` run of at most ``maxiter`` steps
+        from ``start``."""
+        return minimize(self.value_and_gradient, start, self.hess, maxiter=maxiter)
 
     def trial_logliks(self, free, trials):
         """:meth:`loglik` at each trial point, a (j, point) pair whose point
@@ -306,11 +304,16 @@ class _ProfileObjective:
         return self._profile_scores(*self._feasible_pass(free))
 
     def _multiplier_pieces(self, sol):
-        """d(e)/d(psi0, psi1), g_mu and g_psi at the solution's tilt."""
+        """d(e)/d(psi0, psi1), g_mu and g_psi at the solution's tilt.
+
+        Far out on a tilt, d^2 and 1 + mu d squared overflow.  g_mu is then
+        -inf, and dmu = -g_psi / g_mu its limit 0, or NaN, which
+        :meth:`_profile_scores` and :meth:`hessian` reject as non-finite."""
         arrs = self.arrs
         de = np.column_stack([sol.e, sol.e * arrs.s])
-        sums = _exact_colsum(np.column_stack([arrs.w * sol.d * sol.d / sol.denom**2,
-                                              (arrs.w / sol.denom**2)[:, None] * de]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = _exact_colsum(np.column_stack([arrs.w * sol.d * sol.d / sol.denom**2,
+                                                  (arrs.w / sol.denom**2)[:, None] * de]))
         return de, -float(sums[0]), sums[1:]
 
     def _profile_scores(self, sol, cp, mp):
@@ -340,7 +343,9 @@ class _ProfileObjective:
         """
         sol, cp, (_, g_mu, g_psi) = self._feasible_pass(free)
         s = self.arrs.s
-        q = self.arrs.w * sol.mu * (1.0 - sol.mu) * sol.e / sol.denom**2
+        # where 1 + mu d squared overflows, q is its limit 0, or NaN, which raises below
+        with np.errstate(over="ignore"):
+            q = self.arrs.w * sol.mu * (1.0 - sol.mu) * sol.e / sol.denom**2
         c00, c01, c11 = _exact_colsum(np.column_stack([q, q * s, q * s * s]))
         hess = _case_hessian(self.kd, cp)
         hess[np.ix_(self.psi_cols, self.psi_cols)] += (
@@ -361,11 +366,10 @@ class _ProfileObjective:
     def loglik(self, free):
         return -self.value(free)
 
-    def newton_polish(self, free, ll):
-        """Push the gradient below tolerance after a run that ends short of
-        it, with the shared :func:`estimation._newton_polish` loop on the
-        analytic profile gradient and Hessian."""
-        return _newton_polish(self, free, ll)
+    def newton_polish(self, free):
+        """The finishing run from a run's end point that is short of the
+        score tolerance: :meth:`run` with at most POLISH_STEPS steps."""
+        return self.run(free, POLISH_STEPS)
 
     def covariance(self, free):
         """Sandwich of the analytic per-subject profile scores and the

@@ -7,10 +7,11 @@ at accepted iterates, takes the exact subproblem step from its
 eigendecomposition, and stops once the score's norm is below 1e-6 (one
 step later, unless it is also below 1e-8), or after 500 steps.  Near
 the optimum of a large sample the values can no longer tell a step's
-gain from rounding, so there the score decides; plain Newton steps
-(:func:`_newton_polish`) still finish a run that ends short of the
-tolerance.  :func:`brentq` is Brent's root-finder for the density-ratio
-multiplier and the S2 intercept, so no fit or draw needs scipy.
+gain from rounding, so there the score decides.  It is the only
+optimizer: a run that ends short of the tolerance is finished by a short
+run of the same loop from its end point.  :func:`brentq` is Brent's
+root-finder for the density-ratio multiplier and the S2 intercept, so no
+fit or draw needs scipy.
 
 The likelihood has a plateau: as eta01 -> +inf, p0 -> 1 for every s > 1,
 and a walk started at eta01 = 0 can run out to it.  So the default start
@@ -39,7 +40,7 @@ import numpy as np
 
 from .likelihood import _case_hessian, _case_pass, _case_scores, _exact_colsum, _exact_sum
 from .likelihood import _KernelData, _linear_pieces, _TrialTerms
-from .likelihood import hessian, log_pseudo_likelihood, score
+from .likelihood import log_pseudo_likelihood, score
 from .model import ETA_NAMES, ModelSpec, Theta, _is_number, as_arrays, check_theta_spec, initial_theta
 
 __all__ = [
@@ -56,7 +57,7 @@ __all__ = [
 
 SCORE_TOL = 1e-6
 MAX_ITER = 500
-POLISH_STEPS = 5      # Newton steps after a run that ends short of SCORE_TOL
+POLISH_STEPS = 5      # the finishing run's steps after a run that ends short of SCORE_TOL
 START_ETA00 = 7.0
 START_ETA01 = -0.5
 RESTART_ETA01 = (-1.0, -2.0)
@@ -187,8 +188,8 @@ def _trust_step(g, h, radius):
         den = d + t
         if np.any((den == 0.0) & (gam != 0.0)):
             return 1.0 / radius   # |p| is infinite at a pole
-        return 1.0 / radius - 1.0 / np.linalg.norm(
-            np.divide(gam, den, out=np.zeros_like(gam), where=den != 0.0))
+        p_norm = np.linalg.norm(np.divide(gam, den, out=np.zeros_like(gam), where=den != 0.0))
+        return 1.0 / radius - 1.0 / p_norm if p_norm else -math.inf
 
     # the lowest eigenvalues, to rounding, and p(0) without their directions
     lowest = d <= lam.size * np.finfo(float).eps * np.max(np.abs(lam))
@@ -357,11 +358,12 @@ class _NegObjective:
         return [functools.partial(self.loglik, point) if direct else functools.partial(float, total)
                 for (_, point), direct, total in zip(trials, columns.direct, totals)]
 
-    def run(self, start):
-        """One :func:`minimize` run from ``start``.  The cached pass is
-        dropped on return, so no later stage holds it."""
+    def run(self, start, maxiter):
+        """One :func:`minimize` run of at most ``maxiter`` steps from
+        ``start``.  The cached pass is dropped on return, so no later stage
+        holds it."""
         try:
-            return minimize(self, start, self.hess)
+            return minimize(self, start, self.hess, maxiter=maxiter)
         finally:
             self._x = self._cp = None
 
@@ -371,11 +373,10 @@ class _NegObjective:
     def gradient(self, free):
         return score(self.arrs, self._theta(free), self.spec)
 
-    def hessian(self, free):
-        return hessian(self.arrs, self._theta(free), self.spec)
-
-    def newton_polish(self, free, ll):
-        return _newton_polish(self, free, ll)
+    def newton_polish(self, free):
+        """The finishing run from a run's end point: :meth:`run` with at
+        most POLISH_STEPS steps."""
+        return self.run(free, POLISH_STEPS)
 
     def covariance(self, free):
         return sandwich_covariance(self.arrs, self._theta(free), self.spec)
@@ -432,34 +433,39 @@ def _maximize(obj, starts) -> FitResult:
     """The attempt loop both fits share, ending in their :class:`FitResult`.
 
     ``obj`` (:class:`_NegObjective` or the profile objective) gives
-    ``run(start)``, one :func:`minimize` run, the (positive) objective's
-    ``loglik``, ``gradient``, ``hessian``, ``newton_polish`` and
-    ``covariance`` over the free parameters, and the probe's batched
-    ``trial_logliks`` (:func:`_flat_directions`).  For each start in turn: run
-    it, polish the end point when its score is above SCORE_TOL, and apply
+    ``run(start, maxiter)``, one :func:`minimize` run, and
+    ``newton_polish(x)``, the same run with at most POLISH_STEPS steps;
+    the (positive) objective's ``loglik``, ``gradient`` and
+    ``covariance`` over the free parameters; and the probe's batched
+    ``trial_logliks`` (:func:`_flat_directions`).  :func:`minimize` is the
+    only optimizer.  For each start in turn: run it, finish the end point
+    with ``newton_polish`` when its score is above SCORE_TOL, and apply
     the plateau guard (a stationary point with a direction the data
     cannot reject is the plateau or a shallow local maximum beside it);
-    stop at the first settled attempt.  The :func:`select_candidate` pick,
-    or the start template flagged when every attempt degenerated, gets
-    its BIC and covariance; one that cannot be formed is NaN and flags
-    the fit.
+    stop at the first settled attempt.  ``iterations`` counts the steps
+    of every run.  The :func:`select_candidate` pick, or the start
+    template flagged when every attempt degenerated, gets its BIC and
+    covariance; one that cannot be formed is NaN and flags the fit.
     """
     candidates = []
     total_iter = 0
     for start in starts:
         try:
-            res = obj.run(start)
+            res = obj.run(start, MAX_ITER)
             total_iter += res.nit
-            x = res.x
-            ll = obj.loglik(x)
+            ll = obj.loglik(res.x)
             if not np.isfinite(ll):
                 continue
-            sup = _sup_norm(obj.gradient(x))
+            sup = _sup_norm(obj.gradient(res.x))
             if sup >= SCORE_TOL:
-                x, ll = obj.newton_polish(x, ll)
-                sup = _sup_norm(obj.gradient(x))
+                # the finishing run accepts only finite points, so ll stays finite
+                res = obj.newton_polish(res.x)
+                total_iter += res.nit
+                ll = obj.loglik(res.x)
+                sup = _sup_norm(obj.gradient(res.x))
         except FloatingPointError:
             continue
+        x = res.x
         settled = sup < SCORE_TOL and not _flat_directions(obj, x, ll)
         candidates.append((x, ll, sup, settled))
         if settled:
@@ -505,47 +511,6 @@ def _sup_norm(g: np.ndarray) -> float:
     return float(np.max(np.abs(g))) if g.size else 0.0
 
 
-def _newton_polish(obj, free: np.ndarray, ll: float):
-    """Newton steps from a run's end point until the score sup-norm is
-    below SCORE_TOL, at most POLISH_STEPS of them.
-
-    A run that stops short of the tolerance (at its step limit, or where
-    its model predicts no decrease) leaves the last decades to these
-    steps; they need only ``obj.gradient`` and its Jacobian
-    ``obj.hessian``.  Each step is
-    halved up to 8 times until the log-likelihood does not fall by more
-    than value noise (1e-8).  Returns the final point and its
-    log-likelihood; a failed solve or line search stops early.
-    """
-    x = free.copy()
-    for _ in range(POLISH_STEPS):
-        try:
-            g = obj.gradient(x)
-            if np.max(np.abs(g)) < SCORE_TOL:
-                break
-            step_vec = np.linalg.solve(obj.hessian(x), -g)
-        except (np.linalg.LinAlgError, FloatingPointError):
-            break
-        scale = 1.0
-        improved = False
-        for _ in range(8):
-            cand = x + scale * step_vec
-            try:
-                ll_cand = obj.loglik(cand)
-            except FloatingPointError:
-                ll_cand = -math.inf
-            # tolerate value-noise-level regressions: the score is the
-            # convergence witness here, not the objective
-            if math.isfinite(ll_cand) and ll_cand >= ll - 1e-8:
-                x, ll = cand, ll_cand
-                improved = True
-                break
-            scale *= 0.5
-        if not improved:
-            break
-    return x, ll
-
-
 def _flat_directions(obj, free: np.ndarray, ll_hat: float) -> list[int]:
     """Indices of free parameters whose +-FLATNESS_DELTA move the data
     cannot reject (log-likelihood loss < FLATNESS_TOL); such a direction
@@ -571,14 +536,34 @@ def _flat_directions(obj, free: np.ndarray, ll_hat: float) -> list[int]:
     return flat
 
 
+class _OuterProducts:
+    """The summands m_j m_i of m^T m, one column per pair j <= i, as a
+    matrix that :func:`_exact_colsum` reads a row block at a time: no
+    (n, pairs) array is held."""
+
+    def __init__(self, m):
+        self.m = m
+        self.j, self.i = np.triu_indices(m.shape[1])
+        self.shape = (m.shape[0], self.j.size)
+
+    def __getitem__(self, rows):
+        block = self.m[rows]
+        return block[:, self.j] * block[:, self.i]
+
+
 def _sandwich(m: np.ndarray, jac: np.ndarray, names) -> np.ndarray:
     """Robust covariance (1/n) I^-1 C I^-T from per-subject scores m (n, k)
     and the total score Jacobian jac (k, k), with I = jac / n and
-    C = m^T m / n.  Raises LinAlgError naming the nearly-unidentified
-    parameter when I is numerically singular."""
-    n = m.shape[0]
+    C = m^T m / n.  Each entry of m^T m is correctly rounded, so C, like
+    jac, is exactly invariant under subject permutation.  Raises
+    LinAlgError naming the nearly-unidentified parameter when I is
+    numerically singular."""
+    n, k = m.shape
     info = jac / n
-    c_mat = (m.T @ m) / n
+    products = _OuterProducts(m)
+    meat = np.empty((k, k))
+    meat[products.j, products.i] = meat[products.i, products.j] = _exact_colsum(products)
+    c_mat = meat / n
     svals = np.linalg.svd(info, compute_uv=False)
     # near-singular information means an effectively unidentified direction,
     # e.g. a likelihood whose supremum sits at an infinite parameter value

@@ -32,7 +32,7 @@ scores need, so an optimizer step costs one pass.  v = d(term)/d(tilt
 exponent) is 1 in cell I, 0 in II and the Bayes posterior of recency in
 III and IV.  That is the Type-2 risk, which prediction reads from the
 same pass.  The same pass gives the Hessian (the negated observed
-information) that the Newton finish and the sandwich use.  Each pair
+information) that the trust-region loop and the sandwich use.  Each pair
 log sigmoid(t), log(1 - sigmoid(t)) comes from one logaddexp
 (:func:`_log_sigmoid_pair`), and what depends on the data alone (the
 cell masks, s - 1, the design matrix D and w D, the Hessian's pairs) is

@@ -9,7 +9,7 @@ from scipy.stats import gamma as gamma_dist
 from fd_oracle import central_differences
 from recency import densityratio
 from recency.densityratio import (
-    _profile_pieces,
+    _profile_terms,
     _ProfileObjective,
     fit_extended,
     profile_log_likelihood,
@@ -245,8 +245,8 @@ class TestProfileScore:
         for free in self.points:
             m = self.obj.contribution_jacobian(free)
             fd = central_differences(
-                lambda v: _profile_pieces(
-                    self.arrs, self.template.with_free(v, SPEC_EXT), SPEC_EXT)[0],
+                lambda v: self.arrs.w * _profile_terms(
+                    self.obj.kd, self.arrs, self.template.with_free(v, SPEC_EXT))[0],
                 free)
             assert np.max(np.abs(m - fd) / (1.0 + np.abs(m))) < 1e-6
 
@@ -479,7 +479,17 @@ class TestFitExtended:
         obj = _ProfileObjective(arrs, ext.theta_hat, SPEC_EXT)
         start = x_hat + 1e-4 * np.arange(1, x_hat.size + 1) / x_hat.size
         assert np.max(np.abs(obj.gradient(start))) > 1.0
-        x_pol, ll_pol = obj.newton_polish(start, -obj.value(start))
+        res = obj.newton_polish(start)
+        x_pol, ll_pol = res.x, -res.fun
         assert np.max(np.abs(obj.gradient(x_pol))) < SCORE_TOL
         assert ll_pol >= ext.log_pl - 1e-8
         np.testing.assert_allclose(x_pol, x_hat, rtol=0, atol=1e-6)
+
+    def test_all_labels_known_ends_flagged_without_warnings(self):
+        # cells I and II only: no mixture term ties the tilt down, so it runs
+        # out until 1 + mu d squared overflows and the trust step's |p|
+        # reaches 0.  The fit must end flagged, not raise one of the suite's
+        # RuntimeWarning errors
+        arrs = generate(default_config("1", n_total=2000, seed=3)).train_arrays
+        labeled = arrs.subset((arrs.s <= 1.0) != (arrs.z == 1))
+        assert not fit_extended(labeled, SPEC_EXT).converged

@@ -182,30 +182,35 @@ class TestBfgsObjective:
 
 class TestStalledStart:
     """A trust-region start that stops just short of the tolerance is
-    finished by Newton steps on the analytic Hessian, not by restarts."""
+    finished by a short run of the same loop from its end point, not by
+    restarts."""
 
     @staticmethod
     def stalling_minimize(monkeypatch, offset=1e-7):
-        calls = []
+        """Stall the first minimize run: move its end point off the optimum
+        and report no success.  Returns the (start, end point) of each run."""
+        runs = []
         real = estimation.minimize
 
-        def stalled(*args, **kwargs):
-            res = real(*args, **kwargs)
-            calls.append(res)
-            res.x = res.x + offset * np.arange(1, res.x.size + 1) / res.x.size
-            res.success = False
+        def stalled(fun, x0, *args, **kwargs):
+            res = real(fun, x0, *args, **kwargs)
+            if not runs:
+                res.x = res.x + offset * np.arange(1, res.x.size + 1) / res.x.size
+                res.success = False
+            runs.append((np.array(x0, dtype=float), res.x))
             return res
 
         monkeypatch.setattr(estimation, "minimize", stalled)
-        return calls
+        return runs
 
     def test_polish_replaces_restarts(self, monkeypatch):
         subs = sim_train(21, n_total=600)
         base = fit(subs, SPEC)
         assert base.converged
-        calls = self.stalling_minimize(monkeypatch)
+        runs = self.stalling_minimize(monkeypatch)
         stalled_start = fit(subs, SPEC)
-        assert len(calls) == 1
+        assert len(runs) == 2
+        assert runs[1][0].tobytes() == runs[0][1].tobytes()
         assert stalled_start.converged
         assert stalled_start.score_sup_norm < estimation.SCORE_TOL
         # the unperturbed fit itself stops anywhere below the score
@@ -292,6 +297,17 @@ class TestSandwich:
         cov_a = sandwich_covariance(subs, res.theta_hat, SPEC)
         cov_b = sandwich_covariance(perm, res.theta_hat, SPEC)
         np.testing.assert_allclose(cov_a, cov_b, atol=1e-10)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_fit_is_byte_identical_under_permutation(self, seed):
+        # every sum over subjects, the sandwich's meat included, is
+        # correctly rounded: the subjects' order cannot move a bit
+        subs = sim_train(seed)
+        perm = subs.subset(np.random.default_rng(seed).permutation(subs.n))
+        res, res_perm = fit(subs, SPEC), fit(perm, SPEC)
+        assert res.theta_hat.pack().tobytes() == res_perm.theta_hat.pack().tobytes()
+        assert res.log_pl == res_perm.log_pl
+        assert res.covariance.tobytes() == res_perm.covariance.tobytes()
 
     def test_psd_and_symmetric(self):
         subs = sim_train(9, n_total=600)
