@@ -1,10 +1,10 @@
 """Command-line front end: fit, select, simulate, predict.
 
 Every command writes a run manifest (resolved configuration, seed, input
-hashes, tool version, timestamps) next to its outputs so any run can be
-reproduced exactly.  Exit codes: 0 success, 1 operational error or bad
-usage, 2 statistical non-convergence (so batch drivers can tell the two
-failure kinds apart).
+hashes, tool, numpy and Python versions, the RECENCY_THREADS setting,
+timestamps) next to its outputs so any run can be reproduced exactly.
+Exit codes: 0 success, 1 operational error or bad usage, 2 statistical
+non-convergence (so batch drivers can tell the two failure kinds apart).
 """
 
 from __future__ import annotations
@@ -13,10 +13,14 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
+import platform
 import re
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .dataio import KNOWN_COVARIATES, ColumnMap, DataError, load, preprocess
@@ -66,6 +70,10 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed, inputs,
         "seed": seed,
         "input_hashes": {str(p): _sha256(p) for p in inputs},
         "tool_version": __version__,
+        # results are bit-identical for a given numpy release and thread count
+        "numpy_version": np.__version__,
+        "python_version": platform.python_version(),
+        "recency_threads": os.environ.get("RECENCY_THREADS"),
         "started_at": started,
         "finished_at": time.time(),
     }

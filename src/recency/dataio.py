@@ -244,7 +244,8 @@ def _numpy_columns(text: str, width: int, usecols: dict, id_col):
 
 
 def load(path, columns: ColumnMap = ColumnMap(), *, phia_vl: bool = False) -> RawColumns:
-    """Read a headered CSV into :class:`RawColumns`; missing token is ``NA``.
+    """Read a headered UTF-8 CSV into :class:`RawColumns`, with or without
+    a byte-order mark; missing token is ``NA``.
 
     Mandatory columns: weight, z, and either s or the interview date
     pair.  Numeric cells must be finite; weights positive; months in
@@ -263,7 +264,7 @@ def load(path, columns: ColumnMap = ColumnMap(), *, phia_vl: bool = False) -> Ra
     reads it cell by cell, which also names any bad row.  A pipe, which
     cannot be read twice, goes to the ``csv`` module from the start.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

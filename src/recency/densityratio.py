@@ -53,7 +53,7 @@ from .likelihood import (
     _exact_colsum,
     _exact_sum,
     _KernelData,
-    _TrialTerms,
+    _trial_summands,
     _weighted_total,
 )
 from .model import ModelSpec, Theta, as_arrays, check_theta_spec
@@ -248,9 +248,10 @@ class _ProfileObjective:
 
     def trial_logliks(self, free, trials):
         """:meth:`loglik` at each trial point, a (j, point) pair whose point
-        moves ``free``'s entry j, from one :class:`likelihood._TrialTerms`
-        pass over ``free``'s cached pieces: one callable per trial that
-        returns that value and does its rejection or residual bookkeeping.
+        moves ``free``'s entry j, from one :func:`likelihood._trial_summands`
+        array over ``free``'s cached pieces and one exact column sum: one
+        callable per trial that returns that value and does its rejection
+        or residual bookkeeping.
         A trial that moves a beta or an eta keeps psi, and with it
         ``free``'s tilt solution; a psi trial solves for its own."""
         sol, cp, _ = self._feasible_pass(free)
@@ -265,13 +266,13 @@ class _ProfileObjective:
                 continue
             outcomes.append((point, trial_sol, len(columns)))
             columns.append((theta, pred, _log_denominators(trial_sol) if pred == "t" else base))
-        summands = _TrialTerms(self.kd, cp.pieces, columns)
+        summands, direct = _trial_summands(self.kd, cp.pieces, columns)
         totals = _exact_colsum(summands)
 
         def loglik(point, trial_sol, column):
             if trial_sol is None:
                 return -self._negated_total(None, None)
-            if summands.direct[column]:
+            if direct[column]:
                 return self.loglik(point)
             self._note_residuals(trial_sol)
             return float(totals[column])

@@ -39,7 +39,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .likelihood import _case_hessian, _case_pass, _case_scores, _exact_colsum, _exact_sum
-from .likelihood import _KernelData, _linear_pieces, _TrialTerms
+from .likelihood import _KernelData, _linear_pieces, _trial_summands
 from .likelihood import log_pseudo_likelihood, score
 from .model import ETA_NAMES, ModelSpec, Theta, _is_number, as_arrays, check_theta_spec, initial_theta
 
@@ -348,15 +348,16 @@ class _NegObjective:
 
     def trial_logliks(self, free, trials):
         """:meth:`loglik` at each trial point, a (j, point) pair whose point
-        moves ``free``'s entry j, from one :class:`likelihood._TrialTerms`
-        pass that reuses ``free``'s pieces: one callable per trial that
-        returns that value, or raises what :meth:`loglik` raises there."""
-        columns = _TrialTerms(self.kd, _linear_pieces(self.kd, self._theta(free)),
-                              [(self._theta(point), self.kd.predictors[j], None)
-                               for j, point in trials])
-        totals = _exact_colsum(columns)
-        return [functools.partial(self.loglik, point) if direct else functools.partial(float, total)
-                for (_, point), direct, total in zip(trials, columns.direct, totals)]
+        moves ``free``'s entry j, from one :func:`likelihood._trial_summands`
+        array that reuses ``free``'s pieces and one exact column sum: one
+        callable per trial that returns that value, or raises what
+        :meth:`loglik` raises there."""
+        summands, direct = _trial_summands(self.kd, _linear_pieces(self.kd, self._theta(free)),
+                                           [(self._theta(point), self.kd.predictors[j], None)
+                                            for j, point in trials])
+        totals = _exact_colsum(summands)
+        return [functools.partial(self.loglik, point) if bad else functools.partial(float, total)
+                for (_, point), bad, total in zip(trials, direct, totals)]
 
     def run(self, start, maxiter):
         """One :func:`minimize` run of at most ``maxiter`` steps from

@@ -37,8 +37,8 @@ log sigmoid(t), log(1 - sigmoid(t)) comes from one logaddexp
 (:func:`_log_sigmoid_pair`), and what depends on the data alone (the
 cell masks, s - 1, the design matrix D and w D, the Hessian's pairs) is
 built once per data set and spec (:class:`_KernelData`).
-:class:`_TrialTerms` evaluates the same terms at several points that
-each move one linear predictor, a row block at a time.
+:func:`_trial_summands` evaluates the same terms at several points that
+each move one linear predictor, one (n, trials) column per point.
 
 Every reduction over subjects is correctly rounded: :func:`_exact_colsum`
 returns what math.fsum returns, a row block at a time, by error-free
@@ -58,7 +58,6 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -98,11 +97,8 @@ class _KernelData:
 
     The cell masks, s - 1 and the branch factors the cells fix (0 or -inf)
     are formed here; the design matrix, w times it and the Hessian's pair
-    index on their first use.  :meth:`rows` gives the per-subject pieces of
-    a row slice, which the kernel functions read as they read the whole.
+    index on their first use.
     """
-
-    _ROW_FIELDS = ("s", "w", "inside", "pos", "mixture", "sm1", "long_in", "recent_out", "zx")
 
     def __init__(self, arrs: SubjectArrays, spec: ModelSpec):
         if arrs.x.shape[1] != spec.n_covariates:
@@ -122,11 +118,6 @@ class _KernelData:
         # the linear predictor each free parameter enters, in free order:
         # a = logit pi for a beta, q for an eta, t = the tilt exponent for a psi
         self.predictors = [{"b": "a", "e": "q", "p": "t"}[name[0]] for name in spec.free_names()]
-
-    def rows(self, rows):
-        return SimpleNamespace(spec=self.spec, **{
-            name: None if getattr(self, name) is None else getattr(self, name)[rows]
-            for name in self._ROW_FIELDS})
 
     @functools.cached_property
     def design(self) -> np.ndarray:
@@ -161,22 +152,22 @@ class _KernelData:
                          if None in (side[a], side[b]) or side[a] == side[b]]).T
 
 
-def _q_pieces(part, theta: Theta):
+def _q_pieces(kd: _KernelData, theta: Theta):
     """log p and log(1 - p) of the test-result predictor q."""
     eta = theta.eta
-    q = np.where(part.inside, eta[2] + eta[3] * part.sm1, eta[0] + eta[1] * part.sm1)
-    if part.zx is not None:
-        q = q + theta.eta_x * part.zx
+    q = np.where(kd.inside, eta[2] + eta[3] * kd.sm1, eta[0] + eta[1] * kd.sm1)
+    if kd.zx is not None:
+        q = q + theta.eta_x * kd.zx
     log_p, log_1m_p = _log_sigmoid_pair(q)
-    if part.spec.p0_identically_one:
-        log_p = np.where(part.inside, log_p, 0.0)
-        log_1m_p = np.where(part.inside, log_1m_p, -np.inf)
+    if kd.spec.p0_identically_one:
+        log_p = np.where(kd.inside, log_p, 0.0)
+        log_1m_p = np.where(kd.inside, log_1m_p, -np.inf)
     return log_p, log_1m_p
 
 
-def _tilt_exponent(part, theta: Theta):
+def _tilt_exponent(kd: _KernelData, theta: Theta):
     """psi0 + psi1 * s under an extended spec; None (no tilt) otherwise."""
-    return theta.psi[0] + theta.psi[1] * part.s if part.spec.extended else None
+    return theta.psi[0] + theta.psi[1] * kd.s if kd.spec.extended else None
 
 
 def _linear_pieces(kd: _KernelData, theta: Theta):
@@ -186,15 +177,15 @@ def _linear_pieces(kd: _KernelData, theta: Theta):
     return (log_pi, log_1m_pi, *_q_pieces(kd, theta), _tilt_exponent(kd, theta))
 
 
-def _q_branches(part, log_p, log_1m_p):
+def _q_branches(kd: _KernelData, log_p, log_1m_p):
     """The parts of the long-term and recent branches that q sets: log L and
     log R of the module docstring."""
-    log_pz = np.where(part.pos, log_p, log_1m_p)             # log P(z | q)
-    log_l = np.where(part.inside, part.long_in, log_pz)
-    return log_l, np.where(part.inside, log_pz, part.recent_out)
+    log_pz = np.where(kd.pos, log_p, log_1m_p)               # log P(z | q)
+    log_l = np.where(kd.inside, kd.long_in, log_pz)
+    return log_l, np.where(kd.inside, log_pz, kd.recent_out)
 
 
-def _terms(part, log_pi, log_1m_pi, q_branches, tilt_exp):
+def _terms(kd: _KernelData, log_pi, log_1m_pi, q_branches, tilt_exp):
     """Each subject's long-term and recent branch and its term."""
     log_l, log_r = q_branches
     long = log_1m_pi + log_l
@@ -204,7 +195,7 @@ def _terms(part, log_pi, log_1m_pi, q_branches, tilt_exp):
     # log1p(exp(-inf)) = 0.0, or NaN
     terms = np.maximum(long, recent)
     terms += 0.0
-    np.logaddexp(long, recent, out=terms, where=part.mixture)
+    np.logaddexp(long, recent, out=terms, where=kd.mixture)
     return long, recent, terms
 
 
@@ -254,58 +245,42 @@ def _weighted_total(w, terms) -> float:
     return _exact_sum(w * terms)
 
 
-class _TrialTerms:
-    """The summands w (term - adjust) at several trial points, one column
-    per trial, as a matrix that :func:`_exact_colsum` reads a row block at
-    a time: no (n, trials) array is held.
+def _trial_summands(kd: _KernelData, pieces, trials):
+    """The (n, trials) summands w (term - adjust), and the mask of the
+    columns marked direct.
 
-    Each trial moves the parameters of one linear predictor away from a
-    base point whose :func:`_linear_pieces` are given.  Its column
-    recomputes that predictor's pieces (the a-pieces of a beta trial, the
-    q-pieces of an eta trial, the tilt exponent of a psi trial) and reuses
-    the base's others, through the one term formula, :func:`_terms`.  A
-    beta trial's x @ beta is formed over the whole of x, as a single pass
-    forms it.  ``adjust`` (None for none) is a whole-data vector.  So every
-    summand is bit for bit the one a single pass at the trial gives, and
-    each column's correctly rounded total is that pass's total.
-
-    A column with a non-finite summand, or one past the exact sums'
-    overflow bound, is summed as zeros and marked in ``direct``: its value
-    is for a single evaluation at the trial to give.
+    ``trials`` holds (theta, predictor, adjust) per column, each moving the
+    parameters of one linear predictor away from a base point whose
+    :func:`_linear_pieces` are given; ``adjust`` is None or a vector.  A
+    column recomputes that predictor's pieces (the a-pieces of a beta
+    trial, the q-pieces of an eta trial, the tilt exponent of a psi trial)
+    and reuses the base's others, through the one term formula,
+    :func:`_terms`.  So every summand is bit for bit the one a single pass
+    at the trial gives.  A column with a non-finite summand, or one past
+    the exact sums' overflow bound, is zeroed and marked direct: a single
+    evaluation at the trial gives its value.
     """
-
-    def __init__(self, kd: _KernelData, pieces, trials):
-        """``trials``: (theta, predictor, adjust) per column."""
-        self.kd, self.pieces = kd, pieces
-        self.trials = [(theta, pred, adjust,
-                        theta.beta[0] + kd.x @ theta.beta[1:] if pred == "a" else None)
-                       for theta, pred, adjust in trials]
-        self.shape = (kd.n, len(trials))
-        self.direct = np.zeros(len(trials), dtype=bool)
-        # a column at or above this would send _exact_colsum to its fsum
-        # fallback: the extraction's overflow bound
-        self._limit = 2.0 ** (1022 - kd.n.bit_length())
-
-    def __getitem__(self, rows):
-        part = self.kd.rows(rows)
-        log_pi, log_1m_pi, log_p, log_1m_p, tilt = (
-            None if piece is None else piece[rows] for piece in self.pieces)
-        base_q = _q_branches(part, log_p, log_1m_p)
-        cols = []
-        for theta, pred, adjust, lb in self.trials:
-            a_pieces = _log_sigmoid_pair(lb[rows]) if pred == "a" else (log_pi, log_1m_pi)
-            q_branches = _q_branches(part, *_q_pieces(part, theta)) if pred == "q" else base_q
-            tilt_exp = _tilt_exponent(part, theta) if pred == "t" else tilt
-            terms = _terms(part, *a_pieces, q_branches, tilt_exp)[2]
-            cols.append(terms if adjust is None else terms - adjust[rows])
-        block = np.column_stack(cols)
-        block *= part.w[:, None]
+    log_pi, log_1m_pi, log_p, log_1m_p, tilt = pieces
+    base_q = _q_branches(kd, log_p, log_1m_p)
+    # a column at or above this would send _exact_colsum to its fsum
+    # fallback: the extraction's overflow bound
+    limit = 2.0 ** (1022 - kd.n.bit_length())
+    summands = np.empty((kd.n, len(trials)), order="F")
+    direct = np.zeros(len(trials), dtype=bool)
+    for c, (theta, pred, adjust) in enumerate(trials):
+        a_pieces = (_log_sigmoid_pair(theta.beta[0] + kd.x @ theta.beta[1:]) if pred == "a"
+                    else (log_pi, log_1m_pi))
+        q_branches = _q_branches(kd, *_q_pieces(kd, theta)) if pred == "q" else base_q
+        tilt_exp = _tilt_exponent(kd, theta) if pred == "t" else tilt
+        terms = _terms(kd, *a_pieces, q_branches, tilt_exp)[2]
+        if adjust is not None:
+            terms -= adjust
+        col = np.multiply(terms, kd.w, out=summands[:, c])
         with np.errstate(invalid="ignore"):
-            bad = ~(np.abs(block) < self._limit).all(axis=0)
-        if bad.any():
-            self.direct |= bad
-            block[:, bad] = 0.0
-        return block
+            direct[c] = not (np.abs(col) < limit).all()
+        if direct[c]:
+            col[:] = 0.0
+    return summands, direct
 
 
 def score_contributions(data, theta: Theta, spec: ModelSpec) -> np.ndarray:
@@ -347,6 +322,12 @@ _SUM_BLOCK = 16384
 def _exact_colsum(m) -> np.ndarray:
     """math.fsum of each column of ``m``, an (n, k) array or an object with
     ``shape`` whose row slices ``m[a:b]`` are the array's rows.
+
+    The only such lazy inputs are :class:`_PairProducts` and
+    ``estimation._OuterProducts``, whose pair products have about k**2 / 2
+    columns: made whole, the sandwich's 15 at 1e5 rows take about twice
+    the time and fifty times the peak memory, while a block of them stays
+    in cache.
 
     Each block of about _SUM_BLOCK values, with rows < 2**bits, is split by
     error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31(1),

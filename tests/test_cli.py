@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -306,6 +307,21 @@ class TestSimulateCommand:
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["odn_z_coeff"] == 0.4
+
+    @pytest.mark.parametrize("threads", [None, "1"])
+    def test_manifest_records_what_bit_identity_rests_on(self, tmp_path, monkeypatch, threads):
+        # outputs are promised bit-identical per numpy release and thread count
+        if threads is None:
+            monkeypatch.delenv("RECENCY_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("RECENCY_THREADS", threads)
+        out = tmp_path / "s1"
+        assert main(["simulate", "--scenario", "1", "--reps", "1", "--n", "300",
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["python_version"] == platform.python_version()
+        assert manifest["recency_threads"] == threads
 
 
 class TestPredictCommand:

@@ -533,6 +533,29 @@ class TestNumpyPath:
         assert_same(got, load(path))
 
 
+class TestByteOrderMark:
+    """A spreadsheet's "CSV UTF-8" export starts with a byte-order mark,
+    which must not become part of the first header name."""
+
+    @pytest.mark.parametrize("header, rows", [
+        (PLAIN_HEADER, PLAIN_ROWS),                                  # numpy path
+        (PLAIN_HEADER, [",".join(f'"{cell}"' for cell in row.split(","))
+                        for row in PLAIN_ROWS]),                     # csv path
+        ("weight,id,test_year,test_month,interview_year,interview_month,z,odn,vl",
+         [",".join([row.split(",")[1], row.split(",")[0], *row.split(",")[2:]])
+          for row in PLAIN_ROWS]),                                   # weight first
+    ], ids=["plain", "quoted", "weight_first"])
+    def test_bom_file_loads_as_without(self, tmp_path, header, rows):
+        path = plain_csv(tmp_path / "d.csv", rows, header)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        want, want_numpy = numpy_path_load(path)
+        got, got_numpy = numpy_path_load(bom)
+        assert got_numpy == want_numpy
+        assert_same(got, want)
+        assert got.ids == ["a", "b", "c"]
+
+
 # a cell grammar for the differential test: numbers both paths read, the
 # NA token, and text only the csv path reads (or rejects)
 _INTEGERS = st.one_of(

@@ -18,7 +18,7 @@ from recency.likelihood import (
     _linear_pieces,
     _log_sigmoid_pair,
     _PairProducts,
-    _TrialTerms,
+    _trial_summands,
     hessian,
     log_pseudo_likelihood,
     score,
@@ -575,8 +575,7 @@ class TestPairProducts:
 
 
 class TestTrialTerms:
-    """The probe's batched columns against one single-point pass per trial,
-    over several row blocks."""
+    """The probe's batched columns against one single-point pass per trial."""
 
     @pytest.mark.parametrize("spec", [
         ModelSpec(covariate_names=("odn", "age")),
@@ -606,13 +605,15 @@ class TestTrialTerms:
         trials = [(template.with_free(p, spec), kd.predictors[j // 3], None)
                   for j, p in enumerate(points)]
         with np.errstate(invalid="ignore", over="ignore"):
-            columns = _TrialTerms(kd, _linear_pieces(kd, template.with_free(free, spec)), trials)
+            columns, direct = _trial_summands(
+                kd, _linear_pieces(kd, template.with_free(free, spec)), trials)
+            # the mask is whole before any sum
+            assert direct[3 * age] and not direct[3 * age + 1]
+            assert (~direct).sum() > len(trials) // 2
             totals = _exact_colsum(columns)
             for c, (theta, _, _) in enumerate(trials):
                 summands = arrs.w * _case_pass(kd, theta).terms
-                if columns.direct[c]:
+                if direct[c]:
                     assert not (np.abs(summands) < 2.0**1000).all()
                 else:
                     assert totals[c].tobytes() == _exact_colsum(summands[:, None]).tobytes()
-        assert columns.direct[3 * age] and not columns.direct[3 * age + 1]
-        assert (~columns.direct).sum() > len(trials) // 2
