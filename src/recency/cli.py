@@ -278,12 +278,17 @@ def cmd_predict(args) -> int:
         args, spec.covariate_names,
         standardization=fit_doc.get("preprocessing", {}).get("standardization", {}))
 
+    if args.p_hiv is not None:
+        e_y = recency_rate(arrays, theta, spec)
+        try:
+            inc = incidence(args.p_hiv, args.p_art, e_y)
+        except ZeroDivisionError as exc:
+            raise DataError(str(exc)) from None
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     export_predictions(out / "predictions.csv", arrays, theta, spec, report.ids)
     if args.p_hiv is not None:
-        e_y = recency_rate(arrays, theta, spec)
-        inc = incidence(args.p_hiv, args.p_art, e_y)
         print(f"incidence: {inc:.6f} (E(Y)={e_y:.4f}, "
               f"p_hiv={args.p_hiv}, p_art={args.p_art})")
     _write_manifest(out, "predict", _resolved(args), args.seed,

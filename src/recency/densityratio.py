@@ -330,8 +330,10 @@ class _ProfileObjective:
         arrs = self.arrs
         m = _case_scores(self.kd, cp)
         de, g_mu, g_psi = mp
-        dmu = -g_psi / g_mu
-        m[:, self.psi_cols] -= (arrs.w / sol.denom)[:, None] * (sol.mu * de + sol.d[:, None] * dmu)
+        # with every s equal, d = 0 and g_mu = 0: the non-finite dmu is rejected below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dmu = -g_psi / g_mu
+            m[:, self.psi_cols] -= (arrs.w / sol.denom)[:, None] * (sol.mu * de + sol.d[:, None] * dmu)
         if not np.isfinite(m).all():
             raise FloatingPointError("non-finite profile score")
         return m

@@ -39,7 +39,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .likelihood import _case_hessian, _case_pass, _case_scores, _exact_colsum, _exact_sum
-from .likelihood import _KernelData, _linear_pieces, _trial_summands
+from .likelihood import _KernelData, _linear_pieces, _pair_sums, _trial_summands
 from .likelihood import log_pseudo_likelihood, score
 from .model import ETA_NAMES, ModelSpec, Theta, _is_number, as_arrays, check_theta_spec, initial_theta
 
@@ -478,7 +478,8 @@ def _maximize(obj, starts) -> FitResult:
     k, n = x_hat.size, obj.arrs.n
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            # an unsettled x_hat is flagged already; any other warning passes
+            warnings.filterwarnings("ignore", "sandwich evaluated away from a stationary point")
             cov = obj.covariance(x_hat)
     except (np.linalg.LinAlgError, ValueError, FloatingPointError):
         cov = np.full((k, k), np.nan)
@@ -537,34 +538,17 @@ def _flat_directions(obj, free: np.ndarray, ll_hat: float) -> list[int]:
     return flat
 
 
-class _OuterProducts:
-    """The summands m_j m_i of m^T m, one column per pair j <= i, as a
-    matrix that :func:`_exact_colsum` reads a row block at a time: no
-    (n, pairs) array is held."""
-
-    def __init__(self, m):
-        self.m = m
-        self.j, self.i = np.triu_indices(m.shape[1])
-        self.shape = (m.shape[0], self.j.size)
-
-    def __getitem__(self, rows):
-        block = self.m[rows]
-        return block[:, self.j] * block[:, self.i]
-
-
 def _sandwich(m: np.ndarray, jac: np.ndarray, names) -> np.ndarray:
     """Robust covariance (1/n) I^-1 C I^-T from per-subject scores m (n, k)
     and the total score Jacobian jac (k, k), with I = jac / n and
-    C = m^T m / n.  Each entry of m^T m is correctly rounded, so C, like
-    jac, is exactly invariant under subject permutation.  Raises
+    C = m^T m / n.  The meat m^T m is summed by :func:`_pair_sums`, as the
+    Hessian is, so each entry is correctly rounded and C, like jac, is
+    exactly invariant under subject permutation.  Raises
     LinAlgError naming the nearly-unidentified parameter when I is
     numerically singular."""
     n, k = m.shape
     info = jac / n
-    products = _OuterProducts(m)
-    meat = np.empty((k, k))
-    meat[products.j, products.i] = meat[products.i, products.j] = _exact_colsum(products)
-    c_mat = meat / n
+    c_mat = _pair_sums(m, m, np.triu_indices(k)) / n
     svals = np.linalg.svd(info, compute_uv=False)
     # near-singular information means an effectively unidentified direction,
     # e.g. a likelihood whose supremum sits at an infinite parameter value

@@ -323,11 +323,10 @@ def _exact_colsum(m) -> np.ndarray:
     """math.fsum of each column of ``m``, an (n, k) array or an object with
     ``shape`` whose row slices ``m[a:b]`` are the array's rows.
 
-    The only such lazy inputs are :class:`_PairProducts` and
-    ``estimation._OuterProducts``, whose pair products have about k**2 / 2
-    columns: made whole, the sandwich's 15 at 1e5 rows take about twice
-    the time and fifty times the peak memory, while a block of them stays
-    in cache.
+    The only such lazy input is :class:`_PairProducts`, the Hessian's and
+    the sandwich meat's k**2 / 2 pair products (:func:`_pair_sums`): made
+    whole, the meat's 15 at 1e5 rows take about twice the time and fifty
+    times the peak memory, while a block of them stays in cache.
 
     Each block of about _SUM_BLOCK values, with rows < 2**bits, is split by
     error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31(1),
@@ -384,26 +383,34 @@ def score(data, theta: Theta, spec: ModelSpec) -> np.ndarray:
 
 
 class _PairProducts:
-    """The Hessian's summands w d_j h d_i, one column per pair (j, i) of
-    design columns, as a matrix that :func:`_exact_colsum` reads a row block
-    at a time: no (n, pairs) array is held.  Each product is formed as
-    ((w d_j) h) d_i, from the data-only w D and D of :class:`_KernelData`."""
+    """The summands (left_j h) right_i, one column per pair (j, i), as a
+    matrix that :func:`_exact_colsum` reads a row block at a time: no
+    (n, pairs) array is held.  Pair c's curvature is h[h_col[c]], so a
+    shared one is sliced once per block; with no h it is left_j right_i."""
 
-    def __init__(self, kd: _KernelData, h, j, i):
-        self.wd, self.d = kd.weighted_design, kd.design
+    def __init__(self, left, right, j, i, h=(), h_col=()):
+        self.left, self.right = left, right
         self.j, self.i = j, i
-        keys = ["".join(sorted(kd.predictors[j] + kd.predictors[i])) for j, i in zip(j, i)]
-        used = list(dict.fromkeys(keys))
-        self.h = [h[key] for key in used]
-        self.h_col = [used.index(key) for key in keys]
-        self.shape = (kd.n, len(keys))
+        self.h, self.h_col = h, h_col
+        self.shape = (left.shape[0], len(j))
 
     def __getitem__(self, rows):
-        h = np.column_stack([h[rows] for h in self.h])
-        out = self.wd[rows][:, self.j]
-        out *= h[:, self.h_col]
-        out *= self.d[rows][:, self.i]
+        out = self.left[rows][:, self.j]
+        if self.h:
+            out *= np.column_stack([h[rows] for h in self.h])[:, self.h_col]
+        out *= self.right[rows][:, self.i]
         return out
+
+
+def _pair_sums(left, right, pairs, h=(), h_col=()) -> np.ndarray:
+    """The symmetric (k, k) matrix whose (j, i) and (i, j) entries are the
+    correctly rounded sum of the :class:`_PairProducts` column of each pair
+    (j, i) in ``pairs``; +0.0 off the pairs."""
+    j, i = pairs
+    k = left.shape[1]
+    out = np.zeros((k, k))
+    out[j, i] = out[i, j] = _exact_colsum(_PairProducts(left, right, j, i, h, h_col))
+    return out
 
 
 # the side of s = 1 on which each gated eta column is nonzero
@@ -439,10 +446,10 @@ def _case_hessian(kd: _KernelData, cp: _CasePass) -> np.ndarray:
         "qt": abd,
         "tt": ab,
     }
-    k = len(kd.predictors)
-    j, i = kd.pairs
-    hess = np.zeros((k, k))
-    hess[j, i] = hess[i, j] = _exact_colsum(_PairProducts(kd, h, j, i))
+    keys = ["".join(sorted(kd.predictors[j] + kd.predictors[i])) for j, i in zip(*kd.pairs)]
+    used = list(dict.fromkeys(keys))
+    hess = _pair_sums(kd.weighted_design, kd.design, kd.pairs,
+                      [h[key] for key in used], [used.index(key) for key in keys])
     if not np.isfinite(hess).all():
         raise FloatingPointError("non-finite Hessian entry")
     return hess

@@ -61,7 +61,7 @@ def incidence(p_hiv: float, p_art: float, e_y: float) -> float:
     num = p_hiv * (1.0 - p_art) * e_y
     den = (1.0 - p_hiv) + num
     if den == 0.0:
-        raise ZeroDivisionError("incidence undefined: prevalence 1 with no recent infections")
+        raise ZeroDivisionError("incidence undefined: p_hiv = 1 with p_art = 1 or E(Y) = 0")
     return num / den
 
 

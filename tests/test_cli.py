@@ -391,6 +391,17 @@ class TestPredictCommand:
         assert str(bad) in err and ("line 1 column" if key is None else repr(key)) in err
         assert not out.exists()
 
+    def test_undefined_incidence_exit_1_writes_nothing(self, data_csv, fit_dir, tmp_path,
+                                                       capsys):
+        # p_hiv = 1 with p_art = 1 leaves no one at risk: 0 / 0
+        out = tmp_path / "pred_undefined"
+        assert main(["predict", "--fit", str(fit_dir / "fit.json"), "--data", str(data_csv),
+                     "--out", str(out), "--p-hiv", "1", "--p-art", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "error: incidence undefined: p_hiv = 1 with p_art = 1" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_ids_of_kept_rows(self, data_csv, fit_dir, tmp_path):
         def ids(path):
             with open(path, newline="") as fh:

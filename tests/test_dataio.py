@@ -1,5 +1,6 @@
 """CSV loading and the preprocessing pipeline."""
 
+import csv
 import dataclasses
 import math
 import os
@@ -13,6 +14,10 @@ from hypothesis import strategies as st
 
 from recency import dataio
 from recency.dataio import ColumnMap, DataError, RawColumns, load, preprocess
+from recency.estimation import backward_stepwise, fit
+from recency.model import ModelSpec
+from recency.prediction import recency_rate
+from recency.simulation import default_config, generate
 
 
 def write_csv(path, header, rows):
@@ -634,3 +639,57 @@ class TestNumpyPathDifferential:
             got, taken = numpy_path_load(path, phia_vl=phia_vl)
         event("numpy path" if taken else "csv path")
         assert_same(got, outcome(csv_path_load, path, phia_vl=phia_vl))
+
+
+class TestPhiaRoute:
+    """The route of the guarded real-data check, on a synthetic extract."""
+
+    COVARIATES = ("age", "gender", "odn", "logvl", "cd4")
+    CATEGORIES = ("undetectable", "less than 20", "less than 1,000", "more than 10 million")
+
+    def phia_csv(self, path, seed):
+        """An S1 draw as a PHIA-shaped extract: month/year dates with some
+        NA test months, odn = 2 + x, and age, gender, cd4 and a partly
+        categorical vl drawn independently of recency."""
+        arrs = generate(default_config("1", n_total=4000, seed=seed)).train_arrays
+        rng = np.random.default_rng(seed)
+        n = arrs.n
+        months = np.maximum(1, np.rint(arrs.s * 12.0)).astype(int)
+        interview = 2016 * 12 + rng.integers(0, 12, n)    # months since year 0, January = 0
+        test = interview - months
+        # a test month is asked for only where the years differ, so a month is always feasible
+        na_month = (test // 12 < interview // 12) & (rng.random(n) < 0.05)
+        vl = np.exp(rng.uniform(0.0, 14.0, n)).round()
+        categorical = rng.random(n) < 0.15
+        labels = rng.choice(self.CATEGORIES, n)
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(HEADER)
+            for i in range(n):
+                writer.writerow([
+                    f"r{i}", 1.0, test[i] // 12, "NA" if na_month[i] else test[i] % 12 + 1,
+                    interview[i] // 12, interview[i] % 12 + 1, int(arrs.z[i]),
+                    int(rng.integers(15, 65)), int(rng.integers(0, 2)),
+                    repr(2.0 + float(arrs.x[i, 0])),
+                    labels[i] if categorical[i] else repr(float(vl[i])),
+                    repr(float(rng.normal(500.0, 150.0)))])
+        return n, int(categorical.sum()), int(na_month.sum())
+
+    def test_load_preprocess_stepwise_recency_rate(self, tmp_path):
+        path = tmp_path / "phia.csv"
+        n, n_categorical, n_na_month = self.phia_csv(path, seed=0)
+        records = load(path, phia_vl=True)
+        assert len(records.vl_raw) == n_categorical > 0
+        arrays, report = preprocess(records, seed=0, covariates=self.COVARIATES)
+        # every categorical viral load resolves, and every NA month is imputed
+        assert report.dropped == [] and arrays.n == n
+        assert len(report.imputations) == n_na_month > 0
+        result = backward_stepwise(arrays, self.COVARIATES,
+                                   ModelSpec(covariate_names=self.COVARIATES))
+        assert "odn" in result.selected
+        assert result.fit.converged
+        spec = ModelSpec(covariate_names=result.selected)
+        chosen = dataclasses.replace(
+            arrays, x=arrays.x[:, [self.COVARIATES.index(c) for c in result.selected]])
+        e_y = recency_rate(chosen, result.fit.theta_hat, result.fit.spec)
+        assert e_y == recency_rate(chosen, fit(chosen, spec).theta_hat, spec)

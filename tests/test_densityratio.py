@@ -18,7 +18,7 @@ from recency.densityratio import (
 )
 from recency.estimation import SCORE_TOL, _sandwich
 from recency.likelihood import log_pseudo_likelihood
-from recency.model import ModelSpec, initial_theta
+from recency.model import ModelSpec, SubjectArrays, initial_theta
 from recency.simulation import default_config, generate
 from subjects import rows, subjects
 
@@ -493,3 +493,12 @@ class TestFitExtended:
         arrs = generate(default_config("1", n_total=2000, seed=3)).train_arrays
         labeled = arrs.subset((arrs.s <= 1.0) != (arrs.z == 1))
         assert not fit_extended(labeled, SPEC_EXT).converged
+
+    @pytest.mark.parametrize("n", [200, 1])
+    def test_single_s_value_ends_flagged_without_warnings(self, n):
+        # every s equal: each cone start's tilt exponent is 0, so d = 0 and
+        # g_mu = 0, and the profile scores' dmu = -g_psi / g_mu is not
+        # finite.  The start must be rejected without a RuntimeWarning
+        arrs = generate(default_config("6", n_total=400, seed=2)).train_arrays
+        flat = SubjectArrays(x=arrs.x[:n], s=np.full(n, 2.0), z=arrs.z[:n], w=arrs.w[:n])
+        assert not fit_extended(flat, SPEC_EXT).converged

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -321,6 +322,20 @@ class TestSandwich:
         theta = initial_theta(SPEC)
         with pytest.warns(UserWarning, match="stationary"):
             sandwich_covariance(subs, theta, SPEC)
+
+    def test_fit_hides_only_the_stationarity_warning(self, monkeypatch):
+        sandwich = estimation._sandwich
+
+        def noisy(*args):
+            warnings.warn("sandwich evaluated away from a stationary point (test)", UserWarning)
+            warnings.warn("overflow in the meat (test)", RuntimeWarning)
+            return sandwich(*args)
+
+        monkeypatch.setattr(estimation, "_sandwich", noisy)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit(sim_train(10, n_total=600), SPEC)
+        assert [str(w.message) for w in caught] == ["overflow in the meat (test)"]
 
     def test_singular_information_names_parameter(self):
         # duplicated covariate column: beta_odn and beta_odn2 unidentified

@@ -552,7 +552,8 @@ class TestExactColsum:
 class TestPairProducts:
     def test_blocks_are_weighted_design_products(self):
         """Each row block of the Hessian's summands is bit for bit
-        ((w d_j) h) d_i formed from the design columns."""
+        ((w d_j) h) d_i formed from the design columns, and each of the
+        sandwich meat's is m_j m_i."""
         rng = np.random.default_rng(4)
         n = 3000
         arrs = SubjectArrays(x=rng.normal(size=(n, 2)), s=rng.gamma(0.8, 2.5, n) + 1e-6,
@@ -563,15 +564,23 @@ class TestPairProducts:
         h = {key: rng.standard_normal(n) * 10.0 ** rng.uniform(-5, 5, n)
              for key in ("aa", "aq", "at", "qq", "qt", "tt")}
         j, i = kd.pairs
-        products = _PairProducts(kd, h, j, i)
+        keys = ["".join(sorted(kd.predictors[a] + kd.predictors[b])) for a, b in zip(j, i)]
+        products = _PairProducts(kd.weighted_design, kd.design, j, i,
+                                 [h[key] for key in keys], range(len(keys)))
         assert products.shape == (n, len(j))
+        m = rng.standard_normal((n, 5)) * 10.0 ** rng.uniform(-5, 5, (n, 5))
+        mj, mi = np.triu_indices(5)
+        meat = _PairProducts(m, m, mj, mi)
+        assert meat.shape == (n, len(mj))
         cols = kd.design.T
         for rows in (slice(0, 1000), slice(1000, 2999), slice(2999, 3000)):
             block = products[rows]
             for c, (a, b) in enumerate(zip(j, i)):
-                key = "".join(sorted(kd.predictors[a] + kd.predictors[b]))
-                want = ((arrs.w[rows] * cols[a][rows]) * h[key][rows]) * cols[b][rows]
+                want = ((arrs.w[rows] * cols[a][rows]) * h[keys[c]][rows]) * cols[b][rows]
                 assert block[:, c].tobytes() == want.tobytes()
+            block = meat[rows]
+            for c, (a, b) in enumerate(zip(mj, mi)):
+                assert block[:, c].tobytes() == (m[rows, a] * m[rows, b]).tobytes()
 
 
 class TestTrialTerms:
