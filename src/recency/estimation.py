@@ -7,7 +7,10 @@ at accepted iterates, takes the exact subproblem step from its
 eigendecomposition, and stops once the score's norm is below 1e-6 (one
 step later, unless it is also below 1e-8), or after 500 steps.  Near
 the optimum of a large sample the values can no longer tell a step's
-gain from rounding, so there the score decides.  It is the only
+gain from rounding, so there the score decides.  Its trust region is a
+sphere, except where a caller asks for one scaled by the first
+Hessian's diagonal (``scaled=True``): the density-ratio fit does, as
+its tilt parameters' curvature dwarfs the others'.  It is the only
 optimizer: a run that ends short of the tolerance is finished by a short
 run of the same loop from its end point.  :func:`brentq` is Brent's
 root-finder for the density-ratio multiplier and the S2 intercept, so no
@@ -95,7 +98,7 @@ class MinimizeResult:
     message: str
 
 
-def minimize(fun, x0, hess, gtol=SCORE_TOL, maxiter=MAX_ITER) -> MinimizeResult:
+def minimize(fun, x0, hess, gtol=SCORE_TOL, maxiter=MAX_ITER, scaled=False) -> MinimizeResult:
     """Trust-region Newton minimization (More & Sorensen 1983; Nocedal &
     Wright 2006, section 4.3).
 
@@ -115,10 +118,19 @@ def minimize(fun, x0, hess, gtol=SCORE_TOL, maxiter=MAX_ITER) -> MinimizeResult:
     one more step, so a run ends well inside the tolerance rather than
     just below it.  Otherwise the run stops at ``maxiter`` steps, at a
     non-finite start or Hessian, or when the model predicts no decrease.
+
+    With ``scaled`` the trust region is the ellipsoid |D p| <= radius
+    (More 1983, "Recent developments in algorithms and software for trust
+    region methods"), D from the run's first Hessian
+    (:func:`_diagonal_scale`) and kept for the whole run, so a
+    coordinate whose curvature is far above the others' no longer sets
+    every step's length.  As D >= 1, the first step stays inside the
+    sphere's box in every coordinate.  The stopping test stays on the
+    unscaled gradient.
     """
     x = np.array(x0, dtype=float)
     f, g = fun(x)
-    nfev, nhev, nit, radius, h = 1, 0, 0, TRUST_RADIUS, None
+    nfev, nhev, nit, radius, h, scale = 1, 0, 0, TRUST_RADIUS, None, None
     stop = None if math.isfinite(f) and np.isfinite(g).all() else "start is not finite"
     finishing = False
     while stop is None:
@@ -137,7 +149,14 @@ def minimize(fun, x0, hess, gtol=SCORE_TOL, maxiter=MAX_ITER) -> MinimizeResult:
                 stop = "Hessian is not finite"
                 break
             nhev += 1
-        step, on_boundary = _trust_step(g, h, radius)
+            if scaled and nhev == 1:
+                scale = _diagonal_scale(h)
+        if scale is None:
+            step, on_boundary = _trust_step(g, h, radius)
+        else:
+            # the sphere's step in the variables D x, mapped back
+            step, on_boundary = _trust_step(g / scale, h / np.outer(scale, scale), radius)
+            step /= scale
         predicted = -(g @ step + 0.5 * (step @ h @ step))
         if not predicted > 0.0:
             stop = "the model predicts no decrease"
@@ -160,6 +179,15 @@ def minimize(fun, x0, hess, gtol=SCORE_TOL, maxiter=MAX_ITER) -> MinimizeResult:
     success = stop is None or finishing and bool(np.linalg.norm(g) < gtol)
     return MinimizeResult(x=x, fun=f, nit=nit, nfev=nfev, nhev=nhev, success=success,
                           message="gradient norm below gtol" if success else stop)
+
+
+def _diagonal_scale(h):
+    """D = sqrt|diag h| over its smallest entry, or None (the sphere) where
+    an entry is zero or D is not finite."""
+    root = np.sqrt(np.abs(np.diag(h)))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        scale = root / root.min()
+    return scale if np.isfinite(scale).all() else None
 
 
 def _trust_step(g, h, radius):

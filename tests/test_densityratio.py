@@ -16,7 +16,7 @@ from recency.densityratio import (
     solve_mu,
     tilt,
 )
-from recency.estimation import SCORE_TOL, _sandwich
+from recency.estimation import SCORE_TOL, _sandwich, minimize
 from recency.likelihood import log_pseudo_likelihood
 from recency.model import ModelSpec, SubjectArrays, initial_theta
 from recency.simulation import default_config, generate
@@ -471,6 +471,21 @@ class TestFitExtended:
         ses = dict(zip(ext.free_names, ext.se))
         for name, truth in zip(("psi0", "psi1"), cfg.psi_true):
             assert abs(est[name] - truth) <= 3 * ses[name]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_scaled_region_matches_the_sphere_in_fewer_steps(self, seed, monkeypatch):
+        # near the tilt cone's edge the profile's psi curvature is ~1e4 times
+        # the others': on the sphere |p| <= radius, rejected psi steps
+        # collapse the radius and these fits take 16-18 steps
+        arrs = generate(default_config("6", n_total=4000, seed=seed)).train_arrays
+        ext = fit_extended(arrs, SPEC_EXT)
+        monkeypatch.setattr(_ProfileObjective, "run", lambda self, start, maxiter: minimize(
+            self.value_and_gradient, start, self.hess, maxiter=maxiter))
+        sphere = fit_extended(arrs, SPEC_EXT)
+        assert ext.converged and sphere.converged
+        assert ext.iterations <= 12 < sphere.iterations
+        x, x_sphere = (fit.theta_hat.free_values(SPEC_EXT) for fit in (ext, sphere))
+        assert np.all(np.abs(x - x_sphere) <= 1e-6 * sphere.se)
 
     def test_newton_polish_finishes_a_stalled_point(self):
         arrs = generate(default_config("6", n_total=4000, seed=3)).train_arrays

@@ -9,13 +9,41 @@ import scipy.optimize
 
 from recency import densityratio, estimation, simulation
 from recency.densityratio import solve_mu
-from recency.estimation import TRUST_RADIUS, _trust_step, brentq, minimize
+from recency.estimation import TRUST_RADIUS, _diagonal_scale, _trust_step, brentq, minimize
 from recency.simulation import default_config, generate
 
 
 def quadratic(a, b):
     """f(x) = x.a.x / 2 - b.x as (value, gradient), and its Hessian."""
     return (lambda x: (0.5 * x @ a @ x - b @ x, a @ x - b)), (lambda x: a)
+
+
+def exponential_wall(ell=1e-3, amp=20.0):
+    """f = sum a (y - 10)^2 / 2 + amp (e^(v / ell) - v / ell) over x = (y, v),
+    a = (1, 100), as (value, gradient), and its Hessian.  At v = -3 ell
+    the v curvature is 1e6, and the quadratic model's Newton step in v
+    lands at v = 16 ell, past the optimum v = 0, where e^(v / ell) is
+    9e6."""
+    a = np.array([1.0, 100.0])
+
+    def fun(x):
+        v = x[-1] / ell
+        if v > 700.0:
+            return math.inf, np.full(x.size, np.nan)
+        return (0.5 * a @ (x[:-1] - 10.0) ** 2 + amp * (math.exp(v) - v),
+                np.r_[a * (x[:-1] - 10.0), amp * (math.exp(v) - 1.0) / ell])
+
+    return fun, (lambda x: np.diag(np.r_[a, amp * math.exp(x[-1] / ell) / ell**2]))
+
+
+def saddle(x):
+    """x^2 - y^2 + y^4: its Hessian diag(2, 12 y^2 - 2) is indefinite near
+    y = 0, and its minima are at y = +-sqrt(1/2)."""
+    return x[0] ** 2 - x[1] ** 2 + x[1] ** 4, np.array([2 * x[0], -2 * x[1] + 4 * x[1] ** 3])
+
+
+def saddle_hess(x):
+    return np.diag([2.0, -2.0 + 12 * x[1] ** 2])
 
 
 def rosenbrock(x):
@@ -122,12 +150,7 @@ class TestMinimize:
         assert res.fun == pytest.approx(-0.5 * b @ optimum, rel=1e-15)
 
     def test_indefinite_start_takes_a_boundary_step(self):
-        # x^2 - y^2 + y^4 has an indefinite Hessian near y = 0 and its
-        # minima at y = +-sqrt(1/2)
-        def saddle(x):
-            return x[0] ** 2 - x[1] ** 2 + x[1] ** 4, np.array([2 * x[0], -2 * x[1] + 4 * x[1] ** 3])
-
-        obj = Recorded(saddle, lambda x: np.diag([2.0, -2.0 + 12 * x[1] ** 2]))
+        obj = Recorded(saddle, saddle_hess)
         res = minimize(obj, np.array([0.1, 0.05]), obj.hess)
         assert np.linalg.norm(obj.trials[1] - obj.trials[0]) == pytest.approx(TRUST_RADIUS)
         assert res.success
@@ -177,6 +200,48 @@ class TestMinimize:
     def test_non_finite_start_stops(self):
         res = minimize(lambda x: (math.inf, np.zeros(1)), np.zeros(1), lambda x: np.eye(1))
         assert not res.success and res.nit == 0 and res.nhev == 0
+
+    def test_scaled_region_steps_past_a_stiff_wall_in_fewer_steps(self):
+        # the sphere's radius-1 step moves v by up to 1000 ell: it is
+        # rejected until the radius has collapsed, and regrowing it to reach
+        # y = 10 costs steps.  |D p| <= radius moves v by at most radius / 998
+        fun, hess = exponential_wall()
+        x0 = np.array([0.0, 0.0, -3e-3])
+        np.testing.assert_allclose(np.diag(hess(x0)), [1.0, 100.0, 20e6 * math.exp(-3.0)])
+        scale = _diagonal_scale(hess(x0))
+        gtol = 1e-5
+        sphere = minimize(fun, x0, hess, gtol=gtol)
+        obj = Recorded(fun, hess)
+        scaled = minimize(obj, x0, hess, gtol=gtol, scaled=True)
+        assert sphere.success and scaled.success
+        assert scaled.nit < sphere.nit - 5
+        np.testing.assert_allclose(scaled.x, [10.0, 10.0, 0.0], rtol=0, atol=1e-9)
+        # the stopping test reads the unscaled gradient: the run went on past
+        # a point whose scaled gradient |g / D| was already below gtol
+        grads = [fun(x)[1] for x in obj.trials]
+        assert any(np.linalg.norm(g / scale) < gtol <= np.linalg.norm(g) for g in grads)
+        assert np.linalg.norm(fun(scaled.x)[1]) < gtol
+
+    @pytest.mark.parametrize("case", ["zero", "overflow"])
+    def test_degenerate_first_diagonal_keeps_the_sphere(self, case):
+        # D needs every diagonal entry of the first Hessian nonzero and
+        # sqrt of their ratio finite; otherwise the run is the sphere's
+        if case == "zero":
+            # the saddle at y^2 = 1/6, where d2f/dy2 = 0
+            fun, hess, x0 = saddle, saddle_hess, np.array([0.1, math.sqrt(1 / 6)])
+            assert hess(x0)[1, 1] == 0.0
+        else:
+            # curvatures 1e300 and 5e-324: sqrt of their ratio overflows
+            fun, hess = quadratic(np.diag([1e300, 5e-324]), np.array([0.0, 1.0]))
+            x0 = np.array([1e-152, 0.0])
+        assert _diagonal_scale(hess(x0)) is None
+        runs = []
+        for scaled in (False, True):
+            obj = Recorded(fun, hess)
+            res = minimize(obj, x0, hess, maxiter=20, scaled=scaled)
+            runs.append((res.x.tobytes(), float(res.fun), res.nit, res.nfev, res.nhev, res.success,
+                         res.message, [x.tobytes() for x in obj.trials]))
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("seed", range(12))
     def test_same_minimizer_as_scipy_trust_exact(self, seed):
