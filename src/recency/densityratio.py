@@ -243,9 +243,6 @@ class _ProfileObjective:
             m = self._profile_scores(sol, cp, mp)
         except FloatingPointError:
             return self._negated_total(contrib, sol), np.full(free.size, np.nan)
-        if not np.isfinite(contrib).all():
-            grad = -_exact_colsum(m)
-            return self._negated_total(contrib, sol), grad
         # the value and the scores from one exact column sum
         self._note_residuals(sol)
         sums = _exact_colsum(np.column_stack([contrib, m]))
@@ -308,13 +305,6 @@ class _ProfileObjective:
             raise FloatingPointError("profile derivatives requested at infeasible psi")
         return self._pieces
 
-    def multiplier(self, free):
-        """mu at ``free``, or None where psi is infeasible."""
-        try:
-            return self._feasible_pass(free)[0].mu
-        except FloatingPointError:
-            return None
-
     def contribution_jacobian(self, free):
         """Per-subject profile scores m_i; (n, k)."""
         return self._profile_scores(*self._feasible_pass(free))
@@ -361,15 +351,13 @@ class _ProfileObjective:
         """
         sol, cp, (_, g_mu, g_psi) = self._feasible_pass(free)
         s = self.arrs.s
-        # where 1 + mu d squared overflows, q is its limit 0, or NaN, which raises below
+        # where 1 + mu d squared overflows, q is its limit 0 (its numerator overflows with d^2)
         with np.errstate(over="ignore"):
             q = self.arrs.w * sol.mu * (1.0 - sol.mu) * sol.e / sol.denom**2
         c00, c01, c11 = _exact_colsum(np.column_stack([q, q * s, q * s * s]))
         hess = _case_hessian(self.kd, cp)
         hess[np.ix_(self.psi_cols, self.psi_cols)] += (
             np.outer(g_psi, g_psi) / g_mu - np.array([[c00, c01], [c01, c11]]))
-        if not np.isfinite(hess).all():
-            raise FloatingPointError("non-finite profile Hessian")
         return hess
 
     def gradient(self, free):
@@ -407,8 +395,9 @@ def fit_extended(data, spec: ModelSpec) -> FitResult:
     Hessian's diagonal (see :class:`_ProfileObjective`), which takes an
     S6 fit at n_total = 4000 about 9 steps, where the sphere took 17.
     The result also carries the multiplier at the
-    optimum, the worst constraint residuals seen over accepted
-    evaluations, and the number of infeasible-psi rejections.
+    estimate, always a float (a run's end point, or psi = 0, is feasible),
+    the worst constraint residuals seen over accepted evaluations, and the
+    number of infeasible-psi rejections.
     """
     if not spec.extended:
         raise ValueError("fit_extended requires spec.extended")
@@ -430,7 +419,7 @@ def fit_extended(data, spec: ModelSpec) -> FitResult:
         starts.append(cone)
 
     res = _maximize(obj, starts)
-    # the covariance left the cached pass at the optimum
-    return replace(res, mu=obj.multiplier(res.theta_hat.free_values(spec)),
+    # the covariance left the cached pass at the optimum, whose psi is feasible
+    return replace(res, mu=obj._feasible_pass(res.theta_hat.free_values(spec))[0].mu,
                    constraint_residuals=tuple(obj.max_residuals),
                    infeasible_rejections=obj.rejections)

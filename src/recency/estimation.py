@@ -29,7 +29,10 @@ pass's, and the flags are decided in trial order as before, so no
 decision changes.  The density-ratio fit runs the same attempt
 loop (:func:`_maximize`) on its profile objective from its own starts.
 Non-convergence is flagged on the result, never raised, so replicate
-harnesses can count failures.
+harnesses can count failures: a start that is not finite is skipped, and
+with none finite the fit is the flagged start template.  The one error,
+raised before any start runs, is for weights whose sum is off the subject
+count by more than a relative WEIGHT_SUM_TOL.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ POLISH_STEPS = 5      # the finishing run's steps after a run that ends short of
 START_ETA00 = 7.0
 START_ETA01 = -0.5
 RESTART_ETA01 = (-1.0, -2.0)
-WEIGHT_SUM_TOL = 1e-6
+WEIGHT_SUM_TOL = 5e-11   # |sum(w) / n - 1|: half the density-ratio jumps' SUM_TOL
 NEAR_SINGULAR_RTOL = 1e-10
 # a direction is unidentified when a +-5 move costs < 0.01 log-likelihood:
 # the optimum then sits at (or runs toward) an infinite parameter value
@@ -102,8 +105,9 @@ def minimize(fun, x0, hess, gtol=SCORE_TOL, maxiter=MAX_ITER, scaled=False) -> M
     """Trust-region Newton minimization (More & Sorensen 1983; Nocedal &
     Wright 2006, section 4.3).
 
-    ``fun(x)`` returns the value and gradient at x; a value of inf (or a
-    gradient that is not finite) marks a point the step must not reach.
+    ``fun(x)`` returns the value and gradient at x; a value of inf or NaN,
+    or a gradient whose 2-norm is not finite (:func:`_evaluate`), marks a
+    point the step must not reach.
     ``hess(x)`` is asked for only at accepted iterates, right after
     ``fun(x)``, so an objective that keeps its last pass serves both, and
     a rejected step re-solves with the same Hessian.  Each step is the
@@ -117,7 +121,8 @@ def minimize(fun, x0, hess, gtol=SCORE_TOL, maxiter=MAX_ITER, scaled=False) -> M
     first point that meets it, unless it meets ``gtol / 100`` too, takes
     one more step, so a run ends well inside the tolerance rather than
     just below it.  Otherwise the run stops at ``maxiter`` steps, at a
-    non-finite start or Hessian, or when the model predicts no decrease.
+    non-finite start or Hessian, or when a step cannot decrease the
+    value: x + step rounds to x, or the predicted decrease underflows.
 
     With ``scaled`` the trust region is the ellipsoid |D p| <= radius
     (More 1983, "Recent developments in algorithms and software for trust
@@ -129,12 +134,11 @@ def minimize(fun, x0, hess, gtol=SCORE_TOL, maxiter=MAX_ITER, scaled=False) -> M
     unscaled gradient.
     """
     x = np.array(x0, dtype=float)
-    f, g = fun(x)
+    f, g, gnorm = _evaluate(fun, x)
     nfev, nhev, nit, radius, h, scale = 1, 0, 0, TRUST_RADIUS, None, None
-    stop = None if math.isfinite(f) and np.isfinite(g).all() else "start is not finite"
+    stop = None if math.isfinite(f) else "start is not finite"
     finishing = False
     while stop is None:
-        gnorm = np.linalg.norm(g)
         if gnorm < gtol:
             if finishing or gnorm < gtol / 100:
                 break
@@ -158,27 +162,35 @@ def minimize(fun, x0, hess, gtol=SCORE_TOL, maxiter=MAX_ITER, scaled=False) -> M
             step, on_boundary = _trust_step(g / scale, h / np.outer(scale, scale), radius)
             step /= scale
         predicted = -(g @ step + 0.5 * (step @ h @ step))
-        if not predicted > 0.0:
-            stop = "the model predicts no decrease"
+        trial = x + step
+        if not predicted > 0.0 or np.array_equal(trial, x):
+            stop = "the step cannot decrease the value"
             break
         nit += 1
-        f_new, g_new = fun(x + step)
+        f_new, g_new, gnorm_new = _evaluate(fun, trial)
         nfev += 1
-        if math.isnan(f_new) or not np.isfinite(g_new).all():
-            f_new = math.inf
         rho = (f - f_new) / predicted
         noise = VALUE_RTOL * (1.0 + abs(f))
-        if predicted < noise and f_new - f < noise and np.linalg.norm(g_new) < np.linalg.norm(g):
+        if predicted < noise and f_new - f < noise and gnorm_new < gnorm:
             rho = 1.0   # the values agree to rounding, so the score decides
         if rho < 0.25:
             radius *= 0.25
         elif rho > 0.75 and on_boundary:
             radius = min(2.0 * radius, MAX_TRUST_RADIUS)
         if rho > ACCEPT_RATIO:
-            x, f, g, h = x + step, f_new, g_new, None
-    success = stop is None or finishing and bool(np.linalg.norm(g) < gtol)
+            x, f, g, gnorm, h = trial, f_new, g_new, gnorm_new, None
+    success = stop is None or finishing and bool(gnorm < gtol)
     return MinimizeResult(x=x, fun=f, nit=nit, nfev=nfev, nhev=nhev, success=success,
                           message="gradient norm below gtol" if success else stop)
+
+
+def _evaluate(fun, x):
+    """``fun(x)`` and the gradient's 2-norm; the value is inf (no step may
+    reach x) where it is NaN or the norm, whose square may overflow, is not finite."""
+    f, g = fun(x)
+    with np.errstate(over="ignore"):
+        gnorm = np.linalg.norm(g)
+    return (math.inf if math.isnan(f) or not math.isfinite(gnorm) else f), g, gnorm
 
 
 def _diagonal_scale(h):
@@ -313,7 +325,7 @@ class FitResult:
     score_sup_norm: float
     recency_rate: float | None = None
     # density-ratio extras (populated by fit_extended only)
-    mu: float | None = None
+    mu: float | None = None     # a float in every extended fit
     constraint_residuals: tuple[float, float] | None = None
     infeasible_rejections: int = 0
 
@@ -436,16 +448,18 @@ def _starts(x0: np.ndarray, names):
 
 
 def _check_weight_sum(arrs) -> None:
-    """Raise ValueError unless the weights sum to the subject count: the
-    rescale sets the sandwich and BIC scale, and the density-ratio jumps
-    sum to 1 only then.  np.sum's rounding error is far below the
-    tolerance, so the correctly rounded total is needed only near it."""
-    if abs(np.sum(arrs.w) - arrs.n) <= 0.5 * WEIGHT_SUM_TOL:
+    """Raise ValueError unless the weights sum to the subject count n to within
+    a relative WEIGHT_SUM_TOL: the rescale sets the sandwich and BIC scale,
+    and the density-ratio jumps sum to sum(w) / n at every tilt.  np.sum's
+    rounding error is far below the tolerance, so the exact total is needed
+    only near it."""
+    if abs(np.sum(arrs.w) - arrs.n) <= 0.5 * WEIGHT_SUM_TOL * arrs.n:
         return
     total = _exact_sum(arrs.w)
-    if abs(total - arrs.n) > WEIGHT_SUM_TOL:
+    if abs(total - arrs.n) > WEIGHT_SUM_TOL * arrs.n:
+        digits = max(6, 1 - math.floor(math.log10(abs(total - arrs.n))))   # to the departure
         raise ValueError(
-            f"weights sum to {total:.6f} but must equal the subject count {arrs.n}; "
+            f"weights sum to {total:.{digits}f} but must equal the subject count {arrs.n}; "
             "rescale them (w *= n / w.sum()) before fitting"
         )
 
@@ -472,28 +486,24 @@ def _maximize(obj, starts) -> FitResult:
     the plateau guard (a stationary point with a direction the data
     cannot reject is the plateau or a shallow local maximum beside it);
     stop at the first settled attempt.  ``iterations`` counts the steps
-    of every run.  The :func:`select_candidate` pick, or the start
-    template flagged when every attempt degenerated, gets its BIC and
-    covariance; one that cannot be formed is NaN and flags the fit.
+    of every run.  The :func:`select_candidate` pick gets its BIC and
+    covariance; one that cannot be formed is NaN and flags the fit.  With
+    no finite start it is the start template, flagged, with ll = -inf.
     """
     candidates = []
     total_iter = 0
     for start in starts:
-        try:
-            res = obj.run(start, MAX_ITER)
+        res = obj.run(start, MAX_ITER)
+        total_iter += res.nit
+        if not math.isfinite(res.fun):
+            continue   # the start is not finite, and no run leaves it
+        ll = obj.loglik(res.x)   # finite, as every point a run ends at is
+        sup = _sup_norm(obj.gradient(res.x))
+        if sup >= SCORE_TOL:
+            res = obj.newton_polish(res.x)
             total_iter += res.nit
             ll = obj.loglik(res.x)
-            if not np.isfinite(ll):
-                continue
             sup = _sup_norm(obj.gradient(res.x))
-            if sup >= SCORE_TOL:
-                # the finishing run accepts only finite points, so ll stays finite
-                res = obj.newton_polish(res.x)
-                total_iter += res.nit
-                ll = obj.loglik(res.x)
-                sup = _sup_norm(obj.gradient(res.x))
-        except FloatingPointError:
-            continue
         x = res.x
         settled = sup < SCORE_TOL and not _flat_directions(obj, x, ll)
         candidates.append((x, ll, sup, settled))
@@ -504,14 +514,15 @@ def _maximize(obj, starts) -> FitResult:
     else:
         x_hat, ll, sup, converged = obj.template.free_values(obj.spec), -math.inf, math.inf, False
     k, n = x_hat.size, obj.arrs.n
-    try:
-        with warnings.catch_warnings():
-            # an unsettled x_hat is flagged already; any other warning passes
-            warnings.filterwarnings("ignore", "sandwich evaluated away from a stationary point")
-            cov = obj.covariance(x_hat)
-    except (np.linalg.LinAlgError, ValueError, FloatingPointError):
-        cov = np.full((k, k), np.nan)
-        converged = False
+    cov = np.full((k, k), np.nan)
+    if candidates:   # the template, where no start was finite, gets none
+        try:
+            with warnings.catch_warnings():
+                # an unsettled x_hat is flagged already; any other warning passes
+                warnings.filterwarnings("ignore", "sandwich evaluated away from a stationary point")
+                cov = obj.covariance(x_hat)
+        except (np.linalg.LinAlgError, ValueError, FloatingPointError):
+            converged = False
     return FitResult(
         theta_hat=obj.template.with_free(x_hat, obj.spec), covariance=cov, log_pl=ll,
         bic=-2.0 * ll + k * math.log(n), n_subjects=n, converged=converged,

@@ -68,10 +68,7 @@ def fit_weighted_logistic(x, y, w=None) -> LogisticFit:
             converged = True
             break
         fisher = X.T @ (X * (w * p * (1.0 - p))[:, None])
-        try:
-            step = np.linalg.solve(fisher, grad)
-        except np.linalg.LinAlgError:
-            break
+        step = np.linalg.solve(fisher, grad)
         # step halving keeps IRLS monotone on badly scaled data
         scale = 1.0
         for _ in range(30):

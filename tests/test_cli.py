@@ -69,6 +69,39 @@ class TestFitCommand:
         assert f"error: '{field}' is nan, not a finite number or None" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_free_pin_is_estimated(self, data_csv, tmp_path):
+        out = tmp_path / "free"
+        assert main(["fit", "--data", str(data_csv), "--covariates", "odn",
+                     "--fix-eta00", "free", "--out", str(out)]) in (0, 2)
+        doc = json.loads((out / "fit.json").read_text())
+        assert doc["spec"]["fix_eta00"] is None and "eta00" in doc["se"]
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--covariates", "odn", "--fix-eta00", "seven"],
+         "--fix-eta00 expects a number or 'free', got 'seven'"),
+        (["--covariates", " , "], "empty covariate list"),
+    ], ids=["pin", "covariates"])
+    def test_bad_model_flag_usage_error(self, data_csv, tmp_path, capsys, flags, message):
+        out = tmp_path / "bad"
+        assert main(["fit", "--data", str(data_csv), *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out.exists()
+
+    def test_empty_column_flag_drops_the_column(self, data_csv, tmp_path):
+        # --col-id "" reads no id column, not a column whose header cell is
+        # blank (a spreadsheet's row labels): each row gets its data-row number
+        labeled = tmp_path / "labeled.csv"
+        with open(data_csv, newline="") as src, open(labeled, "w", newline="") as dst:
+            writer = csv.writer(dst)
+            for i, row in enumerate(csv.reader(src)):
+                writer.writerow(["" if i == 0 else f"r{i}", *row])
+        out = tmp_path / "no_ids"
+        assert main(["fit", "--data", str(labeled), "--covariates", "odn", "--col-id", "",
+                     "--out", str(out)]) == 0
+        with open(out / "predictions.csv") as fh:
+            ids = [row["id"] for row in csv.DictReader(fh)]
+        assert ids[:3] == ["1", "2", "3"] and len(ids) == 1200
+
     def test_conflicting_flags_usage_error(self, data_csv, tmp_path):
         code = main(["fit", "--data", str(data_csv), "--covariates", "odn",
                      "--p0-one", "--fix-eta00", "7", "--out", str(tmp_path / "x")])
@@ -515,6 +548,14 @@ class TestPredictCommand:
 
 
 class TestEntryPoint:
+    def test_exits_with_mains_code(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["recency", "fit", "--data", str(tmp_path / "nope.csv"),
+                                          "--covariates", "odn", "--out", str(tmp_path / "x")])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry_point()
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_console_script_help(self):
         import os
         import subprocess

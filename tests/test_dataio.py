@@ -38,6 +38,12 @@ def standard_rows():
 
 
 class TestLoad:
+    def test_empty_file_has_no_header(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(DataError, match="empty.csv: no header row$"):
+            load(path)
+
     def test_well_formed(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", HEADER, standard_rows())
         records = load(path)

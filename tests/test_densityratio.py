@@ -127,6 +127,15 @@ class TestSolveMu:
         subs = random_subjects(rng, 20)
         assert solve_mu((1000.0, 0.0), subs).feasible is False
 
+    def test_root_within_the_padding_is_infeasible_not_an_error(self):
+        # the subject with the largest tilt weighs 1e-300, so its pole term
+        # is below the others' sum even 1e-12 of the bracket inside the
+        # pole: g does not change sign between the padded ends
+        subs = subjects(0.0, [0.5, 1.0, 2.0, 4.0], [0, 0, 1, 1], [4 / 3, 4 / 3, 4 / 3, 1e-300])
+        sol = solve_mu((-1.0, 0.5), subs)
+        assert sol.feasible is False and sol.mu == 0.0
+        assert solve_mu((-1.0, 0.5), subjects(0.0, [0.5, 1.0, 2.0, 4.0], [0, 0, 1, 1])).feasible
+
 
 class TestProfile:
     def test_reduces_to_basic_at_zero_psi(self):
@@ -363,6 +372,40 @@ def _case_term(x, s, z, theta):
 
 
 class TestFitExtended:
+    def test_requires_an_extended_spec(self):
+        arrs = generate(default_config("6", n_total=200, seed=3)).train_arrays
+        with pytest.raises(ValueError, match="^fit_extended requires spec.extended$"):
+            fit_extended(arrs, ModelSpec(covariate_names=("odn",)))
+
+    def test_weights_that_pass_leave_psi_zero_feasible(self):
+        # the jumps sum to sum(w) / n at every tilt, so weights off by 5e-7
+        # at n = 2000 leave no tilt feasible: they are the named error, and
+        # weights the rule passes leave psi = 0 feasible
+        arrs = generate(default_config("6", n_total=4000, seed=3)).train_arrays
+        w = arrs.w.copy()
+        w[0] += 5e-7
+        with pytest.raises(ValueError, match=r"^weights sum to 2000\.00000050 but must equal "
+                                             r"the subject count 2000; rescale them"):
+            fit_extended(SubjectArrays(x=arrs.x, s=arrs.s, z=arrs.z, w=w), SPEC_EXT)
+        w[0] = 1.0 + 5e-8
+        shifted = SubjectArrays(x=arrs.x, s=arrs.s, z=arrs.z, w=w)
+        assert solve_mu(np.zeros(2), shifted).feasible
+        res = fit_extended(shifted, SPEC_EXT)
+        assert res.converged and isinstance(res.mu, float)
+
+    def test_probe_trial_past_the_sum_bound_is_evaluated_alone(self):
+        # a subject long-term by its history at s = 3e306: at the optimum
+        # its tilt exponent is -2.6e305, and the flatness probe's eta01 + 5
+        # trial makes its long-term branch -inf, so its term is that
+        # exponent, past the exact sums' bound.  The trial is evaluated on
+        # its own, and the fit settles
+        arrs = generate(default_config("1", n_total=600, seed=1)).train_arrays
+        s, z = arrs.s.copy(), arrs.z.copy()
+        s[0], z[0] = 3e306, 0
+        res = fit_extended(SubjectArrays(x=arrs.x, s=s, z=z, w=arrs.w), SPEC_EXT)
+        assert res.converged and res.iterations == 11
+        assert res.estimates()["psi1"] == pytest.approx(-0.0863, abs=1e-4)
+
     def test_fit_delegates_for_extended_specs(self):
         from recency.estimation import fit as fit_entry
         gen = generate(default_config("1", n_total=800, seed=51))

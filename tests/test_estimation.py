@@ -60,6 +60,19 @@ class TestFit:
         with pytest.raises(ValueError, match="rescale"):
             fit(bad, SPEC)
 
+    def test_weight_sum_rule_is_relative(self):
+        # |sum(w) - n| <= 5e-11 n, the rule the density-ratio fit needs:
+        # at n = 1000, 2.5e-8 passes and 2e-7 does not
+        subs = sim_train(0)
+        for offset, passes in ((2.5e-8, True), (2e-7, False)):
+            w = subs.w.copy()
+            w[0] += offset
+            if passes:
+                assert fit(replace(subs, w=w), SPEC).converged
+            else:
+                with pytest.raises(ValueError, match=r"^weights sum to 1000\.0000002\d* but must"):
+                    fit(replace(subs, w=w), SPEC)
+
     def test_duplicated_halved_weights_same_argmax(self):
         # duplicating every subject keeps the weights summing to the subject
         # count and doubles the objective, so the argmax stays put
@@ -277,6 +290,56 @@ class TestStarts:
         assert res.estimates()["eta01"] == pytest.approx(-0.35, abs=0.01)
 
 
+class TestExtremeInputs:
+    """A valid SubjectArrays with extreme values ends in a flagged
+    FitResult, with no exception and no warning.  The data are the S1
+    seed-1 train half with subject 0 long-term by its history (z = 1) at
+    an extreme s."""
+
+    SPECS = [SPEC, ModelSpec(covariate_names=("odn",), fix_eta00=None),
+             ModelSpec(covariate_names=("odn",), extended=True)]
+    IDS = ["default", "free-eta00", "extended"]
+
+    @staticmethod
+    def train_with(s0):
+        arrs = sim_train(1)
+        s, z = arrs.s.copy(), arrs.z.copy()
+        s[0], z[0] = s0, 1
+        return replace(arrs, s=s, z=z)
+
+    @staticmethod
+    def quiet_fit(arrs, spec):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = fit(arrs, spec)
+        assert [str(w.message) for w in caught] == []
+        return res
+
+    @pytest.mark.parametrize("spec", SPECS, ids=IDS)
+    def test_score_past_the_float_range_leaves_no_finite_start(self, spec):
+        # the subject's eta01 score is 1e200 at every start, and its square
+        # overflows: no start is finite, so the fit is the flagged start
+        # template with a NaN covariance
+        res = self.quiet_fit(self.train_with(1e200), spec)
+        assert not res.converged and res.iterations == 0
+        assert res.log_pl == -math.inf and np.isnan(res.covariance).all()
+        np.testing.assert_array_equal(res.theta_hat.pack(),
+                                      estimation._default_start(spec).pack())
+        if spec.extended:
+            assert res.mu == 0.0   # psi = 0, where the jumps are w / n
+
+    @pytest.mark.parametrize("spec", SPECS, ids=IDS)
+    def test_steps_below_rounding_end_the_run(self, spec):
+        # the likelihood turns from flat to a slope of 1e20 at eta01 ~ -7e-20:
+        # the trust region shrinks until x + step rounds to x, where a run
+        # stops, long before the radius is small enough for the trust
+        # step's norms to underflow
+        res = self.quiet_fit(self.train_with(1e20), spec)
+        assert not res.converged and math.isfinite(res.log_pl)
+        if spec.extended:
+            assert isinstance(res.mu, float)
+
+
 class TestSandwich:
     def test_se_shrinks_at_root_n(self):
         # rate check over the solidly identified beta block; the rare-event
@@ -357,6 +420,14 @@ class TestEtaVariants:
         for v in table[1:]:
             assert full_ll >= v.fit.log_pl - 1e-6
 
+    def test_failing_variant_is_reported(self):
+        subs = sim_train(12, n_total=400)
+        table = compare_eta_variants(replace(subs, w=2.0 * subs.w), ("odn",))
+        assert len(table) == 4
+        for v in table:
+            assert v.fit is None and v.log_pl is None and v.bic is None
+            assert v.error.startswith("weights sum to 400.000000 but must equal")
+
 
 class TestBackwardStepwise:
     @staticmethod
@@ -392,6 +463,22 @@ class TestBackwardStepwise:
     def test_empty_candidates_error(self):
         with pytest.raises(ValueError):
             backward_stepwise(sim_train(16, n_total=400), (), SPEC)
+
+    def test_candidates_must_name_the_columns(self):
+        spec = ModelSpec(covariate_names=("odn", "age"))
+        with pytest.raises(ValueError, match="^data has 1 covariate columns but 2 candidates"):
+            backward_stepwise(sim_train(16, n_total=400), ("odn", "age"), spec)
+
+    def test_z_model_covariate_is_not_dropped(self):
+        # dropping the spec's z-model covariate leaves no valid spec: the
+        # trial is traced with its error, and with no other trial the
+        # search stops
+        spec = ModelSpec(covariate_names=("odn",), z_model_covariate="odn")
+        result = backward_stepwise(sim_train(16, n_total=400), ("odn",), spec)
+        assert result.selected == ("odn",) and len(result.trace) == 2
+        trial = result.trace[1]
+        assert trial["dropped"] == "odn" and trial["bic"] == math.inf
+        assert trial["error"].startswith("'z_model_covariate' is 'odn', not among covariates")
 
 
 class TestFitReport:

@@ -49,6 +49,31 @@ class TestWeightedLogistic:
         fisher = X.T @ (X * (w * p * (1 - p))[:, None])
         np.testing.assert_allclose(res.cov, np.linalg.inv(fisher), rtol=1e-8)
 
+    def test_x_and_y_must_agree(self):
+        with pytest.raises(ValueError, match="^x and y disagree on the number of observations$"):
+            fit_weighted_logistic(np.zeros((4, 1)), np.array([0.0, 1.0, 1.0]))
+
+    def test_step_that_lowers_the_likelihood_is_halved(self):
+        # Cauchy covariates: a full Newton step from some iterate lowers the
+        # likelihood, and taking it leads to a singular Fisher information
+        x = np.array([[-1.4331260678687738, -0.20593751698816895],
+                      [0.2343127612213643, -0.5682729536851783],
+                      [0.7246291368760791, 4.838660822215595],
+                      [0.5551556215946406, -0.3746149679316053],
+                      [-7.424781580582374, 0.4124188851411523],
+                      [-28.42548242694046, 0.07525288516857027],
+                      [-1.5952611843855982, 3.2336797225603724],
+                      [-0.6642575470580129, 0.127611880367123]])
+        y = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+        w = np.array([0.21582305733805934, 2.6644376572548434, 2.660301115507139,
+                      1.9778558736723495, 2.549562977145296, 0.21714205132668185,
+                      0.2788159916320915, 2.2555263857477197])
+        res = fit_weighted_logistic(x, y, w)
+        assert res.converged
+        X = np.column_stack([np.ones(8), x])
+        p = 1.0 / (1.0 + np.exp(-(X @ res.beta)))
+        assert np.max(np.abs(X.T @ (w * (y - p)))) < 1e-9
+
     def test_single_class_errors(self):
         with pytest.raises(ValueError):
             fit_weighted_logistic(np.zeros((5, 1)), np.ones(5))

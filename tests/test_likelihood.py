@@ -406,6 +406,16 @@ class TestHessian:
             assert np.max(np.abs(an - fd) / (1.0 + np.abs(an))) < 1e-6
 
 
+    def test_non_finite_entry_is_named(self):
+        # a covariate of 1e200 makes its beta's Hessian entry x^2 pi (1 - pi)
+        # overflow; numpy's own overflow warning is silenced so that the rule
+        # is reached
+        subs = subjects([[1e200], [0.5]], [0.5, 2.0], [0, 1])
+        with np.errstate(over="ignore"), pytest.raises(
+                FloatingPointError, match="^non-finite Hessian entry$"):
+            hessian(subs, initial_theta(SPEC), SPEC)
+
+
 class TestHessianWindowPairs:
     @pytest.mark.parametrize("variant", ["full_eta", "extended"])
     def test_skipped_pairs_leave_the_hessian_bit_identical(self, variant, monkeypatch):

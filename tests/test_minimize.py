@@ -201,6 +201,59 @@ class TestMinimize:
         res = minimize(lambda x: (math.inf, np.zeros(1)), np.zeros(1), lambda x: np.eye(1))
         assert not res.success and res.nit == 0 and res.nhev == 0
 
+    @pytest.mark.parametrize("grad", [[math.nan], [1e200, 1e200]], ids=["nan", "norm-overflows"])
+    def test_start_whose_gradient_norm_is_not_finite_stops(self, grad):
+        # its value counts as inf, as at any point no step may reach
+        res = minimize(lambda x: (0.0, np.array(grad)), np.zeros(len(grad)),
+                       lambda x: np.eye(len(grad)))
+        assert not res.success and res.nit == 0 and res.nhev == 0
+        assert res.fun == math.inf and res.message == "start is not finite"
+
+    def test_point_whose_gradient_norm_overflows_is_a_rejected_step(self):
+        # the quadratic's minimum (3, 0) lies beyond x0 = 0.5, where the
+        # gradient's squared norm overflows
+        fun, hess = quadratic(np.eye(2), np.array([3.0, 0.0]))
+
+        def walled(x):
+            value, grad = fun(x)
+            return value, (grad if x[0] <= 0.5 else np.array([1e200, 1e200]))
+
+        obj = Recorded(walled, hess)
+        res = minimize(obj, np.zeros(2), obj.hess, maxiter=2)
+        assert [np.linalg.norm(t) for t in obj.trials[1:]] == pytest.approx(
+            [TRUST_RADIUS, TRUST_RADIUS / 4])
+        np.testing.assert_allclose(res.x, [0.25, 0.0])
+
+    def test_non_finite_hessian_stops(self):
+        def hess(x):
+            raise FloatingPointError("non-finite Hessian entry")
+
+        res = minimize(lambda x: (x @ x, 2.0 * x), np.ones(2), hess)
+        assert not res.success and res.nit == 0 and res.nhev == 0
+        assert res.message == "Hessian is not finite"
+        np.testing.assert_array_equal(res.x, np.ones(2))
+
+    def test_step_that_does_not_move_x_stops(self):
+        # a slope toward a wall just below x = 1: every step is rejected,
+        # and once the radius is below half of x's rounding unit, x + step
+        # is x, where the run stops long before the radius underflows
+        def fun(x):
+            return (1e-100 * x[0] if x[0] >= 1.0 else math.inf), np.array([1e-100])
+
+        res = minimize(fun, np.ones(1), lambda x: np.zeros((1, 1)), gtol=0.0)
+        assert not res.success and res.message == "the step cannot decrease the value"
+        assert res.x[0] == 1.0 and res.nhev == 1 and res.nit == 27
+
+    def test_step_whose_predicted_decrease_underflows_stops(self):
+        # the Newton step -1e-250 moves x = 0, but the decrease the model
+        # predicts for it, 5e-351, is below the smallest float
+        def fun(x):
+            return 1e-100 * x[0] + 0.5e150 * x[0] ** 2, np.array([1e-100 + 1e150 * x[0]])
+
+        res = minimize(fun, np.zeros(1), lambda x: np.full((1, 1), 1e150), gtol=1e-300)
+        assert not res.success and res.message == "the step cannot decrease the value"
+        assert res.x[0] == 0.0 and res.nit == 0
+
     def test_scaled_region_steps_past_a_stiff_wall_in_fewer_steps(self):
         # the sphere's radius-1 step moves v by up to 1000 ell: it is
         # rejected until the radius has collapsed, and regrowing it to reach
@@ -305,6 +358,22 @@ class TestBrentq:
             theirs = scipy.optimize.brentq(f, lo, hi, xtol=xtol, rtol=rtol)
             assert close_roots(ours, theirs, xtol, rtol)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_underflowing_interpolation_bisects_as_scipy(self, seed):
+        # values near the float minimum make an interpolation's divisor
+        # underflow to 0: Python raises ZeroDivisionError where scipy's C
+        # gets an infinite step, and both then bisect
+        rng = np.random.default_rng(seed)
+        f, lo, hi = random_function(rng)
+        tiny = 1e-300 / f(hi)
+
+        def g(x):
+            return tiny * f(x)
+
+        ours = brentq(g, lo, hi, xtol=1e-12)
+        assert ours == scipy.optimize.brentq(g, lo, hi, xtol=1e-12)
+        assert close_roots(ours, brentq(f, lo, hi, xtol=1e-12), 2e-12, estimation.BRENT_RTOL)
+
     @staticmethod
     def both_roots(monkeypatch, module):
         """Wrap ``module.brentq`` so that each call also runs scipy's."""
@@ -338,6 +407,7 @@ class TestBrentq:
 
     def test_endpoint_root_and_errors(self):
         assert brentq(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+        assert brentq(lambda x: 3.0 - x, 1.0, 3.0) == 3.0
         with pytest.raises(ValueError, match="different signs"):
             brentq(lambda x: x * x + 1.0, -1.0, 1.0)
         with pytest.raises(ValueError, match="NaN"):

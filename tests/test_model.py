@@ -325,6 +325,26 @@ class TestSubjectArraysProperties:
 
 
 class TestThetaAndSpec:
+    @pytest.mark.parametrize("fields, message", [
+        (dict(beta=np.zeros((1, 2))), "^beta must be a 1-d vector with the intercept in slot 0$"),
+        (dict(beta=np.zeros(0)), "^beta must be a 1-d vector with the intercept in slot 0$"),
+        (dict(eta=np.zeros(3)), r"^eta must have 4 entries .* got shape \(3,\)$"),
+        (dict(psi=np.zeros(3)), r"^psi must have 2 entries, got shape \(3,\)$"),
+    ], ids=["beta-2d", "beta-empty", "eta", "psi"])
+    def test_shape_errors(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            Theta(**{"beta": np.zeros(2), "eta": np.zeros(4), **fields})
+
+    def test_with_packed_checks_the_length(self):
+        theta = initial_theta(ModelSpec(covariate_names=("odn",), extended=True))
+        with pytest.raises(ValueError, match="^expected packed length 8, got 7$"):
+            theta.with_packed(np.zeros(7))
+
+    def test_z_model_covariate_index(self):
+        assert ModelSpec(covariate_names=("odn", "age")).z_model_covariate_index is None
+        spec = ModelSpec(covariate_names=("odn", "age"), z_model_covariate="age")
+        assert spec.z_model_covariate_index == 1
+
     def test_pack_roundtrip(self):
         theta = Theta(beta=np.array([0.1, 0.2]), eta=np.array([7.0, -0.6, -7.0, -5.7]),
                       psi=np.array([0.3, -0.4]), eta_x=0.9)

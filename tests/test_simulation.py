@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +89,15 @@ class TestScenarioConfig:
     def test_odd_total_rejected(self):
         with pytest.raises(ValueError):
             ScenarioConfig(scenario="S1", n_total=1001)
+
+    def test_s2_total_must_split_in_three(self):
+        with pytest.raises(ValueError, match="^S2 splits into three equal groups; n_total must"):
+            default_config("2", n_total=2000)
+
+    def test_psi_true_only_in_s6(self):
+        assert default_config("1").psi_true is None
+        shape, r0, r1 = default_config("6").s_gamma
+        assert default_config("6").psi_true == (shape * math.log(r1 / r0), r0 - r1)
 
     @pytest.mark.parametrize("scenario, beta", [("1", (1.0, 2.0, 3.0)), ("2", (0.0, -0.19)),
                                                 ("6", (0.95,))])
@@ -347,6 +357,23 @@ def small_summary():
 
 
 class TestRunReplicates:
+    def test_tiny_draws_leave_the_comparator_and_aggregates_empty(self):
+        # 6 subjects per half.  In the first replicate the latent test
+        # subjects are of one class, so the Type-2 AUC is NaN; in the second
+        # the 2 labeled train subjects are, so the comparator has no fit.
+        # No fit converges, so no parameter has an aggregate
+        su = run_replicates(default_config("1", n_total=12, seed=0), 2, SPEC)
+        first, second = su.replicates
+        assert math.isnan(first["auc2"]) and first["lr_params"]
+        assert second["lr_params"] == {} and math.isnan(second["auc_lr"])
+        assert su.n_converged == 0 and su.params == {} and su.lr_params == {}
+
+    def test_mc_se_needs_two_replicates(self):
+        stats = simulation.ParamStats(truth=0.0, mean_estimate=0.1, mean_se=0.2, sd=0.3,
+                                      coverage95=1.0, n=1)
+        assert math.isnan(stats.mc_se)
+        assert replace(stats, n=4).mc_se == pytest.approx(0.15)
+
     def test_summary_structure(self, small_summary):
         su = small_summary
         assert su.n_reps == 8
