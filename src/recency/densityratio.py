@@ -74,7 +74,8 @@ def tilt(s, psi):
     """Density ratio exp(psi0 + psi1 * s); errors on overflow."""
     s = np.asarray(s, dtype=float)
     psi = np.asarray(psi, dtype=float)
-    expo = psi[0] + psi[1] * s
+    with np.errstate(over="ignore"):
+        expo = psi[0] + psi[1] * s
     if np.any(expo > 700.0):
         raise OverflowError("tilt exponent overflows float64; bound psi during optimization")
     return np.exp(expo)
@@ -189,12 +190,14 @@ def profile_log_likelihood(data, theta: Theta, spec: ModelSpec) -> float:
 class _ProfileObjective:
     """The extended fit's objective for :func:`estimation._maximize`:
     the profile likelihood, its analytic gradient, Hessian and sandwich,
-    and :func:`estimation.minimize` runs on its negation with rejection
-    counting.  One cached root-find, kernel pass and set of multiplier
-    pieces per distinct point serves every method but ``value``: the loop
-    asks for the value and gradient at each trial point and for the
-    Hessian at each accepted one.  The flatness probe's trial points come
-    from one batched pass (:meth:`trial_logliks`).
+    and :func:`estimation.minimize` runs on its negation.  Where psi is
+    infeasible each derivative raises FloatingPointError, which the loop
+    rejects and :meth:`value_and_gradient` counts.  One cached root-find,
+    kernel pass and set of multiplier pieces per distinct point serves
+    every method but ``value``: the loop asks for the value and gradient
+    at each trial point and for the Hessian at each accepted one.  The
+    flatness probe's trial points come from one batched pass
+    (:meth:`trial_logliks`).
 
     Its runs measure the trust region as |D p| <= radius, D from the
     first Hessian's diagonal (``minimize(..., scaled=True)``).  Near the
@@ -232,17 +235,17 @@ class _ProfileObjective:
         return self._negated_total(None if terms is None else self.arrs.w * terms, sol)
 
     def value_and_gradient(self, free):
-        """The loop's objective (value, -gradient) from the cached pass;
-        (inf, NaNs) where psi is infeasible."""
+        """The loop's objective (value, -gradient) from the cached pass.  Where
+        psi is infeasible or a score is not finite, it counts the point (a
+        rejection unless every term is finite) and raises FloatingPointError."""
+        sol = contrib = None
         try:
             sol, cp, mp = self._feasible_pass(free)
-        except FloatingPointError:
-            return self._negated_total(None, None), np.full(free.size, np.nan)
-        contrib = self.arrs.w * (cp.terms - _log_denominators(sol))
-        try:
+            contrib = self.arrs.w * (cp.terms - _log_denominators(sol))
             m = self._profile_scores(sol, cp, mp)
         except FloatingPointError:
-            return self._negated_total(contrib, sol), np.full(free.size, np.nan)
+            self._negated_total(contrib, sol)
+            raise
         # the value and the scores from one exact column sum
         self._note_residuals(sol)
         sums = _exact_colsum(np.column_stack([contrib, m]))
@@ -361,13 +364,9 @@ class _ProfileObjective:
         return hess
 
     def gradient(self, free):
-        """Gradient of the (positive) profile objective; NaN where psi is
-        infeasible."""
-        try:
-            m = self.contribution_jacobian(free)
-        except FloatingPointError:
-            return np.full(free.size, np.nan)
-        return _exact_colsum(m)
+        """Gradient of the (positive) profile objective; raises
+        FloatingPointError where psi is infeasible."""
+        return _exact_colsum(self.contribution_jacobian(free))
 
     def loglik(self, free):
         return -self.value(free)
@@ -394,10 +393,10 @@ def fit_extended(data, spec: ModelSpec) -> FitResult:
     first settled attempt; each run's trust region is scaled by its first
     Hessian's diagonal (see :class:`_ProfileObjective`), which takes an
     S6 fit at n_total = 4000 about 9 steps, where the sphere took 17.
-    The result also carries the multiplier at the
-    estimate, always a float (a run's end point, or psi = 0, is feasible),
-    the worst constraint residuals seen over accepted evaluations, and the
-    number of infeasible-psi rejections.
+    The result also carries the multiplier at the estimate from
+    :func:`solve_mu`, always a float (a run's end point, or psi = 0, is
+    feasible), the worst constraint residuals seen over accepted
+    evaluations, and the number of infeasible-psi rejections.
     """
     if not spec.extended:
         raise ValueError("fit_extended requires spec.extended")
@@ -419,7 +418,6 @@ def fit_extended(data, spec: ModelSpec) -> FitResult:
         starts.append(cone)
 
     res = _maximize(obj, starts)
-    # the covariance left the cached pass at the optimum, whose psi is feasible
-    return replace(res, mu=obj._feasible_pass(res.theta_hat.free_values(spec))[0].mu,
+    return replace(res, mu=solve_mu(res.theta_hat.psi, arrs).mu,
                    constraint_residuals=tuple(obj.max_residuals),
                    infeasible_rejections=obj.rejections)

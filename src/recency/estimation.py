@@ -30,9 +30,12 @@ decision changes.  The density-ratio fit runs the same attempt
 loop (:func:`_maximize`) on its profile objective from its own starts.
 Non-convergence is flagged on the result, never raised, so replicate
 harnesses can count failures: a start that is not finite is skipped, and
-with none finite the fit is the flagged start template.  The one error,
-raised before any start runs, is for weights whose sum is off the subject
-count by more than a relative WEIGHT_SUM_TOL.
+with none finite the fit is the flagged start template.  An objective
+raises FloatingPointError or OverflowError at a point it cannot use, and
+:func:`minimize` alone turns that into a rejected step, so no fit raises
+on finite data.  The one error, raised before any start runs, is for
+weights whose sum is off the subject count by more than a relative
+WEIGHT_SUM_TOL.
 """
 
 from __future__ import annotations
@@ -105,9 +108,9 @@ def minimize(fun, x0, hess, gtol=SCORE_TOL, maxiter=MAX_ITER, scaled=False) -> M
     """Trust-region Newton minimization (More & Sorensen 1983; Nocedal &
     Wright 2006, section 4.3).
 
-    ``fun(x)`` returns the value and gradient at x; a value of inf or NaN,
-    or a gradient whose 2-norm is not finite (:func:`_evaluate`), marks a
-    point the step must not reach.
+    ``fun(x)`` returns the value and gradient at x.  A point where it raises
+    FloatingPointError or OverflowError, or gives a NaN value or a gradient
+    whose 2-norm is not finite, is inf (:func:`_evaluate`): no step reaches it.
     ``hess(x)`` is asked for only at accepted iterates, right after
     ``fun(x)``, so an objective that keeps its last pass serves both, and
     a rejected step re-solves with the same Hessian.  Each step is the
@@ -149,7 +152,7 @@ def minimize(fun, x0, hess, gtol=SCORE_TOL, maxiter=MAX_ITER, scaled=False) -> M
         if h is None:
             try:
                 h = hess(x)
-            except FloatingPointError:
+            except (FloatingPointError, OverflowError):
                 stop = "Hessian is not finite"
                 break
             nhev += 1
@@ -186,8 +189,12 @@ def minimize(fun, x0, hess, gtol=SCORE_TOL, maxiter=MAX_ITER, scaled=False) -> M
 
 def _evaluate(fun, x):
     """``fun(x)`` and the gradient's 2-norm; the value is inf (no step may
-    reach x) where it is NaN or the norm, whose square may overflow, is not finite."""
-    f, g = fun(x)
+    reach x) where ``fun`` raises FloatingPointError or OverflowError (the
+    gradient NaN) or the value is NaN or the norm, which may overflow, is not finite."""
+    try:
+        f, g = fun(x)
+    except (FloatingPointError, OverflowError):
+        return math.inf, np.full(x.size, math.nan), math.nan
     with np.errstate(over="ignore"):
         gnorm = np.linalg.norm(g)
     return (math.inf if math.isnan(f) or not math.isfinite(gnorm) else f), g, gnorm
@@ -350,9 +357,9 @@ class _NegObjective:
     """The basic fit's objective for :func:`_maximize`.  :func:`minimize`
     gets -log_pseudo_likelihood and -score at each trial point, and
     -hessian at each accepted one, from one kernel pass per distinct
-    point; the flatness probe gets its trial points from one batched pass
-    (:meth:`trial_logliks`); the other methods call the public kernel
-    functions."""
+    point, which raises where the point is not usable; the flatness probe
+    gets its trial points from one batched pass (:meth:`trial_logliks`);
+    the other methods call the public kernel functions."""
 
     def __init__(self, arrs, template, spec):
         self.arrs, self.template, self.spec = arrs, template, spec
@@ -369,15 +376,10 @@ class _NegObjective:
         return self._cp
 
     def __call__(self, free):
-        """(value, gradient), both from one exact column sum; inf where a
-        term is not finite, NaNs where a score is not."""
+        """(value, gradient), both from one exact column sum; raises
+        FloatingPointError where a score is not finite."""
         cp = self._pass(free)
-        try:
-            m = _case_scores(self.kd, cp)
-        except FloatingPointError:
-            terms = cp.terms
-            value = -_exact_sum(self.arrs.w * terms) if np.isfinite(terms).all() else math.inf
-            return value, np.full(free.size, np.nan)
+        m = _case_scores(self.kd, cp)
         # finite scores imply finite terms: a term that is not finite makes
         # its v NaN, and beta0, whose score reads v, is always free
         sums = _exact_colsum(np.column_stack([self.arrs.w * cp.terms, m]))
@@ -521,7 +523,7 @@ def _maximize(obj, starts) -> FitResult:
                 # an unsettled x_hat is flagged already; any other warning passes
                 warnings.filterwarnings("ignore", "sandwich evaluated away from a stationary point")
                 cov = obj.covariance(x_hat)
-        except (np.linalg.LinAlgError, ValueError, FloatingPointError):
+        except (np.linalg.LinAlgError, ValueError, FloatingPointError, OverflowError):
             converged = False
     return FitResult(
         theta_hat=obj.template.with_free(x_hat, obj.spec), covariance=cov, log_pl=ll,

@@ -153,9 +153,11 @@ class _KernelData:
 
 
 def _q_pieces(kd: _KernelData, theta: Theta):
-    """log p and log(1 - p) of the test-result predictor q."""
+    """log p and log(1 - p) of the test-result predictor q, formed on each
+    subject's own side of s = 1 only: a q of +-inf is a certain test result."""
     eta = theta.eta
-    q = np.where(kd.inside, eta[2] + eta[3] * kd.sm1, eta[0] + eta[1] * kd.sm1)
+    with np.errstate(over="ignore"):
+        q = np.where(kd.inside, eta[2], eta[0]) + np.where(kd.inside, eta[3], eta[1]) * kd.sm1
     if kd.zx is not None:
         q = q + theta.eta_x * kd.zx
     log_p, log_1m_p = _log_sigmoid_pair(q)
@@ -166,8 +168,10 @@ def _q_pieces(kd: _KernelData, theta: Theta):
 
 
 def _tilt_exponent(kd: _KernelData, theta: Theta):
-    """psi0 + psi1 * s under an extended spec; None (no tilt) otherwise."""
-    return theta.psi[0] + theta.psi[1] * kd.s if kd.spec.extended else None
+    """psi0 + psi1 * s under an extended spec, +-inf where the product
+    overflows; None (no tilt) otherwise."""
+    with np.errstate(over="ignore"):
+        return theta.psi[0] + theta.psi[1] * kd.s if kd.spec.extended else None
 
 
 def _linear_pieces(kd: _KernelData, theta: Theta):

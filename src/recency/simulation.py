@@ -369,6 +369,8 @@ def _one_replicate(args):
         row["constraint_residuals"] = result.constraint_residuals
         row["infeasible_rejections"] = result.infeasible_rejections
 
+    both_classes = 0 < gen.y_test.sum() < gen.y_test.size   # else the test AUCs are NaN
+
     # comparator: plain logistic regression on the label-determined train subset
     lr_row = {}
     lr_e_y = math.nan
@@ -385,14 +387,15 @@ def _one_replicate(args):
                     "truth": truth[name],
                     "covered": bool(abs(lr.beta[j] - truth[name]) <= 1.96 * lr.se[j]),
                 }
-            auc_lr = auc(lr.predict(test.x), gen.y_test)
+            if both_classes:
+                auc_lr = auc(lr.predict(test.x), gen.y_test)
             lr_e_y = float(np.average(lr.predict(train.x), weights=train.w))
         except (ValueError, np.linalg.LinAlgError):
             pass
     row["lr_params"] = lr_row
 
     theta = result.theta_hat
-    row["auc1"] = auc(pi_recent(test.x, theta.beta), gen.y_test)
+    row["auc1"] = auc(pi_recent(test.x, theta.beta), gen.y_test) if both_classes else math.nan
     # Type-2 AUC on the latent-status subjects, scored from what they reported
     latent = gen.test_latent
     y_b = gen.y_test[latent]

@@ -16,7 +16,7 @@ from recency.densityratio import (
     solve_mu,
     tilt,
 )
-from recency.estimation import SCORE_TOL, _sandwich, minimize
+from recency.estimation import SCORE_TOL, _evaluate, _sandwich, minimize
 from recency.likelihood import log_pseudo_likelihood
 from recency.model import ModelSpec, SubjectArrays, initial_theta
 from recency.simulation import default_config, generate
@@ -272,17 +272,16 @@ class TestProfileScore:
             np.testing.assert_array_equal(an, an.T)
             assert np.max(np.abs(an - fd) / (1.0 + np.abs(an))) < 1e-6
 
-    def test_infeasible_psi_gives_nan_gradient(self):
-        free = np.array([0.3, -0.4, -0.5, -4.0, 0.3, 0.2])
-        assert np.isnan(self.obj.gradient(free)).all()
-
     @pytest.mark.parametrize("psi", [(0.3, 0.2), (0.0, 800.0)], ids=["infeasible", "overflow"])
     def test_hessian_raises_where_psi_is_not_usable(self, psi):
+        # so do the scores and the gradient
         free = np.array([0.3, -0.4, -0.5, -4.0, *psi])
         with pytest.raises(FloatingPointError):
             self.obj.hessian(free)
         with pytest.raises(FloatingPointError):
             self.obj.contribution_jacobian(free)
+        with pytest.raises(FloatingPointError):
+            self.obj.gradient(free)
 
 
 class TestOnePassObjective:
@@ -306,8 +305,10 @@ class TestOnePassObjective:
         assert merged.rejections == separate.rejections == 0
 
     def test_infeasible_psi_is_one_rejection(self):
+        # the objective counts it and raises; the loop's evaluation makes it inf
         obj = _ProfileObjective(self.arrs, self.template, SPEC_EXT)
-        value, grad = obj.value_and_gradient(np.array([0.3, -0.4, -0.5, -4.0, 0.3, 0.2]))
+        value, grad, _ = _evaluate(obj.value_and_gradient,
+                                   np.array([0.3, -0.4, -0.5, -4.0, 0.3, 0.2]))
         assert value == math.inf
         assert grad.shape == (6,) and np.isnan(grad).all()
         assert obj.rejections == 1
@@ -398,13 +399,16 @@ class TestFitExtended:
         # its tilt exponent is -2.6e305, and the flatness probe's eta01 + 5
         # trial makes its long-term branch -inf, so its term is that
         # exponent, past the exact sums' bound.  The trial is evaluated on
-        # its own, and the fit settles
+        # its own, and the fit settles.  At s = 1e308 the psi1 trials'
+        # psi1 * s overflows too: +inf makes the tilt infeasible, and -inf
+        # is a tilt of 0, with no warning
         arrs = generate(default_config("1", n_total=600, seed=1)).train_arrays
-        s, z = arrs.s.copy(), arrs.z.copy()
-        s[0], z[0] = 3e306, 0
-        res = fit_extended(SubjectArrays(x=arrs.x, s=s, z=z, w=arrs.w), SPEC_EXT)
-        assert res.converged and res.iterations == 11
-        assert res.estimates()["psi1"] == pytest.approx(-0.0863, abs=1e-4)
+        for s0 in (3e306, 1e308):
+            s, z = arrs.s.copy(), arrs.z.copy()
+            s[0], z[0] = s0, 0
+            res = fit_extended(SubjectArrays(x=arrs.x, s=s, z=z, w=arrs.w), SPEC_EXT)
+            assert res.converged and res.iterations == 11
+            assert res.estimates()["psi1"] == pytest.approx(-0.0863, abs=1e-4)
 
     def test_fit_delegates_for_extended_specs(self):
         from recency.estimation import fit as fit_entry

@@ -10,6 +10,7 @@ import pytest
 
 from recency import estimation, likelihood
 from recency.estimation import (
+    _evaluate,
     _NegObjective,
     backward_stepwise,
     compare_eta_variants,
@@ -149,7 +150,8 @@ class TestBfgsObjective:
                 np.testing.assert_array_equal(objective.hess(free), -hessian(arrs, theta, spec))
 
     def test_degenerate_theta_gives_inf_and_nan_gradient(self):
-        # case IV with pi = 0 and p0 = 1: both branches are impossible
+        # case IV with pi = 0 and p0 = 1: both branches are impossible.  The
+        # objective raises there, and the loop's evaluation makes it inf
         spec = ModelSpec(covariate_names=("odn",), p0_identically_one=True, fix_eta00=None)
         template = initial_theta(spec)
         arrs = subjects(0.0, 2.0, 0)
@@ -157,7 +159,7 @@ class TestBfgsObjective:
         with np.errstate(invalid="ignore"):
             with pytest.raises(FloatingPointError):
                 score(arrs, template.with_free(free, spec), spec)
-            value, grad = _NegObjective(arrs, template, spec)(free)
+            value, grad, _ = _evaluate(_NegObjective(arrs, template, spec), free)
         assert value == math.inf
         assert grad.shape == (3,) and np.isnan(grad).all()
 
@@ -319,14 +321,22 @@ class TestExtremeInputs:
     def test_score_past_the_float_range_leaves_no_finite_start(self, spec):
         # the subject's eta01 score is 1e200 at every start, and its square
         # overflows: no start is finite, so the fit is the flagged start
-        # template with a NaN covariance
-        res = self.quiet_fit(self.train_with(1e200), spec)
-        assert not res.converged and res.iterations == 0
-        assert res.log_pl == -math.inf and np.isnan(res.covariance).all()
-        np.testing.assert_array_equal(res.theta_hat.pack(),
-                                      estimation._default_start(spec).pack())
-        if spec.extended:
-            assert res.mu == 0.0   # psi = 0, where the jumps are w / n
+        # template with a NaN covariance.  So it is with the subject at
+        # s = 1.7e308, where eta11 * (s - 1), which the kernel does not
+        # form outside the window, overflows; and with four long-term
+        # subjects there in the n_total = 600 half, whose eta01 scores sum
+        # past the float range, so that the objective raises OverflowError
+        four = sim_train(1, n_total=600)
+        s = four.s.copy()
+        s[np.flatnonzero((s > 1.0) & (four.z == 1))[:4]] = 1.7e308
+        for arrs in (self.train_with(1e200), self.train_with(1.7e308), replace(four, s=s)):
+            res = self.quiet_fit(arrs, spec)
+            assert not res.converged and res.iterations == 0
+            assert res.log_pl == -math.inf and np.isnan(res.covariance).all()
+            np.testing.assert_array_equal(res.theta_hat.pack(),
+                                          estimation._default_start(spec).pack())
+            if spec.extended:
+                assert res.mu == 0.0   # psi = 0, where the jumps are w / n
 
     @pytest.mark.parametrize("spec", SPECS, ids=IDS)
     def test_steps_below_rounding_end_the_run(self, spec):

@@ -50,6 +50,14 @@ def rosenbrock(x):
     return scipy.optimize.rosen(x), scipy.optimize.rosen_der(x)
 
 
+def raises(error):
+    """A function that raises ``error``, as an objective does at a point
+    it cannot use."""
+    def fun(*args):
+        raise error("not a usable point")
+    return fun
+
+
 def model(g, h, p):
     return g @ p + 0.5 * p @ h @ p
 
@@ -157,19 +165,20 @@ class TestMinimize:
         np.testing.assert_allclose(np.abs(res.x), [0.0, math.sqrt(0.5)], rtol=0, atol=1e-9)
 
     def test_infinite_value_is_a_rejected_step_that_shrinks_the_radius(self):
-        # the quadratic's minimum (3, 0) lies beyond a wall at x0 = 0.5
+        # the quadratic's minimum (3, 0) lies beyond a wall at x0 = 0.5,
+        # where the value is inf or the objective raises
         fun, hess = quadratic(np.eye(2), np.array([3.0, 0.0]))
+        for beyond in (lambda x: (math.inf, fun(x)[1]), raises(FloatingPointError),
+                       raises(OverflowError)):
+            def walled(x):
+                return fun(x) if x[0] <= 0.5 else beyond(x)
 
-        def walled(x):
-            value, grad = fun(x)
-            return (math.inf if x[0] > 0.5 else value), grad
-
-        obj = Recorded(walled, hess)
-        res = minimize(obj, np.zeros(2), obj.hess, maxiter=2)
-        steps = [np.linalg.norm(t) for t in obj.trials[1:]]
-        assert steps == pytest.approx([TRUST_RADIUS, TRUST_RADIUS / 4])
-        np.testing.assert_allclose(res.x, [0.25, 0.0])
-        assert not res.success and res.nit == 2
+            obj = Recorded(walled, hess)
+            res = minimize(obj, np.zeros(2), obj.hess, maxiter=2)
+            steps = [np.linalg.norm(t) for t in obj.trials[1:]]
+            assert steps == pytest.approx([TRUST_RADIUS, TRUST_RADIUS / 4])
+            np.testing.assert_allclose(res.x, [0.25, 0.0])
+            assert not res.success and res.nit == 2
 
     def test_hessian_only_at_accepted_iterates(self):
         calls = []
@@ -198,8 +207,12 @@ class TestMinimize:
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_non_finite_start_stops(self):
-        res = minimize(lambda x: (math.inf, np.zeros(1)), np.zeros(1), lambda x: np.eye(1))
-        assert not res.success and res.nit == 0 and res.nhev == 0
+        # an inf value, or an objective that raises there
+        for fun in (lambda x: (math.inf, np.zeros(1)), raises(FloatingPointError),
+                    raises(OverflowError)):
+            res = minimize(fun, np.zeros(1), lambda x: np.eye(1))
+            assert not res.success and res.nit == 0 and res.nhev == 0
+            assert res.fun == math.inf and res.message == "start is not finite"
 
     @pytest.mark.parametrize("grad", [[math.nan], [1e200, 1e200]], ids=["nan", "norm-overflows"])
     def test_start_whose_gradient_norm_is_not_finite_stops(self, grad):
@@ -225,13 +238,11 @@ class TestMinimize:
         np.testing.assert_allclose(res.x, [0.25, 0.0])
 
     def test_non_finite_hessian_stops(self):
-        def hess(x):
-            raise FloatingPointError("non-finite Hessian entry")
-
-        res = minimize(lambda x: (x @ x, 2.0 * x), np.ones(2), hess)
-        assert not res.success and res.nit == 0 and res.nhev == 0
-        assert res.message == "Hessian is not finite"
-        np.testing.assert_array_equal(res.x, np.ones(2))
+        for error in (FloatingPointError, OverflowError):
+            res = minimize(lambda x: (x @ x, 2.0 * x), np.ones(2), raises(error))
+            assert not res.success and res.nit == 0 and res.nhev == 0
+            assert res.message == "Hessian is not finite"
+            np.testing.assert_array_equal(res.x, np.ones(2))
 
     def test_step_that_does_not_move_x_stops(self):
         # a slope toward a wall just below x = 1: every step is rejected,

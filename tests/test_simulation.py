@@ -368,6 +368,17 @@ class TestRunReplicates:
         assert second["lr_params"] == {} and math.isnan(second["auc_lr"])
         assert su.n_converged == 0 and su.params == {} and su.lr_params == {}
 
+    def test_one_class_test_half_leaves_the_test_aucs_nan(self):
+        # 4 subjects per half.  In the first replicate of each draw the test
+        # subjects are of one class: the Type-1 and comparator AUCs are NaN,
+        # as the Type-2 AUC is on its subset.  At seed 6 the comparator
+        # still fits, and its E[Y] on the train half stands
+        first = run_replicates(default_config("1", n_total=8, seed=1), 2, SPEC).replicates[0]
+        assert all(math.isnan(first[key]) for key in ("auc1", "auc2", "auc_lr"))
+        first = run_replicates(default_config("1", n_total=8, seed=6), 1, SPEC).replicates[0]
+        assert math.isnan(first["auc1"]) and math.isnan(first["auc_lr"])
+        assert first["lr_params"] and math.isfinite(first["lr_e_y"])
+
     def test_mc_se_needs_two_replicates(self):
         stats = simulation.ParamStats(truth=0.0, mean_estimate=0.1, mean_se=0.2, sd=0.3,
                                       coverage95=1.0, n=1)
