@@ -272,6 +272,14 @@ class TestProfileScore:
             np.testing.assert_array_equal(an, an.T)
             assert np.max(np.abs(an - fd) / (1.0 + np.abs(an))) < 1e-6
 
+    def test_infeasible_psi_gives_nan_gradient(self):
+        # the objective raises; the loop's evaluation makes the gradient NaN
+        free = np.array([0.3, -0.4, -0.5, -4.0, 0.3, 0.2])
+        with pytest.raises(FloatingPointError):
+            self.obj.gradient(free)
+        _, grad, _ = _evaluate(self.obj.value_and_gradient, free)
+        assert grad.shape == (6,) and np.isnan(grad).all()
+
     @pytest.mark.parametrize("psi", [(0.3, 0.2), (0.0, 800.0)], ids=["infeasible", "overflow"])
     def test_hessian_raises_where_psi_is_not_usable(self, psi):
         # so do the scores and the gradient
